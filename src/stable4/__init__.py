@@ -6,7 +6,6 @@ from .classify import (
     ClassificationTable,
     FamilyData,
     InvariantTuple,
-    act_spin,
     classify,
     decide_stable_equiv,
     family_custom,
@@ -28,7 +27,7 @@ from .forms import (
     signature_int,
     stabilize_hyperbolic,
 )
-from .groupring import RingElem, augmentation, in_image_one_plus_T, involution, phi
+from .groupring import RingElem, augmentation, in_image_one_plus_T, phi
 from .models import (
     HAN1,
     INFINITY,

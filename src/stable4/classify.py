@@ -28,7 +28,7 @@ from .f2 import (
     orbits,
 )
 from .forms import Parity, parity
-from .models import HAN1, INFINITY, w_from_json, w_to_json
+from .models import HAN1, INFINITY, Sentinel, w_from_json, w_to_json
 
 SMOOTH = "smooth"
 TOPOLOGICAL = "topological"
@@ -42,33 +42,21 @@ def normalize_category(category: str) -> str:
         raise InputError(f"unknown category {category!r}") from None
 
 
-class _TauUnknown:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "tau-unknown"
-
-
-TAU_UNKNOWN = _TauUnknown()
+TAU_UNKNOWN = Sentinel("tau-unknown")
 
 
 @dataclass(frozen=True)
 class FamilyData:
-    """The F2 side of an example group: dim H_2 and the Out(pi)-image."""
+    """The F2 side of an example group: dim H_2 and the Out(pi)-image.
+
+    H^1(Bpi;Z/2) = Hom(pi,Z/2) acts through the same F2^d coordinates as
+    H_2 (Poincare duality + Kronecker evaluation); an element m sends
+    (phi, eps) to (eps m + phi, eps).
+    """
 
     name: str
     d: int
     out_generators: tuple[F2Mat, ...]
-    h1_dual_action: str = (
-        "H^1(Bpi;Z/2) = Hom(pi,Z/2) acts through the same F2^d coordinates "
-        "as H_2 (Poincare duality + Kronecker evaluation); an element m "
-        "sends (phi, eps) to (eps m + phi, eps)"
-    )
     notes: str = ""
 
     def __post_init__(self) -> None:
@@ -161,54 +149,37 @@ def family_custom(name: str, d: int, generators: Sequence[F2Mat], notes: str = "
 # Action and orbits
 
 
-def act_spin(m, c: BordismClassSpin, family: FamilyData) -> BordismClassSpin:
-    """One automorphism applied to a spin bordism element.
+def spin_generators(family: FamilyData) -> list[F2Mat]:
+    """The automorphism action on spin states, as matrices on F2^(d+1).
 
-    A vector m (from H^1) sends (sigma, phi, eps) to (sigma, eps m + phi,
-    eps); a matrix (an Out-element) sends it to (sigma, rho phi, eps).  The
-    signature never moves.
+    A state (phi, eps) is the vector with eps in coordinate 0 and phi in
+    coordinates 1..d.  The H^1 basis vector e_j acts as the transvection
+    adding eps to coordinate j + 1, i.e. (phi, eps) -> (phi + eps e_j, eps);
+    an Out-generator rho acts as diag(1, rho).  The signature never moves.
     """
-    if isinstance(m, F2Vec):
-        if m.dim != family.d or c.phi.dim != family.d:
-            raise DomainError("dimension mismatch")
-        phi = c.phi ^ m if c.eps else c.phi
-        return BordismClassSpin(c.sigma, phi, c.eps)
-    if isinstance(m, F2Mat):
-        if m.dim != family.d or c.phi.dim != family.d:
-            raise DomainError("dimension mismatch")
-        return BordismClassSpin(c.sigma, m.apply(c.phi), c.eps)
-    raise InputError(f"cannot act by {m!r}")
-
-
-def spin_state_orbits(family: FamilyData) -> list[list[BordismClassSpin]]:
-    """Orbits of the (phi, eps) states at signature zero under the full
-    automorphism action (H^1 basis vectors plus the Out-generators)."""
-    actions = [F2Vec.basis(family.d, i) for i in range(family.d)]
-    actions += list(family.out_generators)
-    states = [
-        BordismClassSpin(0, F2Vec(family.d, bits), eps)
-        for eps in (0, 1)
-        for bits in range(1 << family.d)
+    d = family.d
+    identity = F2Mat.identity(d + 1).rows
+    gens = [
+        F2Mat(d + 1, tuple(row | (i == j + 1) for i, row in enumerate(identity)))
+        for j in range(d)
     ]
-    seen = set()
-    parts: list[list[BordismClassSpin]] = []
-    key = lambda s: (s.eps, s.phi.coords())
-    for start in states:
-        if key(start) in seen:
-            continue
-        orbit = {key(start): start}
-        frontier = [start]
-        while frontier:
-            s = frontier.pop()
-            for a in actions:
-                t = act_spin(a, s, family)
-                if key(t) not in orbit:
-                    orbit[key(t)] = t
-                    frontier.append(t)
-        seen |= orbit.keys()
-        parts.append(sorted(orbit.values(), key=key))
-    parts.sort(key=lambda orb: key(orb[0]))
-    return parts
+    gens += [
+        F2Mat(d + 1, (1,) + tuple(row << 1 for row in rho.rows))
+        for rho in family.out_generators
+    ]
+    return gens
+
+
+def spin_state_orbits(
+    family: FamilyData, cap: int | None = None
+) -> list[list[BordismClassSpin]]:
+    """Orbits of the (phi, eps) states at signature zero under the full
+    automorphism action, sorted by (eps, phi) within and across orbits."""
+    parts = orbits(family.d + 1, spin_generators(family), max_states=cap)
+    return [
+        [BordismClassSpin(0, F2Vec(family.d, v.bits >> 1), v.bits & 1) for v in orb]
+        for orb in parts
+    ]
 
 
 def stabilizer_of_w(family: FamilyData, w: F2Vec, cap: int | None = None) -> list[F2Mat]:
@@ -281,7 +252,7 @@ def classify(family: FamilyData, w, category: str, cap: int | None = None) -> Cl
     if w.is_zero:
         entries: list[ClassEntry] = []
         odd_count = 0
-        for orbit in spin_state_orbits(family):
+        for orbit in spin_state_orbits(family, cap=cap):
             if orbit[0].eps == 1:
                 odd_count += 1
                 entries.append(ClassEntry("odd"))
@@ -459,7 +430,10 @@ def decide_stable_equiv(
     Signatures and parities must agree; even classes additionally need their
     tau classes in one orbit (full Out-image for spin, stabilizer of w for
     almost spin).  Odd classes are decided by the signature alone.  Tuples
-    with different w-types are never equivalent.
+    with different w-types are never equivalent: w is compared literally,
+    as a fixed identification, not up to Out(pi).  For nil:2, (w=100,
+    tau=010) and (w=010, tau=100) are DISTINCT even though the swap lies in
+    the Out-image.
     """
     category = normalize_category(category)
     _validate_tuple(a, category)

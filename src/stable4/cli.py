@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 from . import f2, forms, groupring, models, words
 from .classify import (
@@ -61,9 +60,11 @@ def _family_pair(spec: str):
 
     Accepts the built-in shorthands z3 / zn:3 / nil:z, or a path to a family
     JSON file (custom families have no group-ring side); a family file may
-    carry a "w" entry, which becomes the default normal 1-type.
+    carry a "w" entry, which becomes the default normal 1-type.  Only specs
+    ending in ".json" or containing "/" are read as files, so a file named
+    like a built-in family never shadows it.
     """
-    if spec.endswith(".json") or "/" in spec or Path(spec).exists():
+    if spec.endswith(".json") or "/" in spec:
         blob = _load_json(spec)
         data = family_data_from_json(blob)
         return None, data, blob.get("w")

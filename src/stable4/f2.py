@@ -154,19 +154,10 @@ class F2Mat:
         return F2Mat(self.dim, tuple(rows))
 
     def is_invertible(self) -> bool:
-        work = list(self.rows)
-        rank = 0
-        for col in range(self.dim):
-            pivot = next(
-                (r for r in range(rank, self.dim) if work[r] >> col & 1), None
-            )
-            if pivot is None:
-                return False
-            work[rank], work[pivot] = work[pivot], work[rank]
-            for r in range(self.dim):
-                if r != rank and work[r] >> col & 1:
-                    work[r] ^= work[rank]
-            rank += 1
+        try:
+            self.inverse()
+        except DomainError:
+            return False
         return True
 
     def inverse(self) -> "F2Mat":
@@ -338,17 +329,9 @@ def orbits(
     for start in domain:
         if start.bits in seen:
             continue
-        frontier = [start]
-        orbit = {start.bits: start}
-        while frontier:
-            v = frontier.pop()
-            for g in generators:
-                w = g.apply(v)
-                if w.bits not in orbit:
-                    orbit[w.bits] = w
-                    frontier.append(w)
-        seen |= orbit.keys()
-        parts.append(sorted(orbit.values(), key=_vec_key))
+        orbit = orbit_of(start, generators)
+        seen |= orbit
+        parts.append(sorted((F2Vec(d, bits) for bits in orbit), key=_vec_key))
     parts.sort(key=lambda orb: _vec_key(orb[0]))
     return parts
 

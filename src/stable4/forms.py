@@ -116,14 +116,6 @@ class RingMatrix:
         return f"<RingMatrix [{rows}]>"
 
 
-def adjoint(m: RingMatrix) -> RingMatrix:
-    return m.adjoint()
-
-
-def is_hermitian(m: RingMatrix) -> bool:
-    return m.is_hermitian()
-
-
 @dataclass(frozen=True)
 class AugmentedForm:
     """Hermitian form on Ipi^epsilon + Zpi^(size - epsilon).
@@ -146,10 +138,6 @@ class AugmentedForm:
     @property
     def family(self) -> GroupFamily:
         return self.matrix.family
-
-    @property
-    def n_free(self) -> int:
-        return self.matrix.size - self.epsilon
 
 
 def direct_sum(a: AugmentedForm, b: AugmentedForm) -> AugmentedForm:

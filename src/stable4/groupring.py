@@ -137,10 +137,6 @@ class RingElem:
         return f"<RingElem {self.to_text()}>"
 
 
-def involution(x: RingElem) -> RingElem:
-    return x.conjugate()
-
-
 def augmentation(x: RingElem) -> int:
     """Coefficient sum; x lies in the augmentation ideal iff this is 0."""
     return sum(x._terms.values())

@@ -47,21 +47,25 @@ from .words import (
 )
 
 
-class _Infinity:
-    """The totally non-spin w-type."""
+class Sentinel:
+    """A named marker value: one instance per name, kept by copy and pickle."""
 
-    _instance = None
+    _instances: dict[str, "Sentinel"] = {}
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __new__(cls, name: str):
+        if name not in cls._instances:
+            cls._instances[name] = super().__new__(cls)
+            cls._instances[name].name = name
+        return cls._instances[name]
+
+    def __reduce__(self):
+        return Sentinel, (self.name,)
 
     def __repr__(self) -> str:
-        return "infinity"
+        return self.name
 
 
-INFINITY = _Infinity()
+INFINITY = Sentinel("infinity")  # the totally non-spin w-type
 
 
 @dataclass(frozen=True)

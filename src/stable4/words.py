@@ -18,7 +18,7 @@ classification of the example groups needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .errors import DomainError, InputError
 
@@ -162,9 +162,6 @@ class GroupFamily:
         """A canonical word representing g (for printing and JSON)."""
         raise NotImplementedError
 
-    def is_self_inverse(self, g) -> bool:
-        return g == self.invert(g)
-
     def _check_arity(self, w: Word) -> None:
         if w.max_index() >= self.rank:
             raise DomainError(
@@ -289,9 +286,6 @@ class NilFamily(GroupFamily):
     def element_word(self, g) -> Word:
         k, i, j = g
         return Word(tuple(p for p in ((0, k), (1, i), (2, j)) if p[1]))
-
-
-Family = Union[FreeFamily, ZnFamily, NilFamily]
 
 
 def normalize(w: Word, family: GroupFamily):

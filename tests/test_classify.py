@@ -1,16 +1,16 @@
+import copy
 import random
 
 import pytest
 
 from oracles import fixed_point_closure
-from stable4.errors import DomainError
+from stable4.errors import CapExceeded, DomainError
 from stable4.f2 import F2Mat, F2Vec, group_closure
 from stable4.forms import Parity
 from stable4.classify import (
     TAU_UNKNOWN,
     BordismClassSpin,
     InvariantTuple,
-    act_spin,
     classify,
     decide_stable_equiv,
     family_custom,
@@ -22,6 +22,7 @@ from stable4.classify import (
     invariant_tuple_to_json,
     invariants_of,
     ks,
+    spin_generators,
     stabilizer_of_w,
     table_to_json,
     table_to_text,
@@ -86,40 +87,61 @@ def test_family_custom_validates_generators():
 # the action
 
 
+def spin_state(eps, phi):
+    """The F2^(d+1) vector of the spin state (phi, eps), eps in coordinate 0."""
+    return F2Vec(phi.dim + 1, eps | phi.bits << 1)
+
+
 def test_act_spin_eps_zero_fixes_phi():
     fam = family_z3()
-    c = BordismClassSpin(0, F2Vec.from_bits("101"), 0)
-    for bits in range(8):
-        m = F2Vec(3, bits)
-        assert act_spin(m, c, fam) == c
+    c = spin_state(0, F2Vec.from_bits("101"))
+    for m in spin_generators(fam)[: fam.d]:  # the H^1 basis vectors
+        assert m.apply(c) == c
 
 
 def test_act_spin_eps_one_translates():
     fam = family_z3()
     phi = F2Vec.from_bits("110")
-    c = BordismClassSpin(16, phi, 1)
-    out = act_spin(phi, c, fam)
-    assert out == BordismClassSpin(16, F2Vec.zero(3), 1)
-    assert out.sigma == 16  # the signature never moves
+    out = spin_state(1, phi)
+    for j in (0, 1):
+        out = spin_generators(fam)[j].apply(out)
+    assert out == spin_state(1, F2Vec.zero(3))
 
 
 def test_act_spin_identity_matrix_fixes():
-    fam = family_z3()
-    c = BordismClassSpin(0, F2Vec.from_bits("011"), 0)
-    assert act_spin(F2Mat.identity(3), c, fam) == c
+    fam = family_custom("id", 3, [F2Mat.identity(3)])
+    assert spin_generators(fam)[-1] == F2Mat.identity(4)
 
 
 def test_act_spin_out_element():
     fam = family_z3()
-    rho = fam.out_generators[0]  # swaps the first two coordinates
-    c = BordismClassSpin(0, F2Vec.from_bits("100"), 0)
-    assert act_spin(rho, c, fam).phi == F2Vec.from_bits("010")
+    lift = spin_generators(fam)[fam.d]  # swaps the first two phi coordinates
+    for eps in (0, 1):
+        c = spin_state(eps, F2Vec.from_bits("100"))
+        assert lift.apply(c) == spin_state(eps, F2Vec.from_bits("010"))
 
 
 def test_act_spin_dimension_mismatch():
     fam = family_nil(3)
     with pytest.raises(DomainError):
-        act_spin(F2Vec.zero(3), BordismClassSpin(0, F2Vec.zero(3), 0), fam)
+        spin_generators(fam)[0].apply(spin_state(0, F2Vec.zero(3)))
+
+
+def test_spin_tables_honour_the_cap():
+    # 2^21 spin states exceed the 2^20 default before any is built
+    fam = family_custom("big", 20, [F2Mat.identity(20)])
+    with pytest.raises(CapExceeded):
+        classify(fam, F2Vec.zero(20), "smooth")
+    with pytest.raises(CapExceeded):
+        classify(family_z3(), spin_w(family_z3()), "smooth", cap=8)
+    assert len(classify(family_z3(), spin_w(family_z3()), "smooth", cap=16).classes) == 3
+
+
+def test_sentinels_survive_deepcopy():
+    t = InvariantTuple(F2Vec.zero(3), 0, Parity.EVEN, TAU_UNKNOWN)
+    copied = copy.deepcopy((t, INFINITY))
+    assert copied[0].tau is TAU_UNKNOWN and copied[1] is INFINITY
+    assert (repr(INFINITY), repr(TAU_UNKNOWN)) == ("infinity", "tau-unknown")
 
 
 def test_bordism_class_validation():

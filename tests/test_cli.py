@@ -273,6 +273,29 @@ def test_env_cap_exit_code(capsys, monkeypatch):
     assert code == 3
 
 
+def test_env_cap_bounds_spin_tables(capsys, monkeypatch, tmp_path):
+    path = write_json(
+        tmp_path / "d6.json",
+        {"name": "d6", "d": 6, "out_generators": [["100000", "010000", "001000",
+                                                   "000100", "000010", "000001"]]},
+    )
+    monkeypatch.setenv("STABLE4_CAP", "10")
+    code, out, err = run(
+        capsys, ["classify", "--family", path, "--w", "0", "--category", "smooth"]
+    )
+    assert code == 3 and out == "" and "cap 10" in err
+
+
+def test_file_named_like_a_family_does_not_shadow_it(capsys, monkeypatch, tmp_path):
+    (tmp_path / "z3").write_text("not a family file")
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(
+        capsys, ["classify", "--family", "z3", "--w", "0", "--category", "smooth"]
+    )
+    assert code == 0
+    assert json.loads(out)["family"] == "z3"
+
+
 def test_emitted_json_reparses(capsys):
     for argv, loader in [
         (["model", "--kind", "M0", "--family", "z3"],
