@@ -42,7 +42,9 @@ class RingMatrix:
             if len(row) != n:
                 raise DomainError("matrix must be square")
             for x in row:
-                if not isinstance(x, RingElem) or x.family != family:
+                if not isinstance(x, RingElem) or (
+                    x.family is not family and x.family != family
+                ):
                     raise DomainError("entries must be ring elements of the family")
         self.family = family
         self.entries = rows
@@ -70,7 +72,11 @@ class RingMatrix:
         )
 
     def is_hermitian(self) -> bool:
-        return self == self.adjoint()
+        """Equal to the adjoint; conjugation is an involution, so j <= i suffices."""
+        e = self.entries
+        return all(
+            e[i][j] == e[j][i].conjugate() for i in range(len(e)) for j in range(i + 1)
+        )
 
     def direct_sum(self, other: "RingMatrix") -> "RingMatrix":
         if self.family != other.family:
@@ -153,13 +159,31 @@ def hyperbolic_matrix(family: GroupFamily) -> RingMatrix:
     return RingMatrix.from_int_rows(family, [[0, 1], [1, 0]])
 
 
+def block_copies(block: RingMatrix, count: int) -> RingMatrix | None:
+    """count copies of block along the diagonal, or None when count = 0.
+
+    Built by doubling: the sums of 2, 4, 8, ... copies take one direct_sum
+    each and the binary digits of count pick which of them join the result,
+    so the entries built total O(n^2) for the n x n result where a chain of
+    count - 1 sums would build O(count * n^2).
+    """
+    out = None
+    while count:
+        if count & 1:
+            out = block if out is None else out.direct_sum(block)
+        count >>= 1
+        if count:
+            block = block.direct_sum(block)
+    return out
+
+
 def stabilize_hyperbolic(a: AugmentedForm, k: int) -> AugmentedForm:
     """Append k hyperbolic planes; this is what summing S^2 x S^2's does."""
     if k < 0:
         raise DomainError("stabilization count must be nonnegative")
     m = a.matrix
-    for _ in range(k):
-        m = m.direct_sum(hyperbolic_matrix(a.family))
+    if k:
+        m = m.direct_sum(block_copies(hyperbolic_matrix(a.family), k))
     return AugmentedForm(a.epsilon, m)
 
 
@@ -203,27 +227,53 @@ def parity(a: AugmentedForm) -> Parity:
 def ldlt_signature(rows: Sequence[Sequence[int]]) -> int:
     """Signature of a symmetric rational matrix by exact pivoting.
 
+    The indices first split into the connected components of the nonzero
+    pattern.  Listing them component by component is a permutation
+    congruence to the block sum of the principal submatrices on the
+    components, so the signature is the sum of theirs, and each component
+    is pivoted alone (a sum of E8 blocks costs a few 8 x 8 eliminations).
+    """
+    n = len(rows)
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise DomainError(f"matrix must be square: dimension {n}, but row {i} "
+                              f"has length {len(row)}")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rows[i][j] != rows[j][i]:
+                raise DomainError(f"matrix must be symmetric: entry ({i}, {j}) is "
+                                  f"{rows[i][j]} but entry ({j}, {i}) is {rows[j][i]}")
+    seen: set[int] = set()
+    signature = 0
+    for start in range(n):
+        if start in seen:
+            continue
+        seen.add(start)
+        component = [start]
+        for i in component:  # breadth-first: the list grows while it is read
+            found = [j for j, v in enumerate(rows[i]) if v and j not in seen]
+            seen.update(found)
+            component += found
+        component.sort()
+        signature += _pivot_signature(
+            [[Fraction(rows[i][j]) for j in component] for i in component]
+        )
+    return signature
+
+
+def _pivot_signature(s: list[list[Fraction]]) -> int:
+    """Signature of a symmetric Fraction matrix, eliminated in place.
+
     Symmetric Gaussian elimination over Fraction: a nonzero diagonal pivot
     contributes its sign; if the active diagonal vanishes entirely, a 2x2
     off-diagonal pivot block [[0,b],[b,0]] contributes zero and is
     eliminated via its Schur complement.  No floating point, no tolerances.
     """
-    n = len(rows)
-    s = [[Fraction(v) for v in row] for row in rows]
-    for i in range(n):
-        if len(rows[i]) != n:
-            raise DomainError("matrix must be square")
-        for j in range(n):
-            if s[i][j] != s[j][i]:
-                raise DomainError("matrix must be symmetric")
-    active = list(range(n))
+    active = list(range(len(s)))
     signature = 0
     while active:
-        pivot = max(
-            (i for i in active if s[i][i]),
-            key=lambda i: abs(s[i][i]),
-            default=None,
-        )
+        pivot = max((i for i in active if s[i][i]), key=lambda i: abs(s[i][i]),
+                    default=None)
         if pivot is not None:
             d = s[pivot][pivot]
             signature += 1 if d > 0 else -1
@@ -234,18 +284,9 @@ def ldlt_signature(rows: Sequence[Sequence[int]]) -> int:
                 factor = s[r][pivot] / d
                 for c in active:
                     s[r][c] -= factor * s[pivot][c]
-            for r in active:
-                s[r][pivot] = s[pivot][r] = Fraction(0)
-            continue
-        block = next(
-            (
-                (p, q)
-                for p in active
-                for q in active
-                if p < q and s[p][q]
-            ),
-            None,
-        )
+            continue  # the pivot's row and column are never read again
+        block = next(((p, q) for p in active for q in active if p < q and s[p][q]),
+                     None)
         if block is None:
             break  # remaining block is zero: degenerate part, signature 0
         p, q = block

@@ -23,12 +23,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import DomainError, InputError
-from .f2 import F2Vec
+from .errors import CapExceeded, DomainError, InputError
+from .f2 import F2Vec, configured_cap
 from .forms import (
     AugmentedForm,
     Parity,
     RingMatrix,
+    block_copies,
     e8_block,
     form_from_json,
     form_to_json,
@@ -336,15 +337,25 @@ def model_N_almost_spin(family: GroupFamily, w: F2Vec) -> HAN1:
     )
 
 
-def _e8_stack(family: GroupFamily, count: int) -> RingMatrix | None:
-    """count copies of E8 (negated when count < 0), or None when count = 0."""
-    if count == 0:
-        return None
-    block = e8_block(family) if count > 0 else e8_block(family).negate()
-    out = block
-    for _ in range(abs(count) - 1):
-        out = out.direct_sum(block)
-    return out
+def _plus_e8(base: HAN1, count: int) -> AugmentedForm:
+    """The base form plus count copies of E8 (negated when count < 0)."""
+    matrix = base.form.matrix
+    _check_rank(matrix.size + 8 * abs(count))
+    if count:
+        block = e8_block(base.family)
+        stack = block_copies(block if count > 0 else block.negate(), abs(count))
+        matrix = matrix.direct_sum(stack)
+    return AugmentedForm(1, matrix)
+
+
+def _check_rank(rank: int) -> None:
+    """Refuse a target whose dense matrix would hold more entries than the cap."""
+    cap = configured_cap()
+    if rank * rank > cap:
+        raise CapExceeded(
+            f"realize_form: a rank-{rank} form has {rank * rank} entries, "
+            f"over the cap {cap}"
+        )
 
 
 def realize_form(
@@ -367,7 +378,9 @@ def realize_form(
       are refused rather than guessed.
 
     Smooth spin targets need signature divisible by 16, all other non-spin
-    w-types by 8.
+    w-types by 8.  The rank is computed before any matrix is built, and a
+    target whose rank^2 entries exceed the cap (STABLE4_CAP, default 10^6)
+    raises CapExceeded.
     """
     if category not in ("smooth", "topological"):
         raise InputError(f"unknown category {category!r}")
@@ -378,6 +391,7 @@ def realize_form(
         m0 = model_M_sigma(family, 0)
         m = max(1, signature + 1)
         n = m - signature
+        _check_rank(m0.form.matrix.size + m + n)
         blocks = identity_block(family, m).direct_sum(identity_block(family, n, -1))
         form = AugmentedForm(1, m0.form.matrix.direct_sum(blocks))
         return HAN1(
@@ -411,12 +425,10 @@ def realize_form(
             gamma = h2_to_hom_bits(family, tau)
             base = model_P(builtin_presentation(family), family, gamma)
             label = f"P(gamma={''.join(map(str, gamma))})"
-        extra = _e8_stack(family, n_e8)
-        matrix = base.form.matrix if extra is None else base.form.matrix.direct_sum(extra)
         return HAN1(
             w=F2Vec.zero(d),
             signature=signature,
-            form=AugmentedForm(1, matrix),
+            form=_plus_e8(base, n_e8),
             tau=base.tau,
             spin_bordism=base.spin_bordism,
             notes=f"{label} + {n_e8} E8",
@@ -431,12 +443,10 @@ def realize_form(
             "constructed: no explicit matrices exist for the H_2 part"
         )
     base = model_N_almost_spin(family, w)
-    extra = _e8_stack(family, signature // 8)
-    matrix = base.form.matrix if extra is None else base.form.matrix.direct_sum(extra)
     return HAN1(
         w=w,
         signature=signature,
-        form=AugmentedForm(1, matrix),
+        form=_plus_e8(base, signature // 8),
         tau=F2Vec.zero(d),
         notes=f"N(w={w.to_bits()}) + {signature // 8} E8 (signature part only)",
     )

@@ -8,6 +8,7 @@ with the package.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from stable4.f2 import F2Mat, F2Vec
 from stable4.groupring import RingElem
@@ -121,6 +122,56 @@ def eigen_free_signature(diag, transform) -> tuple[list[list[int]], int]:
             rows[i][j] = sum(g[k][i] * diag[k] * g[k][j] for k in range(n))
     expected = sum((d > 0) - (d < 0) for d in diag)
     return rows, expected
+
+
+def dense_ldlt_signature(rows) -> int:
+    """Signature by symmetric Fraction pivoting over the whole matrix at once.
+
+    The reference for ``forms.ldlt_signature``, which pivots each connected
+    component of the nonzero pattern separately; this is the routine as it
+    stood before that split.  A nonzero diagonal pivot contributes its sign;
+    a vanishing active diagonal takes a 2x2 pivot [[0,b],[b,0]], which
+    contributes zero, through its Schur complement.
+    """
+    n = len(rows)
+    s = [[Fraction(v) for v in row] for row in rows]
+    for i in range(n):
+        assert len(rows[i]) == n and all(s[i][j] == s[j][i] for j in range(n))
+    active = list(range(n))
+    signature = 0
+    while active:
+        pivot = max(
+            (i for i in active if s[i][i]),
+            key=lambda i: abs(s[i][i]),
+            default=None,
+        )
+        if pivot is not None:
+            d = s[pivot][pivot]
+            signature += 1 if d > 0 else -1
+            active.remove(pivot)
+            for r in active:
+                if not s[r][pivot]:
+                    continue
+                factor = s[r][pivot] / d
+                for c in active:
+                    s[r][c] -= factor * s[pivot][c]
+            for r in active:
+                s[r][pivot] = s[pivot][r] = Fraction(0)
+            continue
+        block = next(
+            ((p, q) for p in active for q in active if p < q and s[p][q]),
+            None,
+        )
+        if block is None:
+            break  # remaining block is zero: degenerate part, signature 0
+        p, q = block
+        b = s[p][q]
+        active.remove(p)
+        active.remove(q)
+        for r in active:
+            for c in active:
+                s[r][c] -= (s[r][p] * s[q][c] + s[r][q] * s[p][c]) / b
+    return signature
 
 
 # ---------------------------------------------------------------------------

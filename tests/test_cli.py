@@ -286,6 +286,15 @@ def test_env_cap_bounds_spin_tables(capsys, monkeypatch, tmp_path):
     assert code == 3 and out == "" and "cap 10" in err
 
 
+def test_env_cap_bounds_realize(capsys, monkeypatch):
+    monkeypatch.setenv("STABLE4_CAP", "100")
+    code, out, err = run(
+        capsys, ["model", "--kind", "realize", "--family", "z3", "--w", "0",
+                 "--parity", "odd", "--signature", "64"]
+    )
+    assert code == 3 and out == "" and "4356 entries, over the cap 100" in err
+
+
 def test_file_named_like_a_family_does_not_shadow_it(capsys, monkeypatch, tmp_path):
     (tmp_path / "z3").write_text("not a family file")
     monkeypatch.chdir(tmp_path)

@@ -1,15 +1,23 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_word
-from oracles import bareiss_det, eigen_free_signature, leading_minors_positive
+from oracles import (
+    bareiss_det,
+    dense_ldlt_signature,
+    eigen_free_signature,
+    leading_minors_positive,
+)
 from stable4.errors import DomainError, InputError
 from stable4.forms import (
     AugmentedForm,
     Parity,
     RingMatrix,
     augmentation_signature,
+    block_copies,
     direct_sum,
     e8_block,
     form_from_json,
@@ -145,6 +153,15 @@ def test_stabilize_preserves_signature_and_parity(rng):
         assert parity(s) == parity(a)
 
 
+def test_block_copies_match_a_chain_of_sums():
+    block = RingMatrix(Z3, [[ring(1), grp(G)], [grp(Z3.invert(G)), ring(-2)]])
+    assert block_copies(block, 0) is None
+    chain = block
+    for k in range(1, 12):
+        assert block_copies(block, k) == chain
+        chain = chain.direct_sum(block)
+
+
 def test_stabilize_rejects_negative():
     with pytest.raises(DomainError):
         stabilize_hyperbolic(zero_form(Z3), -1)
@@ -243,6 +260,52 @@ def test_signature_against_congruence_oracle():
                 g[i][j] = rng.randint(-2, 2)
         rows, expected = eigen_free_signature(diag, g)
         assert ldlt_signature(rows) == expected
+
+
+@st.composite
+def permuted_block_sums(draw):
+    """A permuted block sum of small symmetric pieces and its signature."""
+    pieces = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("congruence", "hyperbolic", "zero")))
+        if kind == "congruence":
+            n = draw(st.integers(1, 4))
+            diag = draw(st.lists(st.sampled_from((-3, -1, 0, 1, 2, 5)),
+                                 min_size=n, max_size=n))
+            g = [[1 if i == j else draw(st.integers(-2, 2)) if i < j else 0
+                  for j in range(n)] for i in range(n)]
+            pieces.append(eigen_free_signature(diag, g))
+        elif kind == "hyperbolic":
+            b = draw(st.sampled_from((-3, -1, 1, 2)))
+            pieces.append(([[0, b], [b, 0]], 0))
+        else:
+            n = draw(st.integers(1, 3))
+            pieces.append(([[0] * n for _ in range(n)], 0))
+    n = sum(len(rows) for rows, _ in pieces)
+    full = [[0] * n for _ in range(n)]
+    offset = 0
+    for rows, _ in pieces:
+        for i, row in enumerate(rows):
+            full[offset + i][offset:offset + len(row)] = row
+        offset += len(rows)
+    perm = draw(st.permutations(range(n)))
+    permuted = [[full[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    return permuted, sum(sig for _, sig in pieces)
+
+
+@settings(max_examples=200, deadline=None)
+@given(permuted_block_sums())
+def test_split_signature_matches_blocks_and_dense_reference(case):
+    rows, expected = case
+    assert ldlt_signature(rows) == expected == dense_ldlt_signature(rows)
+
+
+def test_signature_messages_name_the_offending_entries():
+    with pytest.raises(DomainError, match=r"dimension 3, but row 1 has length 2"):
+        ldlt_signature([[1, 0, 0], [0, 1], [0, 0, 1]])
+    with pytest.raises(DomainError,
+                       match=r"entry \(0, 2\) is 4 but entry \(2, 0\) is -4"):
+        ldlt_signature([[1, 0, 4], [0, 1, 7], [-4, 7, 1]])
 
 
 def test_signature_rejects_group_entries():

@@ -1,6 +1,6 @@
 import pytest
 
-from stable4.errors import DomainError
+from stable4.errors import CapExceeded, DomainError
 from stable4.f2 import F2Vec
 from stable4.forms import (
     AugmentedForm,
@@ -280,6 +280,19 @@ def test_realize_validation():
         realize_form(Z3, F2Vec.from_bits("100"), 8, Parity.ODD)
     with pytest.raises(DomainError):
         realize_form(Z3, F2Vec.zero(3), 8, Parity.EVEN)  # tau missing
+
+
+def test_realize_refuses_a_form_over_the_cap(monkeypatch):
+    # M_1 + 8 E8 has rank 66, so 4356 entries
+    monkeypatch.setenv("STABLE4_CAP", "4355")
+    with pytest.raises(CapExceeded, match="rank-66 form has 4356 entries, over the cap 4355"):
+        realize_form(Z3, F2Vec.zero(3), 64, Parity.ODD)
+    with pytest.raises(CapExceeded, match="cap 4355"):
+        realize_form(Z3, INFINITY, 64)
+    with pytest.raises(CapExceeded, match="cap 4355"):
+        realize_form(Z3, F2Vec.from_bits("100"), -64)
+    monkeypatch.setenv("STABLE4_CAP", "4356")
+    assert realize_form(Z3, F2Vec.zero(3), 64, Parity.ODD).form.matrix.size == 66
 
 
 # ---------------------------------------------------------------------------
