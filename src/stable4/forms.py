@@ -361,8 +361,12 @@ def form_from_json(obj) -> AugmentedForm:
     n = obj.get("size")
     if n is None:
         n = int(round(len(flat) ** 0.5))
-    if n * n != len(flat):
-        raise InputError("entry list length is not a perfect square")
+        if n * n != len(flat):
+            raise InputError(f"entry list length {len(flat)} is not a perfect square")
+    elif isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise InputError(f"form size {n!r} is not a non-negative integer")
+    elif n * n != len(flat):
+        raise InputError(f"form size {n} needs {n * n} entries, got {len(flat)}")
     entries = [
         [ring_elem_from_json(flat[i * n + j], family) for j in range(n)]
         for i in range(n)

@@ -33,6 +33,14 @@ class RingElem:
                         del data[g]
         self._terms = data
 
+    @classmethod
+    def _from_dict(cls, family: GroupFamily, data: dict) -> "RingElem":
+        """Trusted: data maps normal forms to ints; only zeros are dropped."""
+        x = cls.__new__(cls)
+        x.family = family
+        x._terms = {g: c for g, c in data.items() if c}
+        return x
+
     # -- constructors
 
     @classmethod
@@ -83,17 +91,17 @@ class RingElem:
         data = dict(self._terms)
         for g, c in other._terms.items():
             data[g] = data.get(g, 0) + c
-        return RingElem(self.family, data)
+        return RingElem._from_dict(self.family, data)
 
     def __neg__(self) -> "RingElem":
-        return RingElem(self.family, {g: -c for g, c in self._terms.items()})
+        return RingElem._from_dict(self.family, {g: -c for g, c in self._terms.items()})
 
     def __sub__(self, other: "RingElem") -> "RingElem":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return RingElem(
+            return RingElem._from_dict(
                 self.family, {g: c * other for g, c in self._terms.items()}
             )
         self._require_same_family(other)
@@ -103,7 +111,7 @@ class RingElem:
             for h, d in other._terms.items():
                 k = fam.multiply(g, h)
                 data[k] = data.get(k, 0) + c * d
-        return RingElem(fam, data)
+        return RingElem._from_dict(fam, data)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -113,7 +121,7 @@ class RingElem:
     def conjugate(self) -> "RingElem":
         """The involution: sum c_g g  ->  sum c_g g^-1."""
         fam = self.family
-        return RingElem(fam, {fam.invert(g): c for g, c in self._terms.items()})
+        return RingElem._from_dict(fam, {fam.invert(g): c for g, c in self._terms.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingElem):

@@ -13,6 +13,12 @@ Group elements are kept in canonical normal forms per *family*:
 
 The word problem is only solved for these built-in families; that is all the
 classification of the example groups needs.
+
+Every ``Word`` holds a freely reduced tuple of letters with nonzero exponents,
+no two adjacent letters on the same generator, and generator indices >= 0.
+Operations that start from reduced words keep that invariant without
+re-deriving it: a product cancels only at the seam between its factors, and
+an inverse reverses and negates.
 """
 
 from __future__ import annotations
@@ -20,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DomainError, InputError
+from .errors import CapExceeded, DomainError, InputError
+from .f2 import configured_cap
 
 Letter = tuple[int, int]  # (generator index, nonzero exponent)
 
@@ -45,6 +52,8 @@ class Word:
     """A freely reduced word; adjacent letters always have distinct indices.
 
     The constructor reduces, so ``Word(anything)`` is already in normal form.
+    Products and inverses of reduced words are built by ``_trusted``, which
+    skips the reduction and the index check.
     """
 
     letters: tuple[Letter, ...] = ()
@@ -54,6 +63,13 @@ class Word:
         for gen, _ in self.letters:
             if gen < 0:
                 raise InputError(f"negative generator index {gen}")
+
+    @classmethod
+    def _trusted(cls, letters: tuple[Letter, ...]) -> "Word":
+        """Wrap letters that are already reduced, with indices >= 0."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        return w
 
     @property
     def is_identity(self) -> bool:
@@ -67,10 +83,20 @@ class Word:
         return max((g for g, _ in self.letters), default=-1)
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        # Both factors are reduced, so only the seam can cancel: pairs on the
+        # same generator annihilate until one merges or the indices differ.
+        a, b = self.letters, other.letters
+        i, j = len(a), 0
+        while i and j < len(b) and a[i - 1][0] == b[j][0]:
+            exp = a[i - 1][1] + b[j][1]
+            if exp:
+                return Word._trusted(a[: i - 1] + ((b[j][0], exp),) + b[j + 1 :])
+            i -= 1
+            j += 1
+        return Word._trusted(a[:i] + b[j:])
 
     def inverse(self) -> "Word":
-        return Word(tuple((g, -e) for g, e in reversed(self.letters)))
+        return Word._trusted(tuple((g, -e) for g, e in reversed(self.letters)))
 
     def __pow__(self, k: int) -> "Word":
         if k < 0:
@@ -197,6 +223,8 @@ class FreeFamily(GroupFamily):
         return a.inverse()
 
     def generator_element(self, index: int, exp: int = 1) -> Word:
+        if exp and index >= 0:
+            return Word._trusted(((index, exp),))
         return Word(((index, exp),))
 
     def sort_key(self, g: Word):
@@ -335,6 +363,10 @@ def fox_derivative(w: Word, gen: int | str, family: GroupFamily):
     normal form, i.e. this is the composite Z F_n -> Z pi when the family is
     not free.
 
+    Each letter g^k of the differentiated generator expands into |k| terms,
+    so the sum of those |k| is checked against ``f2.configured_cap()`` first
+    and CapExceeded is raised when it is over.
+
     Returns a groupring.RingElem over the family.
     """
     from .groupring import RingElem  # words is below groupring in the layering
@@ -344,6 +376,14 @@ def fox_derivative(w: Word, gen: int | str, family: GroupFamily):
     if gen < 0 or gen >= family.rank:
         raise InputError(f"generator index {gen} out of range")
     family._check_arity(w)
+    expanded = sum(abs(exp) for idx, exp in w.letters if idx == gen)
+    cap = configured_cap()
+    if expanded > cap:
+        name = family.generators[gen]
+        raise CapExceeded(
+            f"the Fox derivative in {name} expands {expanded} letters of {name}, "
+            f"over the cap {cap}"
+        )
 
     terms: dict = {}
     prefix = family.identity()
@@ -357,7 +397,7 @@ def fox_derivative(w: Word, gen: int | str, family: GroupFamily):
                 terms[cursor] = terms.get(cursor, 0) + sign
                 cursor = family.multiply(cursor, step)
         prefix = family.multiply(prefix, family.generator_element(idx, exp))
-    return RingElem(family, terms)
+    return RingElem._from_dict(family, terms)
 
 
 # ---------------------------------------------------------------------------

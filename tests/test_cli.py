@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from stable4 import cli
 from stable4.f2 import f2mat_to_json
 from stable4.groupring import ring_elem_from_json
@@ -160,6 +162,20 @@ def test_model_m1_and_parity_cli(capsys, tmp_path):
     assert out.strip() == "Odd"
 
 
+@pytest.mark.parametrize(
+    "size, shown", [(-1, "-1"), ("1", "'1'"), (1.0, "1.0")]
+)
+def test_parity_rejects_a_bad_size_field(capsys, tmp_path, size, shown):
+    path = write_json(
+        tmp_path / "f.json",
+        {"epsilon": 0, "family": {"zn": 3}, "size": size,
+         "entries": [[{"coeff": 3, "word": "1"}]]},
+    )
+    code, out, err = run(capsys, ["parity", "--form", path])
+    assert code == 1 and out == ""
+    assert f"form size {shown} is not a non-negative integer" in err
+
+
 def test_model_realize(capsys):
     code, out, _ = run(
         capsys,
@@ -293,6 +309,16 @@ def test_env_cap_bounds_realize(capsys, monkeypatch):
                  "--parity", "odd", "--signature", "64"]
     )
     assert code == 3 and out == "" and "4356 entries, over the cap 100" in err
+
+
+def test_env_cap_bounds_fox(capsys, monkeypatch):
+    monkeypatch.setenv("STABLE4_CAP", "1000")
+    argv = ["fox", "--word", "x^1001", "--gen", "x", "--family", "nil:2"]
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == ""
+    assert "expands 1001 letters of x, over the cap 1000" in err
+    code, out, _ = run(capsys, ["fox", "--word", "x^1000", "--gen", "x", "--family", "nil:2"])
+    assert code == 0 and len(json.loads(out)["derivative"]) == 1000
 
 
 def test_file_named_like_a_family_does_not_shadow_it(capsys, monkeypatch, tmp_path):

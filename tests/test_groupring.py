@@ -15,7 +15,7 @@ from stable4.groupring import (
     ring_elem_from_json,
     ring_elem_to_json,
 )
-from stable4.words import NilFamily, ZnFamily, normalize
+from stable4.words import FreeFamily, NilFamily, Word, ZnFamily, fox_derivative, normalize
 
 Z3 = ZnFamily(3)
 G = (1, 0, 0)  # the element g1
@@ -118,6 +118,46 @@ def test_involution_antihomomorphism(data):
 
     x, y = draw_elem(), draw_elem()
     assert (x * y).conjugate() == y.conjugate() * x.conjugate()
+
+
+def _assert_normal(x):
+    assert 0 not in x._terms.values()
+    assert x == RingElem(x.family, x._terms)
+
+
+FAMILIES = (Z3, NilFamily(2), FreeFamily(("x", "y", "z")))
+
+
+@st.composite
+def elem_pairs(draw):
+    """Two elements over a few small supports, so sums and products cancel."""
+    fam = draw(st.sampled_from(FAMILIES))
+    letters = st.tuples(st.integers(0, 2), st.sampled_from([-1, 1]))
+    support = [fam.reduce_word(Word(tuple(ls)))
+               for ls in draw(st.lists(st.lists(letters, max_size=3), min_size=1, max_size=3))]
+    def elem():
+        terms = draw(st.lists(st.tuples(st.sampled_from(support), st.integers(-2, 2)),
+                              max_size=4))
+        return RingElem(fam, terms)
+    x = elem()
+    return x, draw(st.sampled_from([elem(), x, -x]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(elem_pairs(), st.integers(-2, 2))
+def test_ring_results_hold_no_zero_coefficient(pair, n):
+    x, y = pair
+    for result in (x + y, x - y, -x, x * y, x * n, n * x, x * 0, x.conjugate()):
+        _assert_normal(result)
+    assert (x * 0).is_zero and (x - x).is_zero
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(FAMILIES),
+       st.lists(st.tuples(st.integers(0, 2), st.sampled_from([-2, -1, 1, 2])), max_size=10),
+       st.integers(0, 2))
+def test_fox_results_hold_no_zero_coefficient(fam, letters, gen):
+    _assert_normal(fox_derivative(Word(tuple(letters)), gen, fam))
 
 
 # ---------------------------------------------------------------------------

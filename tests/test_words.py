@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import random_word
 from oracles import nil_normal_matrix, nil_word_matrix
-from stable4.errors import DomainError, InputError
+from stable4.errors import CapExceeded, DomainError, InputError
 from stable4.groupring import RingElem
 from stable4.words import (
     FreeFamily,
@@ -66,6 +66,71 @@ def test_round_trip_print_parse(rng):
     for _ in range(300):
         w = random_word(rng, 3, 12)
         assert parse_word(word_to_str(w, gens), gens) == w
+
+
+# ---------------------------------------------------------------------------
+# products cancel at the seam
+
+LETTERS = st.tuples(st.integers(0, 2), st.sampled_from([-3, -2, -1, 1, 2, 3]))
+WORDS = st.lists(LETTERS, max_size=8).map(lambda ls: Word(tuple(ls)))
+
+
+@st.composite
+def seam_pairs(draw):
+    """(a, b) with b built to cancel k letters of a at the seam.
+
+    The innermost cancelled letter gets its exponent shifted by `delta`, so
+    the seam cancels fully (delta = 0), merges two letters, or cancels
+    partially and then merges; the tail decides what follows.
+    """
+    a = draw(WORDS)
+    k = draw(st.integers(0, len(a.letters)))
+    delta = draw(st.integers(-2, 2))
+    mirror = [(g, -e) for g, e in reversed(a.letters[len(a.letters) - k:])]
+    if mirror:
+        g, e = mirror[-1]
+        mirror[-1] = (g, e + delta)
+    tail = draw(st.lists(LETTERS, max_size=4))
+    return a, Word(tuple(mirror + tail))
+
+
+def _is_reduced(w: Word) -> bool:
+    pairs = zip(w.letters, w.letters[1:])
+    return (all(e and g >= 0 for g, e in w.letters)
+            and all(g != h for (g, _), (h, _) in pairs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seam_pairs())
+def test_product_equals_reducing_the_concatenation(pair):
+    a, b = pair
+    ab = a * b
+    assert ab == Word(a.letters + b.letters)
+    assert _is_reduced(ab)
+
+
+@settings(max_examples=200, deadline=None)
+@given(WORDS)
+def test_word_times_its_inverse_is_empty(w):
+    inv = w.inverse()
+    assert inv == Word(inv.letters) and _is_reduced(inv)
+    assert (w * inv).is_identity and (inv * w).is_identity
+    assert w * Word() == w == Word() * w
+
+
+@settings(max_examples=200, deadline=None)
+@given(seam_pairs(), WORDS)
+def test_products_are_associative(pair, c):
+    a, b = pair
+    assert (a * b) * c == a * (b * c)
+    assert (a * b) * b.inverse() == a
+
+
+def test_free_generator_element_matches_the_constructor():
+    for index, exp in ((0, 1), (2, -3), (1, 0)):
+        assert FREE3.generator_element(index, exp) == Word(((index, exp),))
+    with pytest.raises(InputError):
+        FREE3.generator_element(-1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +277,25 @@ def test_fox_normalizes_through_the_family():
 def test_fox_unknown_generator():
     with pytest.raises(InputError):
         fox_derivative(Word(), "q", FREE2)
+
+
+def test_fox_drops_cancelled_terms():
+    fam = ZnFamily(2)
+    w = parse_word("g1 g2 g1 g2^-1 g1^-2", fam.generators)
+    # +1 from the first g1 and -1 from the last step of g1^-2 cancel.
+    d = fox_derivative(w, "g1", fam)
+    assert d == RingElem(fam, {(1, 1): 1, (1, 0): -1})
+    assert 0 not in d._terms.values()
+
+
+def test_fox_refuses_expansions_over_the_cap(monkeypatch):
+    monkeypatch.setenv("STABLE4_CAP", "5")
+    w = parse_word("x^3 y x^-3", FREE2.generators)
+    with pytest.raises(CapExceeded, match="expands 6 letters of x, over the cap 5"):
+        fox_derivative(w, "x", FREE2)
+    assert len(fox_derivative(w, "y", FREE2)) == 1
+    monkeypatch.setenv("STABLE4_CAP", "6")
+    assert len(fox_derivative(w, "x", FREE2)) == 6
 
 
 def _fundamental_identity_holds(w: Word) -> bool:
