@@ -186,13 +186,15 @@ def stabilizer_of_w(family: FamilyData, w: F2Vec, cap: int | None = None) -> lis
     """Elements of the Out-image whose induced H^2 action fixes w.
 
     w is the coefficient vector of the evaluation functional on H_2, so the
-    condition on a matrix rho is rho^T w = w.  Computed by closing the
-    generator set (capped) and filtering.
+    condition on a matrix rho is rho^T w = w: the XOR of the rows of rho
+    picked by the bits of w is w again.  Computed by closing the generator
+    set (capped) and filtering.
     """
     if w.dim != family.d:
         raise DomainError("w dimension mismatch")
     closure = group_closure(family.out_generators, cap=cap)
-    stab = [m for m in closure if m.transpose().apply(w) == w]
+    bits = w.bits
+    stab = [m for m in closure if m.combine(bits) == bits]
     stab.sort(key=lambda m: m.rows)
     return stab
 

@@ -252,7 +252,9 @@ def _cmd_orbits(args) -> int:
 
 def _cmd_closure(args) -> int:
     mats = [f2.f2mat_from_json(m) for m in _load_json(args.generators)]
-    closure = f2.group_closure(mats, cap=args.cap if args.cap else None)
+    if args.cap is not None and args.cap < 1:
+        raise InputError(f"--cap {args.cap} is below 1")
+    closure = f2.group_closure(mats, cap=args.cap)
     elements = sorted(closure, key=lambda m: m.rows)
     _emit(
         {

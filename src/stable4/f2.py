@@ -3,9 +3,11 @@ forms with the Arf invariant, symplectic bases, matrix-group closure and
 orbit enumeration under generator sets.
 
 Vectors pack coordinate i into bit i of an int; a matrix stores one mask per
-row and acts on column vectors.  Dimensions stay tiny here (the example
-groups have d <= 3), so the caps below make any misuse explicit rather than
-slow.
+row and acts on column vectors.  Every public constructor checks that a d x d
+matrix has d rows, each a mask below 2^d.  A product of two such matrices
+XORs rows of the right factor, so it stays below 2^d and is built by the
+private `F2Mat._trusted` without that check again.  Enumerations are bounded
+by the caps below, so a group or state space too large fails at once.
 """
 
 from __future__ import annotations
@@ -21,14 +23,18 @@ CLOSURE_CAP = 10**6
 
 
 def configured_cap(default: int = CLOSURE_CAP) -> int:
-    """Enumeration cap, overridable via the STABLE4_CAP environment variable."""
+    """Enumeration cap, overridable via the STABLE4_CAP environment variable
+    (an integer >= 1)."""
     raw = os.environ.get("STABLE4_CAP")
     if raw is None:
         return default
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise InputError(f"STABLE4_CAP={raw!r} is not an integer") from None
+    if cap < 1:
+        raise InputError(f"STABLE4_CAP={raw!r} is below 1")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -100,14 +106,29 @@ class F2Mat:
             raise InputError("matrix rows inconsistent with dimension")
 
     @classmethod
+    def _trusted(cls, dim: int, rows: tuple[int, ...]) -> "F2Mat":
+        """A matrix whose rows are known to be d masks below 2^d; no checks."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "dim", dim)
+        object.__setattr__(m, "rows", rows)
+        return m
+
+    @classmethod
     def identity(cls, dim: int) -> "F2Mat":
         return cls(dim, tuple(1 << i for i in range(dim)))
 
     @classmethod
     def from_rows(cls, rows: Sequence) -> "F2Mat":
-        """Rows given as bit-strings ("110") or 0/1 sequences."""
+        """Rows given as bit-strings ("110") or 0/1 sequences, each as long as
+        the number of rows."""
         masks = []
-        for row in rows:
+        for index, row in enumerate(rows):
+            if not isinstance(row, (str, list, tuple)):
+                raise InputError(f"matrix row {index} is {row!r}, not a bit-string or list")
+            if len(row) != len(rows):
+                raise InputError(
+                    f"matrix row {index} has length {len(row)}, expected {len(rows)}"
+                )
             if isinstance(row, str):
                 masks.append(F2Vec.from_bits(row).bits)
             else:
@@ -135,16 +156,22 @@ class F2Mat:
         return F2Vec(self.dim, bits)
 
     def __matmul__(self, other: "F2Mat") -> "F2Mat":
+        """Row i of the product is the XOR of other.rows[j] over the set bits
+        j of self.rows[i]."""
         if self.dim != other.dim:
             raise DomainError("dimension mismatch")
-        cols = other.transpose().rows
-        rows = []
-        for r in self.rows:
-            mask = 0
-            for j, c in enumerate(cols):
-                mask |= ((r & c).bit_count() & 1) << j
-            rows.append(mask)
-        return F2Mat(self.dim, tuple(rows))
+        return F2Mat._trusted(self.dim, tuple(map(other.combine, self.rows)))
+
+    def combine(self, mask: int) -> int:
+        """XOR of rows[j] over the set bits j of mask: the row vector mask
+        times this matrix, i.e. this matrix's transpose applied to mask."""
+        rows = self.rows
+        acc = 0
+        while mask:
+            low = mask & -mask
+            acc ^= rows[low.bit_length() - 1]
+            mask ^= low
+        return acc
 
     def transpose(self) -> "F2Mat":
         rows = [0] * self.dim

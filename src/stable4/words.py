@@ -431,13 +431,16 @@ def family_from_json(obj, generators: Sequence[str] | None = None) -> GroupFamil
         if tuple(generators) != fam.generators:
             raise InputError("zn generators must be named g1..gn")
         return fam
-    if isinstance(obj, dict):
-        if set(obj) == {"nil"}:
-            return NilFamily(int(obj["nil"]))
-        if set(obj) == {"zn"}:
-            return ZnFamily(int(obj["zn"]))
-        if set(obj) == {"free"}:
-            return FreeFamily(tuple(obj["free"]))
+    if isinstance(obj, dict) and len(obj) == 1:
+        [(tag, value)] = obj.items()
+        if tag in ("nil", "zn"):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InputError(f'family tag "{tag}" needs an integer, not {value!r}')
+            return NilFamily(value) if tag == "nil" else ZnFamily(value)
+        if tag == "free":
+            if not isinstance(value, list) or not all(isinstance(g, str) for g in value):
+                raise InputError(f'family tag "free" needs a list of names, not {value!r}')
+            return FreeFamily(tuple(value))
     raise InputError(f"unrecognised family tag {obj!r}")
 
 

@@ -60,10 +60,24 @@ def democratic_arf(q) -> int:
 # F2 matrices: independent closure via a product-table fixed point
 
 
+def entrywise_product(a: F2Mat, b: F2Mat) -> F2Mat:
+    """(ab)_ij = sum_k a_ik b_kj mod 2, read through entry(); never `@`."""
+    n = a.dim
+    assert b.dim == n
+    rows = tuple(
+        sum(
+            (sum(a.entry(i, k) * b.entry(k, j) for k in range(n)) & 1) << j
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    return F2Mat(n, rows)
+
+
 def fixed_point_closure(generators) -> set[F2Mat]:
     current = set(generators) | {F2Mat.identity(generators[0].dim)}
     while True:
-        extra = {a @ b for a in current for b in current} - current
+        extra = {entrywise_product(a, b) for a in current for b in current} - current
         if not extra:
             return current
         current |= extra

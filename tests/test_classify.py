@@ -235,6 +235,29 @@ def test_stabilizer_of_w():
     assert len(stab) == 24
 
 
+def _seeded_d4_family(seed):
+    rng = random.Random(seed)
+    gens = []
+    while len(gens) < 1 + seed % 2:
+        m = F2Mat(4, tuple(rng.randrange(16) for _ in range(4)))
+        if m.is_invertible():
+            gens.append(m)
+    return family_custom(f"d4-seed{seed}", 4, gens)
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [family_z3(), family_nil(2), family_nil(4)] + [_seeded_d4_family(s) for s in (1, 2, 3)],
+    ids=lambda fam: fam.name,
+)
+def test_stabilizer_matches_the_transpose_filter(fam):
+    closure = group_closure(fam.out_generators)
+    for bits in range(1, 1 << fam.d):
+        w = F2Vec(fam.d, bits)
+        old = sorted((m for m in closure if m.transpose().apply(w) == w), key=lambda m: m.rows)
+        assert stabilizer_of_w(fam, w) == old
+
+
 def _count_classes_brute_force(fam, rng):
     """Independent orbit count of the (phi, eps) states with shuffled,
     duplicated generator lists and a plain union-find."""

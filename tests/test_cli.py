@@ -149,6 +149,32 @@ def test_model_p_round_trips(capsys):
     assert h.tau == expected.tau
 
 
+@pytest.mark.parametrize(
+    "tag", [{"nil": "abc"}, {"nil": True}, {"zn": 2.0}, {"free": 5}, {"free": "xya"}]
+)
+def test_presentation_rejects_a_malformed_family_tag(capsys, tmp_path, tag):
+    path = write_json(
+        tmp_path / "p.json",
+        {"generators": ["x", "y", "a"], "relators": [], "family": tag},
+    )
+    argv = ["model", "--kind", "P", "--family", "nil:2", "--gamma", "111",
+            "--presentation", path]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    name = next(iter(tag))
+    assert err.startswith(f'error: family tag "{name}" needs')
+
+
+def test_parity_rejects_a_string_as_free_generators(capsys, tmp_path):
+    path = write_json(
+        tmp_path / "f.json",
+        {"epsilon": 0, "family": {"free": "abc"}, "entries": [[{"coeff": 3, "word": "1"}]]},
+    )
+    code, out, err = run(capsys, ["parity", "--form", path])
+    assert code == 1 and out == ""
+    assert 'family tag "free" needs a list of names' in err
+
+
 def test_model_m1_and_parity_cli(capsys, tmp_path):
     code, out, _ = run(capsys, ["model", "--kind", "M1", "--family", "z3"])
     assert code == 0
@@ -257,6 +283,33 @@ def test_closure_cap_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, ["closure", "--generators", gens, "--cap", "2"])
     assert code == 3
     assert "cap" in err
+
+
+@pytest.mark.parametrize(
+    "gens", [[["01", "1"]], [[[0, 1], [1]]], [["1", "01"]], [["100", "010", "0011"]]]
+)
+def test_closure_rejects_ragged_rows(capsys, tmp_path, gens):
+    path = write_json(tmp_path / "gens.json", gens)
+    code, out, err = run(capsys, ["closure", "--generators", path])
+    assert code == 1 and out == ""
+    assert err.startswith("error: matrix row ") and f"expected {len(gens[0])}" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_closure_rejects_a_cap_below_one(capsys, tmp_path, cap):
+    gens = write_json(tmp_path / "gens.json", [["01", "10"], ["11", "01"]])
+    code, out, err = run(capsys, ["closure", "--generators", gens, "--cap", cap])
+    assert code == 1 and out == ""
+    assert f"--cap {cap} is below 1" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_env_cap_below_one_is_rejected(capsys, monkeypatch, tmp_path, cap):
+    gens = write_json(tmp_path / "gens.json", [["01", "10"], ["11", "01"]])
+    monkeypatch.setenv("STABLE4_CAP", cap)
+    code, out, err = run(capsys, ["closure", "--generators", gens])
+    assert code == 1 and out == ""
+    assert f"STABLE4_CAP='{cap}' is below 1" in err
 
 
 # ---------------------------------------------------------------------------

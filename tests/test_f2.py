@@ -2,8 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import all_invertible, democratic_arf, fixed_point_closure
+from oracles import all_invertible, democratic_arf, entrywise_product, fixed_point_closure
 from stable4.errors import CapExceeded, DomainError, InputError
 from stable4.f2 import (
     F2Mat,
@@ -25,6 +27,11 @@ GL3 = (
     F2Mat.from_rows(["010", "100", "001"]),
     F2Mat.from_rows(["001", "100", "010"]),
     F2Mat.from_rows(["110", "010", "001"]),
+)
+# A 4-cycle of the basis and one transvection generate GL_4(F2).
+GL4 = (
+    F2Mat.from_rows(["0100", "0010", "0001", "1000"]),
+    F2Mat.from_rows(["1100", "0100", "0010", "0001"]),
 )
 
 
@@ -67,6 +74,46 @@ def test_matrix_product_against_composition():
         b = F2Mat(3, tuple(rng.randrange(8) for _ in range(3)))
         v = F2Vec(3, rng.randrange(8))
         assert (a @ b).apply(v) == a.apply(b.apply(v))
+
+
+@st.composite
+def matrix_pairs(draw):
+    d = draw(st.integers(0, 6))
+    row = st.integers(0, (1 << d) - 1)
+    a = F2Mat(d, tuple(draw(st.lists(row, min_size=d, max_size=d))))
+    b = F2Mat(d, tuple(draw(st.lists(row, min_size=d, max_size=d))))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_pairs())
+def test_product_matches_entrywise_oracle(pair):
+    a, b = pair
+    product = a @ b
+    assert product == entrywise_product(a, b)
+    rebuilt = F2Mat(a.dim, product.rows)
+    assert product == rebuilt and hash(product) == hash(rebuilt)
+    assert all(0 <= r < 1 << a.dim for r in product.rows)
+
+
+def test_product_dimension_mismatch():
+    with pytest.raises(DomainError):
+        F2Mat.identity(2) @ F2Mat.identity(3)
+
+
+@pytest.mark.parametrize(
+    "rows, index, length",
+    [(["01", "1"], 1, 1), (["0", "10"], 0, 1), ([[0, 1], [1]], 1, 1),
+     ([[0, 1, 1], [1, 0]], 0, 3), (["101", "010", "0011"], 2, 4)],
+)
+def test_from_rows_rejects_ragged_rows(rows, index, length):
+    with pytest.raises(InputError, match=f"row {index} has length {length}, expected {len(rows)}"):
+        F2Mat.from_rows(rows)
+
+
+def test_from_rows_rejects_rows_that_are_not_sequences():
+    with pytest.raises(InputError, match="row 0"):
+        F2Mat.from_rows([5])
 
 
 def test_matrix_inverse():
@@ -261,6 +308,10 @@ def test_closure_gl3_order():
     assert closure == set(all_invertible(3))
 
 
+def test_closure_gl4_order():
+    assert len(group_closure(list(GL4))) == 20160
+
+
 def test_closure_cap():
     with pytest.raises(CapExceeded):
         group_closure(list(GL2), cap=3)
@@ -272,6 +323,13 @@ def test_closure_env_cap(monkeypatch):
         group_closure(list(GL3))
     monkeypatch.setenv("STABLE4_CAP", "1000")
     assert len(group_closure(list(GL3))) == 168
+
+
+@pytest.mark.parametrize("raw", ["0", "-3"])
+def test_env_cap_below_one_is_rejected(monkeypatch, raw):
+    monkeypatch.setenv("STABLE4_CAP", raw)
+    with pytest.raises(InputError, match=f"STABLE4_CAP='{raw}' is below 1"):
+        group_closure(list(GL3))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from stable4.words import (
     Presentation,
     Word,
     ZnFamily,
+    family_from_json,
     fox_derivative,
     normalize,
     parse_word,
@@ -363,6 +364,26 @@ def test_presentation_json_bad_family():
         presentation_from_json(
             {"generators": ["x"], "relators": [], "family": {"na": 1}}
         )
+
+
+@pytest.mark.parametrize(
+    "tag, name",
+    [({"nil": "abc"}, "nil"), ({"nil": "2"}, "nil"), ({"nil": 2.0}, "nil"),
+     ({"nil": False}, "nil"), ({"zn": "3"}, "zn"), ({"zn": True}, "zn"),
+     ({"free": 5}, "free"), ({"free": "abc"}, "free"), ({"free": ["x", 1]}, "free"),
+     ({"free": {"x": 1}}, "free")],
+)
+def test_family_tag_values_are_checked(tag, name):
+    with pytest.raises(InputError, match=f'family tag "{name}" needs'):
+        family_from_json(tag)
+
+
+def test_family_tags_accept_their_types():
+    assert family_from_json({"nil": 2}) == NilFamily(2)
+    assert family_from_json({"zn": 3}) == ZnFamily(3)
+    assert family_from_json({"free": ["x", "y"]}) == FREE2
+    with pytest.raises(InputError, match="unrecognised family tag"):
+        family_from_json({"nil": 2, "zn": 3})
 
 
 def test_fox_fundamental_identity_in_quotients(rng):
