@@ -60,9 +60,10 @@ class FamilyData:
     notes: str = ""
 
     def __post_init__(self) -> None:
-        for g in self.out_generators:
+        for k, g in enumerate(self.out_generators):
             if g.dim != self.d:
-                raise DomainError("generator dimension mismatch")
+                raise DomainError(f"generator {k} has dimension {g.dim}, "
+                                  f"expected {self.d}")
             if not g.is_invertible():
                 raise DomainError("Out-action generators must be invertible")
 

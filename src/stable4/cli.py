@@ -55,6 +55,14 @@ def _load_json(path: str):
         raise InputError(f"{path} is not valid JSON: {exc}") from None
 
 
+def _load_generators(path: str) -> list:
+    """F2 matrices from a JSON file holding a list of them."""
+    blob = _load_json(path)
+    if not isinstance(blob, list):
+        raise InputError(f"{path} holds {json.dumps(blob)}, not a list of F2 matrices")
+    return [f2.f2mat_from_json(m) for m in blob]
+
+
 def _family_pair(spec: str):
     """Resolve --family into (ring family or None, FamilyData, default w).
 
@@ -223,7 +231,7 @@ def _cmd_arf(args) -> int:
 
 def _cmd_orbits(args) -> int:
     if args.generators:
-        mats = [f2.f2mat_from_json(m) for m in _load_json(args.generators)]
+        mats = _load_generators(args.generators)
         if args.d is None:
             raise InputError("--generators needs --d")
         d, name = args.d, args.generators
@@ -251,7 +259,7 @@ def _cmd_orbits(args) -> int:
 
 
 def _cmd_closure(args) -> int:
-    mats = [f2.f2mat_from_json(m) for m in _load_json(args.generators)]
+    mats = _load_generators(args.generators)
     if args.cap is not None and args.cap < 1:
         raise InputError(f"--cap {args.cap} is below 1")
     closure = f2.group_closure(mats, cap=args.cap)

@@ -82,12 +82,14 @@ class F2Vec:
 
     def __xor__(self, other: "F2Vec") -> "F2Vec":
         if self.dim != other.dim:
-            raise DomainError("dimension mismatch")
+            raise DomainError(f"dimension mismatch: vectors of dimension {self.dim} "
+                              f"and {other.dim}")
         return F2Vec(self.dim, self.bits ^ other.bits)
 
     def dot(self, other: "F2Vec") -> int:
         if self.dim != other.dim:
-            raise DomainError("dimension mismatch")
+            raise DomainError(f"dimension mismatch: vectors of dimension {self.dim} "
+                              f"and {other.dim}")
         return (self.bits & other.bits).bit_count() & 1
 
     def __repr__(self) -> str:
@@ -149,7 +151,8 @@ class F2Mat:
     def apply(self, v: F2Vec) -> F2Vec:
         """Column-vector action (Mv)_i = <row_i, v>."""
         if v.dim != self.dim:
-            raise DomainError("dimension mismatch")
+            raise DomainError(f"dimension mismatch: a matrix of dimension {self.dim} "
+                              f"applied to a vector of dimension {v.dim}")
         bits = 0
         for i, row in enumerate(self.rows):
             bits |= ((row & v.bits).bit_count() & 1) << i
@@ -159,7 +162,8 @@ class F2Mat:
         """Row i of the product is the XOR of other.rows[j] over the set bits
         j of self.rows[i]."""
         if self.dim != other.dim:
-            raise DomainError("dimension mismatch")
+            raise DomainError(f"dimension mismatch: product of matrices of dimension "
+                              f"{self.dim} and {other.dim}")
         return F2Mat._trusted(self.dim, tuple(map(other.combine, self.rows)))
 
     def combine(self, mask: int) -> int:
@@ -334,12 +338,14 @@ def orbits(
     orbits are sorted by their minimal representatives.  A subset predicate
     must be stable under every generator; this is validated.
     """
+    if d < 0:
+        raise InputError(f"orbit dimension {d} is negative")
     cap = max_states if max_states is not None else 1 << ORBIT_DIM_CAP
     if 1 << d > cap:
         raise CapExceeded(f"2^{d} states exceed the orbit cap {cap}")
-    for g in generators:
+    for k, g in enumerate(generators):
         if g.dim != d:
-            raise DomainError("generator dimension mismatch")
+            raise DomainError(f"generator {k} has dimension {g.dim}, expected {d}")
         if not g.is_invertible():
             raise DomainError("orbit generators must be invertible")
 
@@ -389,9 +395,10 @@ def group_closure(generators: Sequence[F2Mat], cap: int | None = None) -> set[F2
     if not generators:
         raise DomainError("need at least one generator (use the identity)")
     dim = generators[0].dim
-    for g in generators:
+    for k, g in enumerate(generators):
         if g.dim != dim:
-            raise DomainError("generator dimension mismatch")
+            raise DomainError(f"generator {k} has dimension {g.dim}, expected {dim} "
+                              "(that of generator 0)")
         if not g.is_invertible():
             raise DomainError("closure generators must be invertible")
     closure: set[F2Mat] = {F2Mat.identity(dim)}

@@ -31,14 +31,21 @@ class Parity(enum.Enum):
 
 
 class RingMatrix:
-    """Square matrix over one family's group ring."""
+    """Square matrix over one family's group ring, stored by its nonzeros.
 
-    __slots__ = ("family", "entries")
+    Row i is a dict {column: RingElem} holding the nonzero entries of row i
+    only, and `entry` returns a shared zero everywhere else, so the methods
+    below cost the number of nonzeros, not n^2.  Row dicts are never changed
+    after construction, which lets a direct sum share its operand's rows.
+    """
+
+    __slots__ = ("family", "_rows", "_zero")
 
     def __init__(self, family: GroupFamily, entries: Sequence[Sequence[RingElem]]):
-        rows = tuple(tuple(row) for row in entries)
-        n = len(rows)
-        for row in rows:
+        dense = [tuple(row) for row in entries]
+        n = len(dense)
+        rows = []
+        for row in dense:
             if len(row) != n:
                 raise DomainError("matrix must be square")
             for x in row:
@@ -46,78 +53,101 @@ class RingMatrix:
                     x.family is not family and x.family != family
                 ):
                     raise DomainError("entries must be ring elements of the family")
+            rows.append({j: x for j, x in enumerate(row) if not x.is_zero})
         self.family = family
-        self.entries = rows
+        self._rows = tuple(rows)
+        self._zero = RingElem.zero(family)
+
+    @classmethod
+    def _trusted(cls, family: GroupFamily, rows: tuple[dict, ...]) -> "RingMatrix":
+        """A matrix from row dicts known to hold only nonzero ring elements of
+        the family, at columns below len(rows); no checks."""
+        m = cls.__new__(cls)
+        m.family = family
+        m._rows = rows
+        m._zero = RingElem.zero(family)
+        return m
 
     @classmethod
     def from_int_rows(cls, family: GroupFamily, rows: Sequence[Sequence[int]]):
-        return cls(
-            family,
-            [[RingElem.integer(family, v) for v in row] for row in rows],
-        )
+        n = len(rows)
+        if any(len(row) != n for row in rows):
+            raise DomainError("matrix must be square")
+        return cls._trusted(family, tuple(
+            {j: RingElem.integer(family, v) for j, v in enumerate(row) if v}
+            for row in rows
+        ))
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self._rows)
 
     def entry(self, i: int, j: int) -> RingElem:
-        return self.entries[i][j]
+        row = self._rows[i]
+        if not 0 <= j < len(self._rows):
+            raise IndexError(f"column {j} out of range for size {len(self._rows)}")
+        return row.get(j, self._zero)
 
     def adjoint(self) -> "RingMatrix":
         """Conjugate transpose: entry (i, j) becomes conj(entry (j, i))."""
-        n = self.size
-        return RingMatrix(
-            self.family,
-            [[self.entries[j][i].conjugate() for j in range(n)] for i in range(n)],
-        )
+        out: tuple[dict, ...] = tuple({} for _ in self._rows)
+        for i, row in enumerate(self._rows):
+            for j, x in row.items():
+                out[j][i] = x.conjugate()
+        return RingMatrix._trusted(self.family, out)
 
     def is_hermitian(self) -> bool:
-        """Equal to the adjoint; conjugation is an involution, so j <= i suffices."""
-        e = self.entries
-        return all(
-            e[i][j] == e[j][i].conjugate() for i in range(len(e)) for j in range(i + 1)
-        )
+        """Each stored (i, j) equals conj of (j, i).  A stored entry is
+        nonzero, so an absent partner (a zero) fails it."""
+        rows = self._rows
+        for i, row in enumerate(rows):
+            for j, x in row.items():
+                partner = rows[j].get(i)
+                if partner is None or x != partner.conjugate():
+                    return False
+        return True
 
     def direct_sum(self, other: "RingMatrix") -> "RingMatrix":
         if self.family != other.family:
             raise DomainError("family mismatch in direct sum")
-        zero = RingElem.zero(self.family)
-        n, m = self.size, other.size
-        rows = []
-        for i in range(n):
-            rows.append(list(self.entries[i]) + [zero] * m)
-        for i in range(m):
-            rows.append([zero] * n + list(other.entries[i]))
-        return RingMatrix(self.family, rows)
+        n = self.size
+        shifted = tuple({j + n: x for j, x in row.items()} for row in other._rows)
+        return RingMatrix._trusted(self.family, self._rows + shifted)
 
     def negate(self) -> "RingMatrix":
-        return RingMatrix(self.family, [[-x for x in row] for row in self.entries])
+        return RingMatrix._trusted(
+            self.family, tuple({j: -x for j, x in row.items()} for row in self._rows)
+        )
 
     def augmentation_rows(self) -> list[list[int]]:
         """Apply the augmentation entrywise; the integer shadow of the form."""
-        return [[augmentation(x) for x in row] for row in self.entries]
+        out = [[0] * self.size for _ in self._rows]
+        for ints, row in zip(out, self._rows):
+            for j, x in row.items():
+                ints[j] = augmentation(x)
+        return out
 
     def integer_rows(self) -> list[list[int]]:
         """Entries as plain integers; requires support inside the identity."""
         identity = self.family.identity()
-        out = []
-        for row in self.entries:
-            ints = []
-            for x in row:
-                if any(g != identity for g in x.support()):
+        out = [[0] * self.size for _ in self._rows]
+        for ints, row in zip(out, self._rows):
+            for j, x in row.items():
+                c = x.coefficient(identity)
+                if not c or len(x) != 1:
                     raise DomainError("matrix entry has non-identity support")
-                ints.append(x.coefficient(identity))
-            out.append(ints)
+                ints[j] = c
         return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingMatrix):
             return NotImplemented
-        return self.family == other.family and self.entries == other.entries
+        return self.family == other.family and self._rows == other._rows
 
     def __repr__(self) -> str:
+        n = self.size
         rows = "; ".join(
-            ", ".join(x.to_text() for x in row) for row in self.entries
+            ", ".join(self.entry(i, j).to_text() for j in range(n)) for i in range(n)
         )
         return f"<RingMatrix [{rows}]>"
 
@@ -164,8 +194,9 @@ def block_copies(block: RingMatrix, count: int) -> RingMatrix | None:
 
     Built by doubling: the sums of 2, 4, 8, ... copies take one direct_sum
     each and the binary digits of count pick which of them join the result,
-    so the entries built total O(n^2) for the n x n result where a chain of
-    count - 1 sums would build O(count * n^2).
+    so at most 2 log2(count) sums build it.  A sum shares the rows of its
+    first operand and copies the nonzeros of its second, and the operands
+    double, so the work is linear in the rows and nonzeros of the result.
     """
     out = None
     while count:
@@ -188,8 +219,7 @@ def stabilize_hyperbolic(a: AugmentedForm, k: int) -> AugmentedForm:
 
 
 def zero_form(family: GroupFamily, rank: int = 0) -> AugmentedForm:
-    zero = RingElem.zero(family)
-    return AugmentedForm(0, RingMatrix(family, [[zero] * rank for _ in range(rank)]))
+    return AugmentedForm(0, RingMatrix._trusted(family, tuple({} for _ in range(rank))))
 
 
 def restrict_to_Ipi(a: AugmentedForm) -> RingElem:
@@ -328,8 +358,9 @@ def e8_block(family: GroupFamily) -> RingMatrix:
 
 
 def identity_block(family: GroupFamily, size: int, sign: int = 1) -> RingMatrix:
-    rows = [[sign if i == j else 0 for j in range(size)] for i in range(size)]
-    return RingMatrix.from_int_rows(family, rows)
+    return RingMatrix._trusted(family, tuple(
+        {i: RingElem.integer(family, sign)} if sign else {} for i in range(size)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -337,21 +368,24 @@ def identity_block(family: GroupFamily, size: int, sign: int = 1) -> RingMatrix:
 
 
 def form_to_json(a: AugmentedForm):
+    """Dense row-major entries.  Every zero entry is one shared empty list:
+    n^2 fresh lists would cost more in garbage collection than the rest."""
     n = a.matrix.size
+    entries: list = [[]] * (n * n)
+    for i, row in enumerate(a.matrix._rows):
+        for j, x in row.items():
+            entries[i * n + j] = ring_elem_to_json(x)
     return {
         "epsilon": a.epsilon,
         "family": family_to_json(a.family),
         "size": n,
-        "entries": [
-            ring_elem_to_json(a.matrix.entry(i, j))
-            for i in range(n)
-            for j in range(n)
-        ],
+        "entries": entries,
     }
 
 
 def form_from_json(obj) -> AugmentedForm:
-    """Load a form; refuses non-hermitian input."""
+    """Load a form; refuses non-hermitian input.  An empty term list is a
+    zero entry and builds no ring element."""
     try:
         epsilon = int(obj["epsilon"])
         family = family_from_json(obj["family"])
@@ -367,8 +401,11 @@ def form_from_json(obj) -> AugmentedForm:
         raise InputError(f"form size {n!r} is not a non-negative integer")
     elif n * n != len(flat):
         raise InputError(f"form size {n} needs {n * n} entries, got {len(flat)}")
-    entries = [
-        [ring_elem_from_json(flat[i * n + j], family) for j in range(n)]
-        for i in range(n)
-    ]
-    return AugmentedForm(epsilon, RingMatrix(family, entries))
+    rows: tuple[dict, ...] = tuple({} for _ in range(n))
+    for k, terms in enumerate(flat):
+        if terms == []:
+            continue
+        x = ring_elem_from_json(terms, family)
+        if not x.is_zero:
+            rows[k // n][k % n] = x
+    return AugmentedForm(epsilon, RingMatrix._trusted(family, rows))

@@ -113,6 +113,8 @@ def parse_word(text: str, generators: Sequence[str]) -> Word:
     ``k`` must be a nonzero integer; the bare token ``1`` denotes the
     identity.  The result is freely reduced.
     """
+    if not isinstance(text, str):
+        raise InputError(f"word {text!r} is not a string")
     index = {name: i for i, name in enumerate(generators)}
     letters: list[Letter] = []
     for token in text.split():
@@ -327,6 +329,19 @@ def normalize(w: Word, family: GroupFamily):
     return family.reduce_word(w)
 
 
+def _check_generator_names(names: Sequence[str]) -> None:
+    """Generator names are distinct identifiers: parse_word splits a word at
+    whitespace and looks each name up, so a name holding a space, or one
+    used twice, could not be read back."""
+    seen = set()
+    for name in names:
+        if not name.isidentifier():
+            raise InputError(f"bad generator name {name!r}")
+        if name in seen:
+            raise InputError(f"duplicate generator {name!r}")
+        seen.add(name)
+
+
 @dataclass(frozen=True)
 class Presentation:
     """A finite presentation: generator names plus relator words."""
@@ -335,13 +350,7 @@ class Presentation:
     relators: tuple[Word, ...]
 
     def __post_init__(self) -> None:
-        seen = set()
-        for name in self.generators:
-            if not name.isidentifier():
-                raise InputError(f"bad generator name {name!r}")
-            if name in seen:
-                raise InputError(f"duplicate generator {name!r}")
-            seen.add(name)
+        _check_generator_names(self.generators)
         for rel in self.relators:
             if rel.max_index() >= len(self.generators):
                 raise InputError("relator references an undeclared generator")
@@ -440,6 +449,7 @@ def family_from_json(obj, generators: Sequence[str] | None = None) -> GroupFamil
         if tag == "free":
             if not isinstance(value, list) or not all(isinstance(g, str) for g in value):
                 raise InputError(f'family tag "free" needs a list of names, not {value!r}')
+            _check_generator_names(value)
             return FreeFamily(tuple(value))
     raise InputError(f"unrecognised family tag {obj!r}")
 

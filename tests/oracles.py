@@ -10,8 +10,15 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from stable4.errors import DomainError
 from stable4.f2 import F2Mat, F2Vec
-from stable4.groupring import RingElem
+from stable4.groupring import (
+    RingElem,
+    augmentation,
+    ring_elem_from_json,
+    ring_elem_to_json,
+)
+from stable4.words import family_from_json, family_to_json
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +193,70 @@ def dense_ldlt_signature(rows) -> int:
             for c in active:
                 s[r][c] -= (s[r][p] * s[q][c] + s[r][q] * s[p][c]) / b
     return signature
+
+
+# ---------------------------------------------------------------------------
+# Group-ring matrices held densely: the RingMatrix methods as they were
+# before rows became sparse, on lists of rows of RingElems, zeros included.
+
+
+def dense_adjoint(rows):
+    n = len(rows)
+    return [[rows[j][i].conjugate() for j in range(n)] for i in range(n)]
+
+
+def dense_is_hermitian(rows) -> bool:
+    return all(
+        rows[i][j] == rows[j][i].conjugate()
+        for i in range(len(rows)) for j in range(i + 1)
+    )
+
+
+def dense_direct_sum(family, a, b):
+    zero = RingElem.zero(family)
+    n, m = len(a), len(b)
+    return ([list(row) + [zero] * m for row in a]
+            + [[zero] * n + list(row) for row in b])
+
+
+def dense_negate(rows):
+    return [[-x for x in row] for row in rows]
+
+
+def dense_augmentation_rows(rows) -> list[list[int]]:
+    return [[augmentation(x) for x in row] for row in rows]
+
+
+def dense_integer_rows(family, rows) -> list[list[int]]:
+    identity = family.identity()
+    out = []
+    for row in rows:
+        ints = []
+        for x in row:
+            if any(g != identity for g in x.support()):
+                raise DomainError("matrix entry has non-identity support")
+            ints.append(x.coefficient(identity))
+        out.append(ints)
+    return out
+
+
+def dense_form_to_json(epsilon: int, family, rows):
+    n = len(rows)
+    return {
+        "epsilon": epsilon,
+        "family": family_to_json(family),
+        "size": n,
+        "entries": [ring_elem_to_json(rows[i][j]) for i in range(n) for j in range(n)],
+    }
+
+
+def dense_form_from_json(obj):
+    """(epsilon, family, rows) with a ring element parsed for every entry."""
+    family = family_from_json(obj["family"])
+    n, flat = obj["size"], obj["entries"]
+    rows = [[ring_elem_from_json(flat[i * n + j], family) for j in range(n)]
+            for i in range(n)]
+    return int(obj["epsilon"]), family, rows
 
 
 # ---------------------------------------------------------------------------

@@ -460,3 +460,55 @@ def test_model_realize_totally_non_spin(capsys):
     assert blob["w"] == "infinity"
     assert blob["signature"] == 5
     han1_from_json(blob)
+
+
+def test_parity_rejects_a_word_that_is_not_a_string(capsys, tmp_path):
+    path = write_json(
+        tmp_path / "f.json",
+        {"epsilon": 0, "family": {"zn": 3}, "entries": [[{"coeff": 2, "word": 5}]]},
+    )
+    code, out, err = run(capsys, ["parity", "--form", path])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "word 5 is not a string" in err
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [(["x y"], "bad generator name 'x y'"), (["x", "x"], "duplicate generator 'x'")],
+)
+def test_parity_rejects_bad_free_generator_names(capsys, tmp_path, names, message):
+    path = write_json(
+        tmp_path / "f.json",
+        {"epsilon": 0, "family": {"free": names},
+         "entries": [[{"coeff": 3, "word": "1"}]]},
+    )
+    code, out, err = run(capsys, ["parity", "--form", path])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and message in err
+
+
+def test_orbits_dimension_error_names_both_dimensions(capsys, tmp_path):
+    path = write_json(tmp_path / "g.json", [["10", "01"]])
+    code, out, err = run(capsys, ["orbits", "--generators", path, "--d", "3"])
+    assert code == 2 and out == ""
+    assert "error: generator 0 has dimension 2, expected 3" in err
+
+
+@pytest.mark.parametrize(
+    "command, payload, extra, message",
+    [
+        ("closure", 1, [], "holds 1, not a list of F2 matrices"),
+        ("closure", True, [], "holds true, not a list of F2 matrices"),
+        ("closure", 1.5, [], "holds 1.5, not a list of F2 matrices"),
+        ("orbits", 1, ["--d", "2"], "holds 1, not a list of F2 matrices"),
+        ("orbits", True, ["--d", "2"], "holds true, not a list of F2 matrices"),
+        ("orbits", 1.5, ["--d", "2"], "holds 1.5, not a list of F2 matrices"),
+        ("orbits", [["10", "01"]], ["--d", "-16"], "orbit dimension -16 is negative"),
+    ],
+)
+def test_bad_generator_files_and_dimensions_exit_1(capsys, tmp_path, command,
+                                                   payload, extra, message):
+    path = write_json(tmp_path / "g.json", payload)
+    code, out, err = run(capsys, [command, "--generators", path] + extra)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and message in err

@@ -102,6 +102,30 @@ def test_product_dimension_mismatch():
 
 
 @pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: F2Vec.zero(2) ^ F2Vec.zero(3), "vectors of dimension 2 and 3"),
+        (lambda: F2Vec.zero(3).dot(F2Vec.zero(2)), "vectors of dimension 3 and 2"),
+        (lambda: F2Mat.identity(2).apply(F2Vec.zero(3)),
+         "matrix of dimension 2 applied to a vector of dimension 3"),
+        (lambda: F2Mat.identity(2) @ F2Mat.identity(3), "matrices of dimension 2 and 3"),
+        (lambda: orbits(3, [F2Mat.identity(3), F2Mat.identity(2)]),
+         "generator 1 has dimension 2, expected 3"),
+        (lambda: group_closure([F2Mat.identity(3), F2Mat.identity(2)]),
+         r"generator 1 has dimension 2, expected 3 \(that of generator 0\)"),
+    ],
+)
+def test_dimension_errors_name_both_dimensions(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
+def test_orbits_rejects_a_negative_dimension():
+    with pytest.raises(InputError, match="orbit dimension -1 is negative"):
+        orbits(-1, [])
+
+
+@pytest.mark.parametrize(
     "rows, index, length",
     [(["01", "1"], 1, 1), (["0", "10"], 0, 1), ([[0, 1], [1]], 1, 1),
      ([[0, 1, 1], [1, 0]], 0, 3), (["101", "010", "0011"], 2, 4)],

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -7,7 +8,15 @@ from hypothesis import strategies as st
 from conftest import random_word
 from oracles import (
     bareiss_det,
+    dense_adjoint,
+    dense_augmentation_rows,
+    dense_direct_sum,
+    dense_form_from_json,
+    dense_form_to_json,
+    dense_integer_rows,
+    dense_is_hermitian,
     dense_ldlt_signature,
+    dense_negate,
     eigen_free_signature,
     leading_minors_positive,
 )
@@ -32,7 +41,7 @@ from stable4.forms import (
     zero_form,
 )
 from stable4.groupring import RingElem
-from stable4.words import NilFamily, ZnFamily, normalize
+from stable4.words import NilFamily, Word, ZnFamily, normalize
 
 Z3 = ZnFamily(3)
 G = (1, 0, 0)
@@ -364,3 +373,105 @@ def test_form_loader_rejects_non_hermitian():
 def test_form_loader_rejects_bad_shapes():
     with pytest.raises(InputError):
         form_from_json({"epsilon": 0, "family": {"zn": 3}, "entries": [[], [], []]})
+
+
+# ---------------------------------------------------------------------------
+# sparse rows against the dense oracle
+
+
+def dense_view(m):
+    return [[m.entry(i, j) for j in range(m.size)] for i in range(m.size)]
+
+
+@st.composite
+def dense_rows(draw, family, size):
+    """size x size RingElems over family, each zero with probability ~1/2;
+    a nonzero draw may still cancel to zero.  When integer is drawn every
+    entry lies on the identity, so integer_rows has an answer."""
+    integer = draw(st.booleans())
+    letter = st.tuples(st.integers(0, family.rank - 1), st.sampled_from((-2, -1, 1, 2)))
+    term = st.tuples(
+        st.just(()) if integer else st.lists(letter, max_size=3),
+        st.integers(-3, 3),
+    )
+    rows = []
+    for _ in range(size):
+        row = []
+        for _ in range(size):
+            terms = draw(st.lists(term, max_size=2)) if draw(st.booleans()) else []
+            row.append(RingElem(family, [(normalize(Word(tuple(w)), family), c)
+                                         for w, c in terms]))
+        rows.append(row)
+    if draw(st.booleans()):  # hermitian half the time, zero pattern kept symmetric
+        rows = [[rows[i][j] + rows[j][i].conjugate() for j in range(size)]
+                for i in range(size)]
+    return rows
+
+
+@st.composite
+def matrix_pairs(draw):
+    family = draw(st.sampled_from((Z3, NilFamily(2))))
+    a = draw(dense_rows(family, draw(st.integers(0, 5))))
+    b = draw(dense_rows(family, draw(st.integers(0, 3))))
+    return family, a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_pairs(), st.integers(0, 1))
+def test_sparse_rows_match_the_dense_oracle(case, epsilon):
+    family, a, b = case
+    m, other = RingMatrix(family, a), RingMatrix(family, b)
+    assert dense_view(m) == a
+    assert m.is_hermitian() == dense_is_hermitian(a)
+    assert dense_view(m.adjoint()) == dense_adjoint(a)
+    assert m.adjoint() == RingMatrix(family, dense_adjoint(a))
+    assert dense_view(m.negate()) == dense_negate(a)
+    assert dense_view(m.direct_sum(other)) == dense_direct_sum(family, a, b)
+    assert (m == other) == (a == b)
+    assert m.augmentation_rows() == dense_augmentation_rows(a)
+    try:
+        expected = dense_integer_rows(family, a)
+    except DomainError:
+        with pytest.raises(DomainError):
+            m.integer_rows()
+    else:
+        assert m.integer_rows() == expected
+    if not m.is_hermitian() or m.size < epsilon:
+        return
+    blob = form_to_json(AugmentedForm(epsilon, m))
+    assert json.dumps(blob) == json.dumps(dense_form_to_json(epsilon, family, a))
+    back = form_from_json(json.loads(json.dumps(blob)))
+    assert (back.epsilon, back.family, dense_view(back.matrix)) == dense_form_from_json(blob)
+    assert back.matrix == m
+
+
+def test_an_entry_without_its_mirror_is_not_hermitian():
+    x = grp(G)
+    zero = ring(0)
+    for rows in ([[zero, x], [zero, zero]],
+                 [[zero, zero], [x, zero]],
+                 [[ring(1), zero, zero], [zero, zero, x], [zero, zero, ring(2)]]):
+        assert not dense_is_hermitian(rows)
+        assert not RingMatrix(Z3, rows).is_hermitian()
+        blob = dense_form_to_json(0, Z3, rows)
+        with pytest.raises(DomainError, match="not hermitian"):
+            form_from_json(blob)
+
+
+def test_zero_entries_are_dropped_from_the_rows():
+    m = RingMatrix(Z3, [[ring(0), grp(G) - grp(G)], [ring(0), ring(0)]])
+    assert m == zero_form(Z3, 2).matrix == RingMatrix.from_int_rows(Z3, [[0, 0], [0, 0]])
+    assert form_to_json(zero_form(Z3, 2))["entries"] == [[], [], [], []]
+
+
+def test_entry_rejects_a_column_out_of_range():
+    with pytest.raises(IndexError):
+        hyperbolic_matrix(Z3).entry(0, 2)
+
+
+def test_identity_blocks_match_their_integer_rows():
+    for sign in (-1, 0, 2):
+        rows = [[sign, 0, 0], [0, sign, 0], [0, 0, sign]]
+        assert identity_block(Z3, 3, sign) == RingMatrix.from_int_rows(Z3, rows)
+        assert identity_block(Z3, 3, sign) == RingMatrix(
+            Z3, [[RingElem.integer(Z3, v) for v in row] for row in rows])
