@@ -529,11 +529,13 @@ def invariant_tuple_to_json(t: InvariantTuple):
 def invariant_tuple_from_json(obj) -> InvariantTuple:
     try:
         w = w_from_json(obj["w"])
-        signature = int(obj["signature"])
+        signature = obj["signature"]
         parity_raw = obj.get("parity")
         tau_raw = obj.get("tau")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad invariant tuple JSON: {exc}") from None
+    if not isinstance(signature, int) or isinstance(signature, bool):
+        raise InputError(f"signature {signature!r} is not an integer")
     if parity_raw is None:
         par = None
     else:

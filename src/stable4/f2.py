@@ -59,7 +59,7 @@ class F2Vec:
     @classmethod
     def from_bits(cls, text: str) -> "F2Vec":
         """Parse a bit-string like "101"; leftmost character is coordinate 0."""
-        if not all(ch in "01" for ch in text) or not text:
+        if not isinstance(text, str) or not text or not all(ch in "01" for ch in text):
             raise InputError(f"bad bit-string {text!r}")
         bits = 0
         for i, ch in enumerate(text):

@@ -35,10 +35,15 @@ class RingElem:
 
     @classmethod
     def _from_dict(cls, family: GroupFamily, data: dict) -> "RingElem":
-        """Trusted: data maps normal forms to ints; only zeros are dropped."""
+        """Trusted: data maps normal forms to ints; only zeros are dropped.
+
+        The result takes ownership of ``data``: every caller passes a dict
+        it has just built and does not touch again, so it is kept as is, and
+        copied only when it holds a zero to drop.
+        """
         x = cls.__new__(cls)
         x.family = family
-        x._terms = {g: c for g, c in data.items() if c}
+        x._terms = {g: c for g, c in data.items() if c} if 0 in data.values() else data
         return x
 
     # -- constructors
@@ -106,11 +111,14 @@ class RingElem:
             )
         self._require_same_family(other)
         fam = self.family
+        multiply = fam.multiply
         data: dict = {}
+        get = data.get
+        right = tuple(other._terms.items())
         for g, c in self._terms.items():
-            for h, d in other._terms.items():
-                k = fam.multiply(g, h)
-                data[k] = data.get(k, 0) + c * d
+            for h, d in right:
+                k = multiply(g, h)
+                data[k] = get(k, 0) + c * d
         return RingElem._from_dict(fam, data)
 
     def __rmul__(self, other):
@@ -192,10 +200,12 @@ def ring_elem_from_json(obj, family: GroupFamily) -> RingElem:
     terms: list = []
     for item in obj:
         try:
-            coeff = int(item["coeff"])
+            coeff = item["coeff"]
             word_text = item["word"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise InputError(f"bad ring element term: {exc}") from None
+        if not isinstance(coeff, int) or isinstance(coeff, bool):
+            raise InputError(f"coefficient {coeff!r} is not an integer")
         w = parse_word(word_text, family.generators)
         terms.append((family.reduce_word(w), coeff))
     return RingElem(family, terms)

@@ -14,6 +14,16 @@ Group elements are kept in canonical normal forms per *family*:
 The word problem is only solved for these built-in families; that is all the
 classification of the example groups needs.
 
+``GroupFamily.shift(g, i, e)`` is g * s_i^e, the step that walks a prefix
+along a word in ``reduce_word`` and ``fox_derivative``.  The built-in
+quotients do it in closed form, without building s_i^e:
+
+* Z^n bumps coordinate i by e;
+* Nil steps (k, i, j) to (k + e, i, j) for a^e, to (k - z*j*e, i + e, j)
+  for x^e, and to (k, i, j + e) for y^e.
+
+Only free words fall back to ``multiply(g, generator_element(i, e))``.
+
 Every ``Word`` holds a freely reduced tuple of letters with nonzero exponents,
 no two adjacent letters on the same generator, and generator indices >= 0.
 Operations that start from reduced words keep that invariant without
@@ -24,6 +34,7 @@ an inverse reverses and negates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, itemgetter
 from typing import Iterable, Sequence
 
 from .errors import CapExceeded, DomainError, InputError
@@ -80,7 +91,7 @@ class Word:
         return sum(abs(e) for _, e in self.letters)
 
     def max_index(self) -> int:
-        return max((g for g, _ in self.letters), default=-1)
+        return max(map(itemgetter(0), self.letters), default=-1)
 
     def __mul__(self, other: "Word") -> "Word":
         # Both factors are reduced, so only the seam can cancel: pairs on the
@@ -182,6 +193,10 @@ class GroupFamily:
     def generator_element(self, index: int, exp: int = 1):
         raise NotImplementedError
 
+    def shift(self, g, index: int, exp: int):
+        """g * s_index^exp; families with a closed form override this."""
+        return self.multiply(g, self.generator_element(index, exp))
+
     def sort_key(self, g):
         """Deterministic total order on elements, used for stable output."""
         raise NotImplementedError
@@ -201,8 +216,9 @@ class GroupFamily:
         """Quotient map: evaluate a free word in this group."""
         self._check_arity(w)
         out = self.identity()
+        shift = self.shift
         for gen, exp in w.letters:
-            out = self.multiply(out, self.generator_element(gen, exp))
+            out = shift(out, gen, exp)
         return out
 
     def element_str(self, g) -> str:
@@ -258,7 +274,7 @@ class ZnFamily(GroupFamily):
         return (0,) * self.n
 
     def multiply(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(add, a, b))
 
     def invert(self, a):
         return tuple(-x for x in a)
@@ -266,6 +282,13 @@ class ZnFamily(GroupFamily):
     def generator_element(self, index: int, exp: int = 1):
         v = [0] * self.n
         v[index] = exp
+        return tuple(v)
+
+    def shift(self, g, index: int, exp: int):
+        if not 0 <= index < self.n:
+            raise IndexError(f"generator index {index} out of range")
+        v = list(g)
+        v[index] += exp
         return tuple(v)
 
     def sort_key(self, g):
@@ -309,6 +332,16 @@ class NilFamily(GroupFamily):
         v = [0, 0, 0]
         v[index] = exp
         return tuple(v)
+
+    def shift(self, g, index: int, exp: int):
+        k, i, j = g
+        if index == 0:
+            return (k + exp, i, j)
+        if index == 1:
+            return (k - self.z * j * exp, i + exp, j)
+        if index == 2:
+            return (k, i, j + exp)
+        raise IndexError(f"generator index {index} out of range")
 
     def sort_key(self, g):
         return g
@@ -394,18 +427,20 @@ def fox_derivative(w: Word, gen: int | str, family: GroupFamily):
             f"over the cap {cap}"
         )
 
+    shift = family.shift
     terms: dict = {}
+    get = terms.get
     prefix = family.identity()
     for idx, exp in w.letters:
         if idx == gen:
-            step = family.generator_element(idx, 1 if exp > 0 else -1)
-            # D(g^k) = sum of the partial prefixes, signed
-            cursor = prefix if exp > 0 else family.multiply(prefix, step)
+            # D(g^k) = sum of the partial prefixes, signed: prefix g^t for
+            # 0 <= t < k, and -prefix g^-t for 1 <= t <= |k| when k < 0
             sign = 1 if exp > 0 else -1
+            cursor = prefix if exp > 0 else shift(prefix, idx, -1)
             for _ in range(abs(exp)):
-                terms[cursor] = terms.get(cursor, 0) + sign
-                cursor = family.multiply(cursor, step)
-        prefix = family.multiply(prefix, family.generator_element(idx, exp))
+                terms[cursor] = get(cursor, 0) + sign
+                cursor = shift(cursor, idx, sign)
+        prefix = shift(prefix, idx, exp)
     return RingElem._from_dict(family, terms)
 
 

@@ -305,3 +305,34 @@ def nil_normal_matrix(element, z: int):
         _mat_mul(_unitriangular(0, 0, k), _unitriangular(i, 0, 0)),
         _unitriangular(0, j * z, 0),
     )
+
+
+# ---------------------------------------------------------------------------
+# Fox calculus: one generic multiply per letter and per unit of exponent
+#
+# The prefix walk that fox_derivative and reduce_word used before they
+# stepped through GroupFamily.shift.  The loop body is kept as it was; the
+# result goes through the checked RingElem constructor.
+
+
+def fox_derivative_stepwise(w, gen: int, family) -> RingElem:
+    terms: dict = {}
+    prefix = family.identity()
+    for idx, exp in w.letters:
+        if idx == gen:
+            step = family.generator_element(idx, 1 if exp > 0 else -1)
+            # D(g^k) = sum of the partial prefixes, signed
+            cursor = prefix if exp > 0 else family.multiply(prefix, step)
+            sign = 1 if exp > 0 else -1
+            for _ in range(abs(exp)):
+                terms[cursor] = terms.get(cursor, 0) + sign
+                cursor = family.multiply(cursor, step)
+        prefix = family.multiply(prefix, family.generator_element(idx, exp))
+    return RingElem(family, terms)
+
+
+def reduce_word_stepwise(w, family):
+    out = family.identity()
+    for gen, exp in w.letters:
+        out = family.multiply(out, family.generator_element(gen, exp))
+    return out

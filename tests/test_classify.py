@@ -4,7 +4,7 @@ import random
 import pytest
 
 from oracles import fixed_point_closure
-from stable4.errors import CapExceeded, DomainError
+from stable4.errors import CapExceeded, DomainError, InputError
 from stable4.f2 import F2Mat, F2Vec, group_closure
 from stable4.forms import Parity
 from stable4.classify import (
@@ -547,3 +547,16 @@ def test_table_text_other_wtypes():
     assert "signature-only" in tns and "1*Z" in tns
     almost = table_to_text(classify(fam, F2Vec.from_bits("001"), "smooth"))
     assert "8*Z" in almost
+
+
+@pytest.mark.parametrize("signature", [16.0, 16.5, True, "16", None])
+def test_invariant_tuple_signature_must_be_an_integer(signature):
+    blob = {"w": "000", "signature": signature, "parity": "even", "tau": "101"}
+    with pytest.raises(InputError, match=f"signature {signature!r} is not an integer"):
+        invariant_tuple_from_json(blob)
+
+
+def test_invariant_tuple_tau_must_be_a_bit_string():
+    blob = {"w": "000", "signature": 16, "parity": "even", "tau": [1, 0, 1]}
+    with pytest.raises(InputError, match="bad bit-string"):
+        invariant_tuple_from_json(blob)

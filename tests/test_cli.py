@@ -202,6 +202,35 @@ def test_parity_rejects_a_bad_size_field(capsys, tmp_path, size, shown):
     assert f"form size {shown} is not a non-negative integer" in err
 
 
+@pytest.mark.parametrize("coeff, shown", [(2.5, "2.5"), (True, "True"), ("2", "'2'")])
+def test_parity_rejects_a_coefficient_that_is_not_an_integer(capsys, tmp_path, coeff, shown):
+    path = write_json(
+        tmp_path / "f.json",
+        {"epsilon": 0, "family": {"zn": 3}, "entries": [[{"coeff": coeff, "word": "1"}]]},
+    )
+    code, out, err = run(capsys, ["parity", "--form", path])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and f"coefficient {shown} is not an integer" in err
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("tau", [1, 0, 0], "bad bit-string [1, 0, 0]"),
+     ("signature", 16.0, "signature 16.0 is not an integer"),
+     ("signature", True, "signature True is not an integer")],
+)
+def test_decide_rejects_a_malformed_tuple_field(capsys, tmp_path, field, value, message):
+    good = {"w": "000", "signature": 16, "parity": "even", "tau": "000"}
+    a = write_json(tmp_path / "a.json", good)
+    b = write_json(tmp_path / "b.json", dict(good, **{field: value}))
+    code, out, err = run(
+        capsys,
+        ["decide", "--a", a, "--b", b, "--category", "smooth", "--family", "z3"],
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and message in err
+
+
 def test_model_realize(capsys):
     code, out, _ = run(
         capsys,

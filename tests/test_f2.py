@@ -60,6 +60,12 @@ def test_vec_rejects_bad_strings():
         F2Vec.from_bits("")
 
 
+@pytest.mark.parametrize("value", [[1, 0], ["1", "0"], 101, None])
+def test_vec_rejects_non_strings(value):
+    with pytest.raises(InputError, match="bad bit-string"):
+        F2Vec.from_bits(value)
+
+
 def test_matrix_apply():
     m = F2Mat.from_rows(["110", "011", "001"])
     v = F2Vec.from_bits("100")

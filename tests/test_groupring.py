@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_word
 from oracles import one_plus_T_oracle
-from stable4.errors import DomainError
+from stable4.errors import DomainError, InputError
 from stable4.groupring import (
     RingElem,
     augmentation,
@@ -150,6 +151,20 @@ def test_ring_results_hold_no_zero_coefficient(pair, n):
     for result in (x + y, x - y, -x, x * y, x * n, n * x, x * 0, x.conjugate()):
         _assert_normal(result)
     assert (x * 0).is_zero and (x - x).is_zero
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)),
+                       st.integers(-2, 2), max_size=8))
+def test_from_dict_owns_its_dict_and_drops_zeros(data):
+    fam = NilFamily(2)
+    given_terms = dict(data)
+    x = RingElem._from_dict(fam, data)
+    _assert_normal(x)
+    assert x == RingElem(fam, given_terms)
+    # the fresh dict is kept as it is unless it holds a zero to drop
+    assert (x._terms is data) == (0 not in given_terms.values())
+    assert data == given_terms
 
 
 @settings(max_examples=100, deadline=None)
@@ -296,6 +311,12 @@ def test_json_normalizes_on_load():
     ]
     x = ring_elem_from_json(blob, Z3)
     assert x == RingElem(Z3, {(0, 1, 0): 3})
+
+
+@pytest.mark.parametrize("coeff", [2.5, 2.0, True, False, "2", None, [2]])
+def test_json_coefficients_must_be_integers(coeff):
+    with pytest.raises(InputError, match=re.escape(f"coefficient {coeff!r} is not an integer")):
+        ring_elem_from_json([{"coeff": coeff, "word": "1"}], Z3)
 
 
 def test_to_text():

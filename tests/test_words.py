@@ -5,7 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_word
-from oracles import nil_normal_matrix, nil_word_matrix
+from oracles import (
+    fox_derivative_stepwise,
+    nil_normal_matrix,
+    nil_word_matrix,
+    reduce_word_stepwise,
+)
 from stable4.errors import CapExceeded, DomainError, InputError
 from stable4.groupring import RingElem
 from stable4.words import (
@@ -398,3 +403,67 @@ def test_fox_fundamental_identity_in_quotients(rng):
                 gj = RingElem.group(fam, fam.generator_element(j))
                 total = total + fox_derivative(w, j, fam) * (gj - one)
             assert total == RingElem.group(fam, normalize(w, fam)) - one
+
+
+# ---------------------------------------------------------------------------
+# closed-form steps: shift and the prefix walks built on it
+
+SHIFT_FAMILIES = (
+    [ZnFamily(n) for n in range(1, 5)] + [NilFamily(z) for z in range(1, 9)] + [FREE3]
+)
+QUOTIENTS = [f for f in SHIFT_FAMILIES if not isinstance(f, FreeFamily)]
+
+
+def _letters(rank, max_exp, max_size):
+    exps = st.integers(-max_exp, max_exp).filter(bool)
+    return st.lists(st.tuples(st.integers(0, rank - 1), exps), max_size=max_size)
+
+
+@st.composite
+def family_elements(draw):
+    fam = draw(st.sampled_from(SHIFT_FAMILIES))
+    if isinstance(fam, FreeFamily):
+        g = Word(tuple(draw(_letters(fam.rank, 3, 6))))
+    else:
+        g = tuple(draw(st.lists(st.integers(-40, 40), min_size=len(fam.identity()),
+                                max_size=len(fam.identity()))))
+    return fam, g
+
+
+@settings(max_examples=300, deadline=None)
+@given(family_elements(), st.data())
+def test_shift_is_the_product_with_a_generator_power(pair, data):
+    fam, g = pair
+    index = data.draw(st.integers(0, fam.rank - 1))
+    exp = data.draw(st.integers(-50, 50))
+    assert fam.shift(g, index, exp) == fam.multiply(g, fam.generator_element(index, exp))
+
+
+@pytest.mark.parametrize("fam", [ZnFamily(3), NilFamily(2)])
+@pytest.mark.parametrize("index", [-1, 3, 7])
+def test_shift_rejects_an_index_out_of_range(fam, index):
+    with pytest.raises(IndexError, match=f"generator index {index} out of range"):
+        fam.shift(fam.identity(), index, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SHIFT_FAMILIES), st.data())
+def test_fox_derivative_matches_the_stepwise_walk(fam, data):
+    w = Word(tuple(data.draw(_letters(fam.rank, 9, 12))))
+    gen = data.draw(st.integers(0, fam.rank - 1))
+    assert fox_derivative(w, gen, fam) == fox_derivative_stepwise(w, gen, fam)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(QUOTIENTS), st.data())
+def test_fox_fundamental_identity_with_closed_form_steps(fam, data):
+    # sum_j D_j(w)(g_j - 1) = w - 1, with w evaluated by one generic
+    # multiply per letter rather than by reduce_word
+    w = Word(tuple(data.draw(_letters(fam.rank, 9, 12))))
+    one = RingElem.one(fam)
+    total = RingElem.zero(fam)
+    for j in range(fam.rank):
+        gj = RingElem.group(fam, fam.generator_element(j))
+        total = total + fox_derivative(w, j, fam) * (gj - one)
+    assert total == RingElem.group(fam, reduce_word_stepwise(w, fam)) - one
+    assert fam.reduce_word(w) == reduce_word_stepwise(w, fam)
