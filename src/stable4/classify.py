@@ -14,10 +14,9 @@ Out-image.  The signature sits in a separate 16Z / 8Z / Z coordinate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, is_int
 from .f2 import (
     F2Mat,
     F2Vec,
@@ -29,6 +28,7 @@ from .f2 import (
 )
 from .forms import Parity, parity
 from .models import HAN1, INFINITY, Sentinel, w_from_json, w_to_json
+from .records import Record
 
 SMOOTH = "smooth"
 TOPOLOGICAL = "topological"
@@ -45,8 +45,7 @@ def normalize_category(category: str) -> str:
 TAU_UNKNOWN = Sentinel("tau-unknown")
 
 
-@dataclass(frozen=True)
-class FamilyData:
+class FamilyData(Record):
     """The F2 side of an example group: dim H_2 and the Out(pi)-image.
 
     H^1(Bpi;Z/2) = Hom(pi,Z/2) acts through the same F2^d coordinates as
@@ -57,28 +56,31 @@ class FamilyData:
     name: str
     d: int
     out_generators: tuple[F2Mat, ...]
-    notes: str = ""
+    notes: str
 
-    def __post_init__(self) -> None:
-        for k, g in enumerate(self.out_generators):
-            if g.dim != self.d:
+    def __init__(
+        self, name: str, d: int, out_generators: tuple[F2Mat, ...], notes: str = ""
+    ) -> None:
+        for k, g in enumerate(out_generators):
+            if g.dim != d:
                 raise DomainError(f"generator {k} has dimension {g.dim}, "
-                                  f"expected {self.d}")
+                                  f"expected {d}")
             if not g.is_invertible():
                 raise DomainError("Out-action generators must be invertible")
+        self.__dict__.update(name=name, d=d, out_generators=out_generators, notes=notes)
 
 
-@dataclass(frozen=True)
-class BordismClassSpin:
+class BordismClassSpin(Record):
     """Element (sigma, phi, eps) of the spin bordism group Z + F2^d + Z/2."""
 
     sigma: int
     phi: F2Vec
     eps: int
 
-    def __post_init__(self) -> None:
-        if self.eps not in (0, 1):
+    def __init__(self, sigma: int, phi: F2Vec, eps: int) -> None:
+        if eps not in (0, 1):
             raise DomainError("eps must be a bit")
+        self.__dict__.update(sigma=sigma, phi=phi, eps=eps)
 
     def validate(self, category: str) -> None:
         stride = 16 if normalize_category(category) == SMOOTH else 8
@@ -200,13 +202,20 @@ def stabilizer_of_w(family: FamilyData, w: F2Vec, cap: int | None = None) -> lis
     return stab
 
 
-@dataclass(frozen=True)
-class ClassEntry:
+class ClassEntry(Record):
     """One finite class: an H_2 orbit, the odd class, or signature-only."""
 
     kind: str  # "orbit" | "odd" | "signature-only"
-    representative: F2Vec | None = None
-    orbit: tuple[F2Vec, ...] = ()
+    representative: F2Vec | None
+    orbit: tuple[F2Vec, ...]
+
+    def __init__(
+        self,
+        kind: str,
+        representative: F2Vec | None = None,
+        orbit: tuple[F2Vec, ...] = (),
+    ) -> None:
+        self.__dict__.update(kind=kind, representative=representative, orbit=orbit)
 
     def label(self) -> str:
         if self.kind == "orbit":
@@ -214,18 +223,33 @@ class ClassEntry:
         return self.kind
 
 
-@dataclass(frozen=True)
-class ClassificationTable:
+class ClassificationTable(Record):
     w: object
     category: str
     signature_stride: int
     classes: tuple[ClassEntry, ...]
     ks_rule: str
-    family_name: str = ""
+    family_name: str
 
-    def __post_init__(self) -> None:
-        if not self.classes:
+    def __init__(
+        self,
+        w,
+        category: str,
+        signature_stride: int,
+        classes: tuple[ClassEntry, ...],
+        ks_rule: str,
+        family_name: str = "",
+    ) -> None:
+        if not classes:
             raise DomainError("a classification table cannot be empty")
+        self.__dict__.update(
+            w=w,
+            category=category,
+            signature_stride=signature_stride,
+            classes=classes,
+            ks_rule=ks_rule,
+            family_name=family_name,
+        )
 
 
 def classify(family: FamilyData, w, category: str, cap: int | None = None) -> ClassificationTable:
@@ -336,8 +360,7 @@ def ks(
 # Invariant tuples and the equivalence decision
 
 
-@dataclass(frozen=True)
-class InvariantTuple:
+class InvariantTuple(Record):
     """(w-type, signature, parity, tau): the data deciding stable equivalence.
 
     parity is None exactly for totally non-spin types.  tau is present iff
@@ -348,7 +371,10 @@ class InvariantTuple:
     w: object
     signature: int
     parity: Parity | None
-    tau: object = None  # F2Vec | None | TAU_UNKNOWN
+    tau: object  # F2Vec | None | TAU_UNKNOWN
+
+    def __init__(self, w, signature: int, parity: Parity | None, tau=None) -> None:
+        self.__dict__.update(w=w, signature=signature, parity=parity, tau=tau)
 
     def describe(self) -> str:
         if self.w is INFINITY:
@@ -473,9 +499,13 @@ def family_data_to_json(f: FamilyData):
 
 def family_data_from_json(obj) -> FamilyData:
     try:
+        name = str(obj["name"])
+        d = obj["d"]
+        if not is_int(d):
+            raise InputError(f"d {d!r} is not an integer")
         return FamilyData(
-            name=str(obj["name"]),
-            d=int(obj["d"]),
+            name=name,
+            d=d,
             out_generators=tuple(f2mat_from_json(m) for m in obj["out_generators"]),
             notes=str(obj.get("notes", "")),
         )
@@ -534,7 +564,7 @@ def invariant_tuple_from_json(obj) -> InvariantTuple:
         tau_raw = obj.get("tau")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad invariant tuple JSON: {exc}") from None
-    if not isinstance(signature, int) or isinstance(signature, bool):
+    if not is_int(signature):
         raise InputError(f"signature {signature!r} is not an integer")
     if parity_raw is None:
         par = None

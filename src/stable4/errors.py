@@ -2,6 +2,8 @@
 
 The CLI maps these onto its exit codes: InputError -> 1 (usage),
 DomainError -> 2 (mathematically invalid request), CapExceeded -> 3.
+Loaders of JSON input test integers with `is_int`, so that neither a bool
+nor a float nor a string slips through as a number.
 """
 
 
@@ -16,3 +18,8 @@ class DomainError(ValueError):
 
 class CapExceeded(RuntimeError):
     """An exact enumeration grew past its configured cap."""
+
+
+def is_int(value) -> bool:
+    """True for an int that is not a bool (JSON true/false load as bools)."""
+    return isinstance(value, int) and not isinstance(value, bool)

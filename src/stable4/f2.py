@@ -6,17 +6,18 @@ Vectors pack coordinate i into bit i of an int; a matrix stores one mask per
 row and acts on column vectors.  Every public constructor checks that a d x d
 matrix has d rows, each a mask below 2^d.  A product of two such matrices
 XORs rows of the right factor, so it stays below 2^d and is built by the
-private `F2Mat._trusted` without that check again.  Enumerations are bounded
-by the caps below, so a group or state space too large fails at once.
+private `F2Mat._trusted`, which stores the fields without running
+`__init__` and so without that check again.  Enumerations are bounded by
+the caps below, so a group or state space too large fails at once.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import CapExceeded, DomainError, InputError
+from .records import Record
 
 ORBIT_DIM_CAP = 20
 CLOSURE_CAP = 10**6
@@ -37,16 +38,25 @@ def configured_cap(default: int = CLOSURE_CAP) -> int:
     return cap
 
 
-@dataclass(frozen=True)
-class F2Vec:
+class F2Vec(Record):
     """Vector over GF(2); coordinate i lives in bit i."""
 
     dim: int
     bits: int
 
-    def __post_init__(self) -> None:
-        if self.dim < 0 or self.bits < 0 or self.bits >> self.dim:
-            raise InputError(f"bits {self.bits:#x} out of range for dim {self.dim}")
+    def __init__(self, dim: int, bits: int) -> None:
+        if dim < 0 or bits < 0 or bits >> dim:
+            raise InputError(f"bits {bits:#x} out of range for dim {dim}")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "bits", bits)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.dim == other.dim and self.bits == other.bits
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.bits))
 
     @classmethod
     def zero(cls, dim: int) -> "F2Vec":
@@ -96,16 +106,17 @@ class F2Vec:
         return f"F2Vec({self.to_bits()!r})"
 
 
-@dataclass(frozen=True)
-class F2Mat:
+class F2Mat(Record):
     """Square matrix over GF(2); rows[i] is the bitmask of row i."""
 
     dim: int
     rows: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.rows) != self.dim or any(r >> self.dim for r in self.rows):
+    def __init__(self, dim: int, rows: tuple[int, ...]) -> None:
+        if len(rows) != dim or any(r >> dim for r in rows):
             raise InputError("matrix rows inconsistent with dimension")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def _trusted(cls, dim: int, rows: tuple[int, ...]) -> "F2Mat":
@@ -114,6 +125,14 @@ class F2Mat:
         object.__setattr__(m, "dim", dim)
         object.__setattr__(m, "rows", rows)
         return m
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.dim == other.dim and self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.rows))
 
     @classmethod
     def identity(cls, dim: int) -> "F2Mat":
@@ -219,8 +238,7 @@ def _vec_key(v: F2Vec):
 # Quadratic forms over GF(2)
 
 
-@dataclass(frozen=True)
-class QuadraticFormF2:
+class QuadraticFormF2(Record):
     """A quadratic refinement q of a nondegenerate alternating form.
 
     Stored data: the bilinear matrix and the values of q on the standard
@@ -230,9 +248,9 @@ class QuadraticFormF2:
     bilinear: F2Mat
     values: F2Vec
 
-    def __post_init__(self) -> None:
-        b = self.bilinear
-        if self.values.dim != b.dim:
+    def __init__(self, bilinear: F2Mat, values: F2Vec) -> None:
+        b = bilinear
+        if values.dim != b.dim:
             raise InputError("value vector dimension must match the bilinear form")
         if any(b.entry(i, i) for i in range(b.dim)):
             raise DomainError("bilinear part must be alternating (zero diagonal)")
@@ -240,6 +258,7 @@ class QuadraticFormF2:
             raise DomainError("bilinear part must be symmetric over GF(2)")
         if not b.is_invertible():
             raise DomainError("bilinear part must be nondegenerate")
+        self.__dict__.update(bilinear=bilinear, values=values)
 
     @property
     def dim(self) -> int:

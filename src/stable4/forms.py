@@ -10,11 +10,9 @@ every module shape that arises here.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, is_int
 from .groupring import (
     RingElem,
     augmentation,
@@ -22,6 +20,7 @@ from .groupring import (
     ring_elem_from_json,
     ring_elem_to_json,
 )
+from .records import Record
 from .words import GroupFamily, family_from_json, family_to_json
 
 
@@ -152,8 +151,7 @@ class RingMatrix:
         return f"<RingMatrix [{rows}]>"
 
 
-@dataclass(frozen=True)
-class AugmentedForm:
+class AugmentedForm(Record):
     """Hermitian form on Ipi^epsilon + Zpi^(size - epsilon).
 
     epsilon is 1 when the leading summand is the augmentation ideal; the
@@ -163,13 +161,14 @@ class AugmentedForm:
     epsilon: int
     matrix: RingMatrix
 
-    def __post_init__(self) -> None:
-        if self.epsilon not in (0, 1):
+    def __init__(self, epsilon: int, matrix: RingMatrix) -> None:
+        if epsilon not in (0, 1):
             raise DomainError("epsilon must be 0 or 1")
-        if self.matrix.size < self.epsilon:
+        if matrix.size < epsilon:
             raise DomainError("matrix too small for the Ipi summand")
-        if not self.matrix.is_hermitian():
+        if not matrix.is_hermitian():
             raise DomainError("matrix is not hermitian")
+        self.__dict__.update(epsilon=epsilon, matrix=matrix)
 
     @property
     def family(self) -> GroupFamily:
@@ -273,6 +272,8 @@ def ldlt_signature(rows: Sequence[Sequence[int]]) -> int:
             if rows[i][j] != rows[j][i]:
                 raise DomainError(f"matrix must be symmetric: entry ({i}, {j}) is "
                                   f"{rows[i][j]} but entry ({j}, {i}) is {rows[j][i]}")
+    from fractions import Fraction  # here, so start-up skips fractions and decimal
+
     seen: set[int] = set()
     signature = 0
     for start in range(n):
@@ -291,7 +292,7 @@ def ldlt_signature(rows: Sequence[Sequence[int]]) -> int:
     return signature
 
 
-def _pivot_signature(s: list[list[Fraction]]) -> int:
+def _pivot_signature(s: list[list]) -> int:
     """Signature of a symmetric Fraction matrix, eliminated in place.
 
     Symmetric Gaussian elimination over Fraction: a nonzero diagonal pivot
@@ -387,17 +388,19 @@ def form_from_json(obj) -> AugmentedForm:
     """Load a form; refuses non-hermitian input.  An empty term list is a
     zero entry and builds no ring element."""
     try:
-        epsilon = int(obj["epsilon"])
+        epsilon = obj["epsilon"]
         family = family_from_json(obj["family"])
         flat = list(obj["entries"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad form JSON: {exc}") from None
+    if not is_int(epsilon):
+        raise InputError(f"form epsilon {epsilon!r} is not an integer")
     n = obj.get("size")
     if n is None:
         n = int(round(len(flat) ** 0.5))
         if n * n != len(flat):
             raise InputError(f"entry list length {len(flat)} is not a perfect square")
-    elif isinstance(n, bool) or not isinstance(n, int) or n < 0:
+    elif not is_int(n) or n < 0:
         raise InputError(f"form size {n!r} is not a non-negative integer")
     elif n * n != len(flat):
         raise InputError(f"form size {n} needs {n * n} entries, got {len(flat)}")

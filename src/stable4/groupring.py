@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, is_int
 from .words import GroupFamily, parse_word
 
 
@@ -204,7 +204,7 @@ def ring_elem_from_json(obj, family: GroupFamily) -> RingElem:
             word_text = item["word"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad ring element term: {exc}") from None
-        if not isinstance(coeff, int) or isinstance(coeff, bool):
+        if not is_int(coeff):
             raise InputError(f"coefficient {coeff!r} is not an integer")
         w = parse_word(word_text, family.generators)
         terms.append((family.reduce_word(w), coeff))

@@ -20,10 +20,9 @@ central/torsion coordinate last.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import CapExceeded, DomainError, InputError
+from .errors import CapExceeded, DomainError, InputError, is_int
 from .f2 import F2Vec, configured_cap
 from .forms import (
     AugmentedForm,
@@ -38,6 +37,7 @@ from .forms import (
     parity,
 )
 from .groupring import RingElem
+from .records import Record
 from .words import (
     GroupFamily,
     NilFamily,
@@ -69,8 +69,7 @@ class Sentinel:
 INFINITY = Sentinel("infinity")  # the totally non-spin w-type
 
 
-@dataclass(frozen=True)
-class HAN1:
+class HAN1(Record):
     """Hermitian augmented normal 1-type: (family, w, signature, form, tau).
 
     ``w`` is an element of H^2(Bpi;Z/2) (zero meaning spin) or INFINITY for
@@ -83,25 +82,41 @@ class HAN1:
     w: object
     signature: int
     form: AugmentedForm
-    tau: F2Vec | None = None
-    spin_bordism: tuple[int, F2Vec, int] | None = None
-    notes: str = ""
+    tau: F2Vec | None
+    spin_bordism: tuple[int, F2Vec, int] | None
+    notes: str
 
-    def __post_init__(self) -> None:
-        if self.w is not INFINITY:
-            if not isinstance(self.w, F2Vec):
+    def __init__(
+        self,
+        w,
+        signature: int,
+        form: AugmentedForm,
+        tau: F2Vec | None = None,
+        spin_bordism: tuple[int, F2Vec, int] | None = None,
+        notes: str = "",
+    ) -> None:
+        if w is not INFINITY:
+            if not isinstance(w, F2Vec):
                 raise DomainError("w must be an F2 vector or INFINITY")
-            if self.signature % 8:
+            if signature % 8:
                 raise DomainError(
                     "signature of a manifold with spin universal cover "
                     "must be divisible by 8"
                 )
-            if self.tau is not None and self.tau.dim != self.w.dim:
+            if tau is not None and tau.dim != w.dim:
                 raise DomainError("tau and w dimensions differ")
-            if self.tau is not None and parity(self.form) is Parity.ODD:
+            if tau is not None and parity(form) is Parity.ODD:
                 raise DomainError("odd forms carry no tau class")
-        elif self.tau is not None:
+        elif tau is not None:
             raise DomainError("totally non-spin types carry no tau class")
+        self.__dict__.update(
+            w=w,
+            signature=signature,
+            form=form,
+            tau=tau,
+            spin_bordism=spin_bordism,
+            notes=notes,
+        )
 
     @property
     def family(self) -> GroupFamily:
@@ -482,11 +497,13 @@ def han1_to_json(h: HAN1):
 def han1_from_json(obj) -> HAN1:
     try:
         w = w_from_json(obj["w"])
-        signature = int(obj["signature"])
+        signature = obj["signature"]
         tau = obj.get("tau")
         form = form_from_json(obj["form"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad HAN1 JSON: {exc}") from None
+    if not is_int(signature):
+        raise InputError(f"signature {signature!r} is not an integer")
     return HAN1(
         w=w,
         signature=signature,

@@ -28,17 +28,18 @@ Every ``Word`` holds a freely reduced tuple of letters with nonzero exponents,
 no two adjacent letters on the same generator, and generator indices >= 0.
 Operations that start from reduced words keep that invariant without
 re-deriving it: a product cancels only at the seam between its factors, and
-an inverse reverses and negates.
+an inverse reverses and negates.  Such results are built by the private
+``Word._trusted``, which stores the letters without reducing or checking them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, itemgetter
 from typing import Iterable, Sequence
 
-from .errors import CapExceeded, DomainError, InputError
+from .errors import CapExceeded, DomainError, InputError, is_int
 from .f2 import configured_cap
+from .records import Record
 
 Letter = tuple[int, int]  # (generator index, nonzero exponent)
 
@@ -58,22 +59,22 @@ def _free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     return tuple((g, e) for g, e in stack)
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Record):
     """A freely reduced word; adjacent letters always have distinct indices.
 
     The constructor reduces, so ``Word(anything)`` is already in normal form.
     Products and inverses of reduced words are built by ``_trusted``, which
-    skips the reduction and the index check.
+    stores the letters as given, skipping the reduction and the index check.
     """
 
-    letters: tuple[Letter, ...] = ()
+    letters: tuple[Letter, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", _free_reduce(self.letters))
-        for gen, _ in self.letters:
+    def __init__(self, letters: Iterable[Letter] = ()) -> None:
+        letters = _free_reduce(letters)
+        for gen, _ in letters:
             if gen < 0:
                 raise InputError(f"negative generator index {gen}")
+        object.__setattr__(self, "letters", letters)
 
     @classmethod
     def _trusted(cls, letters: tuple[Letter, ...]) -> "Word":
@@ -81,6 +82,14 @@ class Word:
         w = object.__new__(cls)
         object.__setattr__(w, "letters", letters)
         return w
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.letters == other.letters
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.letters,))
 
     @property
     def is_identity(self) -> bool:
@@ -225,11 +234,21 @@ class GroupFamily:
         return word_to_str(self.element_word(g), self.generators)
 
 
-@dataclass(frozen=True)
-class FreeFamily(GroupFamily):
+class FreeFamily(GroupFamily, Record):
     """Free group on named generators; elements are the Words themselves."""
 
     generators: tuple[str, ...]
+
+    def __init__(self, generators: tuple[str, ...]) -> None:
+        object.__setattr__(self, "generators", generators)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.generators == other.generators
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.generators,))
 
     def identity(self) -> Word:
         return Word()
@@ -256,15 +275,23 @@ class FreeFamily(GroupFamily):
         return w
 
 
-@dataclass(frozen=True)
-class ZnFamily(GroupFamily):
+class ZnFamily(GroupFamily, Record):
     """Z^n with generators g1..gn; elements are exponent vectors."""
 
     n: int
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int) -> None:
+        if n < 1:
             raise DomainError("Zn family needs n >= 1")
+        object.__setattr__(self, "n", n)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.n == other.n
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n,))
 
     @property
     def generators(self) -> tuple[str, ...]:
@@ -298,8 +325,7 @@ class ZnFamily(GroupFamily):
         return Word(tuple((i, e) for i, e in enumerate(g) if e))
 
 
-@dataclass(frozen=True)
-class NilFamily(GroupFamily):
+class NilFamily(GroupFamily, Record):
     """Central extension of Z^2 by Z with extension parameter z >= 1.
 
     Normal form a^k x^i y^j stored as (k, i, j); rewriting pushes central
@@ -308,9 +334,18 @@ class NilFamily(GroupFamily):
 
     z: int
 
-    def __post_init__(self) -> None:
-        if self.z < 1:
+    def __init__(self, z: int) -> None:
+        if z < 1:
             raise DomainError("Nil family needs z >= 1")
+        object.__setattr__(self, "z", z)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.z == other.z
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.z,))
 
     @property
     def generators(self) -> tuple[str, ...]:
@@ -375,18 +410,18 @@ def _check_generator_names(names: Sequence[str]) -> None:
         seen.add(name)
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     """A finite presentation: generator names plus relator words."""
 
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
 
-    def __post_init__(self) -> None:
-        _check_generator_names(self.generators)
-        for rel in self.relators:
-            if rel.max_index() >= len(self.generators):
+    def __init__(self, generators: tuple[str, ...], relators: tuple[Word, ...]) -> None:
+        _check_generator_names(generators)
+        for rel in relators:
+            if rel.max_index() >= len(generators):
                 raise InputError("relator references an undeclared generator")
+        self.__dict__.update(generators=generators, relators=relators)
 
     @property
     def is_square(self) -> bool:
@@ -478,7 +513,7 @@ def family_from_json(obj, generators: Sequence[str] | None = None) -> GroupFamil
     if isinstance(obj, dict) and len(obj) == 1:
         [(tag, value)] = obj.items()
         if tag in ("nil", "zn"):
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not is_int(value):
                 raise InputError(f'family tag "{tag}" needs an integer, not {value!r}')
             return NilFamily(value) if tag == "nil" else ZnFamily(value)
         if tag == "free":

@@ -7,6 +7,7 @@ with the package.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -336,3 +337,50 @@ def reduce_word_stepwise(w, family):
     for gen, exp in w.letters:
         out = family.multiply(out, family.generator_element(gen, exp))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Frozen dataclass twins of the value records
+
+
+def _twin(name: str, *fields):
+    """A frozen dataclass with the given fields; a field given as a pair
+    (name, default) has that default."""
+    spec = [
+        (f, object) if isinstance(f, str)
+        else (f[0], object, dataclasses.field(default=f[1]))
+        for f in fields
+    ]
+    return dataclasses.make_dataclass(name, spec, frozen=True)
+
+
+# record class name -> the dataclass it replaced, field for field
+RECORD_TWINS = {
+    twin.__name__: twin
+    for twin in (
+        _twin("F2Vec", "dim", "bits"),
+        _twin("F2Mat", "dim", "rows"),
+        _twin("QuadraticFormF2", "bilinear", "values"),
+        _twin("Word", ("letters", ())),
+        _twin("FreeFamily", "generators"),
+        _twin("ZnFamily", "n"),
+        _twin("NilFamily", "z"),
+        _twin("Presentation", "generators", "relators"),
+        _twin("AugmentedForm", "epsilon", "matrix"),
+        _twin("HAN1", "w", "signature", "form", ("tau", None),
+              ("spin_bordism", None), ("notes", "")),
+        _twin("FamilyData", "name", "d", "out_generators", ("notes", "")),
+        _twin("BordismClassSpin", "sigma", "phi", "eps"),
+        _twin("ClassEntry", "kind", ("representative", None), ("orbit", ())),
+        _twin("ClassificationTable", "w", "category", "signature_stride",
+              "classes", "ks_rule", ("family_name", "")),
+        _twin("InvariantTuple", "w", "signature", "parity", ("tau", None)),
+    )
+}
+
+
+def twin_of(record):
+    """The dataclass twin holding the same field values as record."""
+    twin = RECORD_TWINS[type(record).__name__]
+    return twin(*(getattr(record, f.name) for f in dataclasses.fields(twin)))
+

@@ -1,5 +1,6 @@
 import copy
 import random
+import re
 
 import pytest
 
@@ -479,6 +480,15 @@ def test_family_json_round_trip():
     fam = family_nil(4)
     assert family_data_from_json(family_data_to_json(fam)).out_generators \
         == fam.out_generators
+
+
+@pytest.mark.parametrize("d", ["3", True, 3.0, None])
+def test_family_json_d_must_be_an_integer(d):
+    blob = family_data_to_json(family_z3())
+    blob["d"] = d
+    message = f"bad family JSON: d {d!r} is not an integer"
+    with pytest.raises(InputError, match=re.escape(message)):
+        family_data_from_json(blob)
 
 
 def test_table_json_and_text():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -200,6 +204,17 @@ def test_parity_rejects_a_bad_size_field(capsys, tmp_path, size, shown):
     code, out, err = run(capsys, ["parity", "--form", path])
     assert code == 1 and out == ""
     assert f"form size {shown} is not a non-negative integer" in err
+
+
+@pytest.mark.parametrize("epsilon, shown", [(0.7, "0.7"), (True, "True"), ("1", "'1'")])
+def test_parity_rejects_an_epsilon_that_is_not_an_integer(capsys, tmp_path, epsilon, shown):
+    path = write_json(
+        tmp_path / "f.json",
+        {"epsilon": epsilon, "family": {"zn": 3}, "entries": [[{"coeff": 2, "word": "1"}]]},
+    )
+    code, out, err = run(capsys, ["parity", "--form", path])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and f"form epsilon {shown} is not an integer" in err
 
 
 @pytest.mark.parametrize("coeff, shown", [(2.5, "2.5"), (True, "True"), ("2", "'2'")])
@@ -541,3 +556,29 @@ def test_bad_generator_files_and_dimensions_exit_1(capsys, tmp_path, command,
     code, out, err = run(capsys, [command, "--generators", path] + extra)
     assert code == 1 and out == ""
     assert err.startswith("error:") and message in err
+
+
+# ---------------------------------------------------------------------------
+# start-up cost
+
+
+def test_cli_import_leaves_out_dataclasses_inspect_and_fractions():
+    """`import stable4.cli` loads none of the three; ldlt_signature imports
+    fractions on first use.  -S keeps site hooks from importing them."""
+    script = (
+        "import sys, stable4.cli\n"
+        "heavy = ('dataclasses', 'inspect', 'fractions')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+        "from stable4.forms import e8_block, signature_int\n"
+        "from stable4.words import ZnFamily\n"
+        "print(signature_int(e8_block(ZnFamily(3))))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split("\n")[:2] == ["[]", "8"]
+

@@ -20,7 +20,7 @@ from oracles import (
     eigen_free_signature,
     leading_minors_positive,
 )
-from stable4.errors import DomainError, InputError
+from stable4.errors import DomainError, InputError, is_int
 from stable4.forms import (
     AugmentedForm,
     Parity,
@@ -352,6 +352,15 @@ def test_form_json_round_trip(rng):
             a = random_hermitian_form(rng, fam, rng.randrange(1, 4),
                                       epsilon=rng.randrange(2))
             assert form_from_json(form_to_json(a)) == a
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [(0, True), (-3, True), (2**70, True), (True, False), (False, False), (1.0, False),
+     ("1", False), (None, False)],
+)
+def test_is_int_accepts_only_ints_that_are_not_bools(value, expected):
+    assert is_int(value) is expected
 
 
 def test_form_loader_rejects_non_hermitian():

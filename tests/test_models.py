@@ -1,6 +1,8 @@
+import re
+
 import pytest
 
-from stable4.errors import CapExceeded, DomainError
+from stable4.errors import CapExceeded, DomainError, InputError
 from stable4.f2 import F2Vec
 from stable4.forms import (
     AugmentedForm,
@@ -313,6 +315,15 @@ def test_han1_json_round_trip():
         assert back.signature == h.signature
         assert back.tau == h.tau
         assert back.form == h.form
+
+
+@pytest.mark.parametrize("signature", [8.0, True, "8", None])
+def test_han1_json_signature_must_be_an_integer(signature):
+    blob = han1_to_json(model_M_sigma(NIL2, 1))
+    blob["signature"] = signature
+    message = f"signature {signature!r} is not an integer"
+    with pytest.raises(InputError, match=re.escape(message)):
+        han1_from_json(blob)
 
 
 def test_w_json():

@@ -1,0 +1,318 @@
+"""The value records behave as the frozen dataclasses they replaced.
+
+Each record is checked against its twin in oracles.RECORD_TWINS, a frozen
+dataclass with the same fields and defaults: equality, hash and repr agree,
+equality with another class is NotImplemented, fields cannot be assigned or
+deleted, and copies and pickles come back equal.
+"""
+
+import copy
+import dataclasses
+import pickle
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import RECORD_TWINS, all_invertible, twin_of
+from stable4.classify import (
+    TAU_UNKNOWN,
+    BordismClassSpin,
+    ClassEntry,
+    ClassificationTable,
+    FamilyData,
+    InvariantTuple,
+)
+from stable4.errors import DomainError, InputError
+from stable4.f2 import F2Mat, F2Vec, QuadraticFormF2, standard_symplectic
+from stable4.forms import AugmentedForm, Parity, RingMatrix, hyperbolic_matrix
+from stable4.models import HAN1, INFINITY
+from stable4.words import FreeFamily, NilFamily, Presentation, Word, ZnFamily
+
+CLASSES = {
+    cls.__name__: cls
+    for cls in (
+        F2Vec, F2Mat, QuadraticFormF2, Word, FreeFamily, ZnFamily, NilFamily,
+        Presentation, AugmentedForm, HAN1, FamilyData, BordismClassSpin,
+        ClassEntry, ClassificationTable, InvariantTuple,
+    )
+}
+OWN_REPR = {"F2Vec", "F2Mat"}
+Z3 = ZnFamily(3)
+
+
+def test_every_record_has_a_twin():
+    assert set(CLASSES) == set(RECORD_TWINS)
+
+
+# ---------------------------------------------------------------------------
+# Constructor arguments, drawn per class
+
+
+def vecs(dim=None):
+    dims = st.integers(0, 4) if dim is None else st.just(dim)
+    return dims.flatmap(lambda d: st.builds(F2Vec, st.just(d), st.integers(0, (1 << d) - 1)))
+
+
+def matrix_args(d):
+    return st.tuples(st.just(d), st.tuples(*[st.integers(0, (1 << d) - 1)] * d))
+
+
+letters = st.lists(
+    st.tuples(st.integers(0, 2), st.sampled_from((-2, -1, 1, 2))), max_size=5
+).map(tuple)
+
+
+@st.composite
+def presentation_args(draw):
+    gens = ("a", "b", "c")[: draw(st.integers(1, 3))]
+    rel = st.lists(
+        st.tuples(st.integers(0, len(gens) - 1), st.sampled_from((-1, 1, 2))), max_size=4
+    ).map(lambda ls: Word(tuple(ls)))
+    return gens, tuple(draw(st.lists(rel, max_size=3)))
+
+
+@st.composite
+def form_args(draw):
+    n = draw(st.integers(1, 3))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(st.integers(-2, 2))
+    return draw(st.integers(0, 1)), RingMatrix.from_int_rows(Z3, rows)
+
+
+EVEN_FORMS = (
+    AugmentedForm(1, hyperbolic_matrix(Z3)),
+    AugmentedForm(1, RingMatrix.from_int_rows(Z3, [[2, 1], [1, 0]])),
+)
+
+
+@st.composite
+def han1_args(draw):
+    w = draw(st.sampled_from((INFINITY, F2Vec(3, 0), F2Vec(3, 6))))
+    form = draw(st.sampled_from(EVEN_FORMS))
+    notes = draw(st.sampled_from(("", "P + 1 E8")))
+    if w is INFINITY:
+        return w, draw(st.integers(-9, 9)), form, None, None, notes
+    tau = draw(st.none() | vecs(3))
+    bordism = draw(st.none() | vecs(3).map(lambda v: (0, v, 0)))
+    return w, 8 * draw(st.integers(-2, 2)), form, tau, bordism, notes
+
+
+INVERTIBLE = {d: all_invertible(d) for d in (1, 2, 3)}
+
+
+@st.composite
+def family_data_args(draw):
+    d = draw(st.integers(1, 3))
+    gens = draw(st.lists(st.sampled_from(INVERTIBLE[d]), max_size=2))
+    name = draw(st.sampled_from(("z3", "nil:2")))
+    return name, d, tuple(gens), draw(st.sampled_from(("", "n")))
+
+
+class_entries = st.builds(
+    ClassEntry,
+    st.sampled_from(("orbit", "odd", "signature-only")),
+    st.none() | vecs(2),
+    st.lists(vecs(2), max_size=3).map(tuple),
+)
+ws = st.just(INFINITY) | vecs(2)
+
+ARGS = {
+    "F2Vec": st.integers(0, 4).flatmap(
+        lambda d: st.tuples(st.just(d), st.integers(0, (1 << d) - 1))),
+    "F2Mat": st.integers(0, 3).flatmap(matrix_args),
+    "QuadraticFormF2": st.integers(1, 2).flatmap(
+        lambda g: st.tuples(st.just(standard_symplectic(g)), vecs(2 * g))),
+    "Word": st.tuples(letters),
+    "FreeFamily": st.tuples(
+        st.lists(st.sampled_from(("a", "x", "y", "g1")), min_size=1, max_size=3,
+                 unique=True).map(tuple)),
+    "ZnFamily": st.tuples(st.integers(1, 4)),
+    "NilFamily": st.tuples(st.integers(1, 4)),
+    "Presentation": presentation_args(),
+    "AugmentedForm": form_args(),
+    "HAN1": han1_args(),
+    "FamilyData": family_data_args(),
+    "BordismClassSpin": st.tuples(st.integers(-32, 32), vecs(), st.integers(0, 1)),
+    "ClassEntry": st.tuples(
+        st.sampled_from(("orbit", "odd")), st.none() | vecs(2),
+        st.lists(vecs(2), max_size=3).map(tuple)),
+    "ClassificationTable": st.tuples(
+        ws, st.sampled_from(("smooth", "topological")), st.sampled_from((1, 8, 16)),
+        st.lists(class_entries, min_size=1, max_size=3).map(tuple),
+        st.sampled_from(("none", "sigma/8")), st.sampled_from(("", "z3"))),
+    "InvariantTuple": st.tuples(
+        ws, st.integers(-16, 16), st.sampled_from((None, Parity.EVEN, Parity.ODD)),
+        st.sampled_from((None, TAU_UNKNOWN)) | vecs(2)),
+}
+NAMES = sorted(ARGS)
+
+
+def field_names(name):
+    return [f.name for f in dataclasses.fields(RECORD_TWINS[name])]
+
+
+def hash_or_type_error(x):
+    try:
+        return hash(x)
+    except TypeError:
+        return TypeError
+
+
+# ---------------------------------------------------------------------------
+# Properties
+
+
+@pytest.mark.parametrize("name", NAMES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_equality_hash_and_repr_match_the_twin(name, data):
+    cls = CLASSES[name]
+    a, b = data.draw(ARGS[name]), data.draw(ARGS[name])
+    ra, rb = cls(*a), cls(*b)
+    ta, tb = twin_of(ra), twin_of(rb)
+    assert ra == cls(*a)
+    assert (ra == rb) == (ta == tb)
+    assert (ra != rb) == (ta != tb)
+    assert hash_or_type_error(ra) == hash_or_type_error(ta)
+    if name in OWN_REPR:
+        assert repr(ra) == f"{name}({(ra.to_rows() if name == 'F2Mat' else ra.to_bits())!r})"
+    else:
+        assert repr(ra) == repr(ta)
+
+
+@pytest.mark.parametrize("name", NAMES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_equality_with_another_class_is_not_implemented(name, data):
+    r = CLASSES[name](*data.draw(ARGS[name]))
+    other_name = data.draw(st.sampled_from([n for n in NAMES if n != name]))
+    other = CLASSES[other_name](*data.draw(ARGS[other_name]))
+    for foreign in (twin_of(r), other):
+        assert r.__eq__(foreign) is NotImplemented
+        assert r != foreign
+        assert not r == foreign
+
+
+@pytest.mark.parametrize("name", NAMES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_fields_cannot_be_assigned_or_deleted(name, data):
+    r = CLASSES[name](*data.draw(ARGS[name]))
+    before = twin_of(r)
+    for field in field_names(name):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(r, field, getattr(r, field))
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(r, field)
+    with pytest.raises(AttributeError):
+        r.extra = 1
+    assert twin_of(r) == before
+
+
+@pytest.mark.parametrize("name", NAMES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_copy_deepcopy_and_pickle_round_trip(name, data):
+    r = CLASSES[name](*data.draw(ARGS[name]))
+    for clone in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+        assert type(clone) is type(r)
+        assert clone == r
+        assert twin_of(clone) == twin_of(r)
+
+
+@pytest.mark.parametrize("name", NAMES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_keyword_construction_matches_positional(name, data):
+    args = data.draw(ARGS[name])
+    kwargs = dict(zip(field_names(name), args, strict=True))
+    assert twin_of(CLASSES[name](**kwargs)) == twin_of(CLASSES[name](*args))
+
+
+def test_defaults():
+    assert Word() == Word(()) and Word().letters == ()
+    assert FamilyData("f", 1, ()).notes == ""
+    assert FamilyData(name="f", d=1, out_generators=(), notes="n").notes == "n"
+    w, form = F2Vec.zero(3), EVEN_FORMS[0]
+    h = HAN1(w=w, signature=0, form=form)
+    assert (h.tau, h.spin_bordism, h.notes) == (None, None, "")
+    assert h == HAN1(w, 0, form, None, None, "")
+    entry = ClassEntry("odd")
+    assert (entry.representative, entry.orbit) == (None, ())
+    assert ClassificationTable(INFINITY, "smooth", 1, (entry,), "none").family_name == ""
+    assert InvariantTuple(INFINITY, 3, None).tau is None
+
+
+def test_hash_is_the_field_tuple_hash():
+    """Sets and dicts of records iterate in the order they did as dataclasses."""
+    v = F2Vec(3, 5)
+    m = F2Mat(2, (1, 2))
+    assert hash(v) == hash((3, 5))
+    assert hash(m) == hash((2, (1, 2)))
+    assert hash(Word(((0, 1),))) == hash((((0, 1),),))
+    assert hash(NilFamily(2)) == hash((2,))
+    assert hash(BordismClassSpin(0, v, 1)) == hash((0, v, 1))
+
+
+# ---------------------------------------------------------------------------
+# Validation messages
+
+
+def _qf(rows, values):
+    return QuadraticFormF2(F2Mat(len(rows), rows), F2Vec(len(rows), values))
+
+
+ODD_FORM = AugmentedForm(1, RingMatrix.from_int_rows(Z3, [[1, 1], [1, 0]]))
+
+VALIDATION = [
+    (lambda: F2Vec(3, 8), InputError, "bits 0x8 out of range for dim 3"),
+    (lambda: F2Vec(-1, 0), InputError, "bits 0x0 out of range for dim -1"),
+    (lambda: F2Mat(2, (1,)), InputError, "matrix rows inconsistent with dimension"),
+    (lambda: F2Mat(2, (1, 4)), InputError, "matrix rows inconsistent with dimension"),
+    (lambda: QuadraticFormF2(standard_symplectic(1), F2Vec(3, 0)), InputError,
+     "value vector dimension must match the bilinear form"),
+    (lambda: _qf((1, 0), 0), DomainError,
+     "bilinear part must be alternating (zero diagonal)"),
+    (lambda: _qf((2, 0), 0), DomainError, "bilinear part must be symmetric over GF(2)"),
+    (lambda: _qf((0, 0), 0), DomainError, "bilinear part must be nondegenerate"),
+    (lambda: Word(((-1, 2),)), InputError, "negative generator index -1"),
+    (lambda: ZnFamily(0), DomainError, "Zn family needs n >= 1"),
+    (lambda: NilFamily(0), DomainError, "Nil family needs z >= 1"),
+    (lambda: Presentation(("a", "a"), ()), InputError, "duplicate generator 'a'"),
+    (lambda: Presentation(("a b",), ()), InputError, "bad generator name 'a b'"),
+    (lambda: Presentation(("a",), (Word(((1, 1),)),)), InputError,
+     "relator references an undeclared generator"),
+    (lambda: AugmentedForm(2, hyperbolic_matrix(Z3)), DomainError,
+     "epsilon must be 0 or 1"),
+    (lambda: AugmentedForm(1, RingMatrix(Z3, [])), DomainError,
+     "matrix too small for the Ipi summand"),
+    (lambda: AugmentedForm(0, RingMatrix.from_int_rows(Z3, [[0, 1], [0, 0]])),
+     DomainError, "matrix is not hermitian"),
+    (lambda: HAN1("0", 0, ODD_FORM), DomainError, "w must be an F2 vector or INFINITY"),
+    (lambda: HAN1(F2Vec(3, 0), 4, ODD_FORM), DomainError,
+     "signature of a manifold with spin universal cover must be divisible by 8"),
+    (lambda: HAN1(F2Vec(3, 0), 0, EVEN_FORMS[0], F2Vec(2, 0)), DomainError,
+     "tau and w dimensions differ"),
+    (lambda: HAN1(F2Vec(3, 0), 0, ODD_FORM, F2Vec(3, 0)), DomainError,
+     "odd forms carry no tau class"),
+    (lambda: HAN1(INFINITY, 1, ODD_FORM, F2Vec(3, 0)), DomainError,
+     "totally non-spin types carry no tau class"),
+    (lambda: FamilyData("f", 3, (F2Mat.identity(2),)), DomainError,
+     "generator 0 has dimension 2, expected 3"),
+    (lambda: FamilyData("f", 2, (F2Mat(2, (1, 1)),)), DomainError,
+     "Out-action generators must be invertible"),
+    (lambda: BordismClassSpin(0, F2Vec(2, 0), 2), DomainError, "eps must be a bit"),
+    (lambda: ClassificationTable(INFINITY, "smooth", 1, (), "none"), DomainError,
+     "a classification table cannot be empty"),
+]
+
+
+@pytest.mark.parametrize("build, error, message", VALIDATION,
+                         ids=[message for _, _, message in VALIDATION])
+def test_validation_messages(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
