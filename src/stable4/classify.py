@@ -14,7 +14,7 @@ Out-image.  The signature sits in a separate 16Z / 8Z / Z coordinate.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import DomainError, InputError, is_int
 from .f2 import (
@@ -27,8 +27,9 @@ from .f2 import (
     orbits,
 )
 from .forms import Parity, parity
-from .models import HAN1, INFINITY, Sentinel, w_from_json, w_to_json
+from .models import HAN1, INFINITY, Sentinel, builtin_family, w_from_json, w_to_json
 from .records import Record
+from .words import GroupFamily, NilFamily, ZnFamily
 
 SMOOTH = "smooth"
 TOPOLOGICAL = "topological"
@@ -61,12 +62,14 @@ class FamilyData(Record):
     def __init__(
         self, name: str, d: int, out_generators: tuple[F2Mat, ...], notes: str = ""
     ) -> None:
+        if d < 0:
+            raise DomainError(f"d {d} is negative")
         for k, g in enumerate(out_generators):
             if g.dim != d:
                 raise DomainError(f"generator {k} has dimension {g.dim}, "
                                   f"expected {d}")
             if not g.is_invertible():
-                raise DomainError("Out-action generators must be invertible")
+                raise DomainError(f"generator {k} is not invertible")
         self.__dict__.update(name=name, d=d, out_generators=out_generators, notes=notes)
 
 
@@ -90,58 +93,22 @@ class BordismClassSpin(Record):
             )
 
 
-def _gl2_generators() -> tuple[F2Mat, ...]:
-    return (
-        F2Mat.from_rows(["01", "10"]),
-        F2Mat.from_rows(["11", "01"]),
-    )
-
-
-def _gl3_generators() -> tuple[F2Mat, ...]:
-    # a transposition, the 3-cycle, and one transvection generate GL_3(F2)
-    return (
-        F2Mat.from_rows(["010", "100", "001"]),
-        F2Mat.from_rows(["001", "100", "010"]),
-        F2Mat.from_rows(["110", "010", "001"]),
-    )
+def builtin_data(ring: GroupFamily) -> FamilyData:
+    """The F2 side of z3 or nil:z, derived from its record in models."""
+    record = builtin_family(ring)
+    return FamilyData(record.name, len(record.coords), record.out_generators())
 
 
 def family_z3() -> FamilyData:
     """Z^3 = pi_1(T^3): d = 3 and the Out-image is all of GL_3(F2)."""
-    return FamilyData(
-        name="z3",
-        d=3,
-        out_generators=_gl3_generators(),
-        notes="GL_3(Z) -> GL_3(Z/2) is surjective",
-    )
+    return builtin_data(ZnFamily(3))
 
 
 def family_nil(z: int) -> FamilyData:
-    """Central extension of Z^2 by Z with parameter z >= 1.
-
-    For odd z, H_2 has dimension 2 and carries the full GL_2(F2) action.
-    For even z a torsion coordinate appears (stored last); the Out-image is
-    GL_2(F2) on the first two coordinates together with the transvections
-    that add the torsion coordinate to each of them, coming from the
-    automorphisms fixing the torsion class and multiplying a Z^2 generator
-    by it.
-    """
-    if z <= 0:
-        raise DomainError("z must be positive")
-    if z % 2:
-        return FamilyData(name=f"nil:{z}", d=2, out_generators=_gl2_generators())
-    a, b = _gl2_generators()
-    pad = lambda m: F2Mat.from_rows([row + "0" for row in m.to_rows()] + ["001"])
-    transvections = (
-        F2Mat.from_rows(["101", "010", "001"]),
-        F2Mat.from_rows(["100", "011", "001"]),
-    )
-    return FamilyData(
-        name=f"nil:{z}",
-        d=3,
-        out_generators=(pad(a), pad(b)) + transvections,
-        notes="torsion coordinate last; transvections add it to x and y",
-    )
+    """Central extension of Z^2 by Z with parameter z >= 1: GL_2(F2) for odd
+    z; for even z also the transvections adding the torsion coordinate
+    (stored last) to x and y."""
+    return builtin_data(NilFamily(z))
 
 
 def family_custom(name: str, d: int, generators: Sequence[F2Mat], notes: str = "") -> FamilyData:

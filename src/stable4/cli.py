@@ -16,11 +16,10 @@ import sys
 
 from . import f2, forms, groupring, models, words
 from .classify import (
+    builtin_data,
     classify as build_table,
     decide_stable_equiv,
     family_data_from_json,
-    family_nil,
-    family_z3,
     invariant_tuple_from_json,
     table_to_json,
     table_to_text,
@@ -77,21 +76,13 @@ def _family_pair(spec: str):
         data = family_data_from_json(blob)
         return None, data, blob.get("w")
     ring = words.parse_family_spec(spec)
-    if isinstance(ring, words.ZnFamily) and ring.n == 3:
-        return ring, family_z3(), None
-    if isinstance(ring, words.NilFamily):
-        return ring, family_nil(ring.z), None
-    raise InputError(
-        f"family {spec!r} has no classification data (use z3, nil:z, "
-        "or a family JSON file)"
-    )
-
-
-def _ring_family(spec: str) -> words.GroupFamily:
-    ring, _, _ = _family_pair(spec)
-    if ring is None:
-        raise InputError("this command needs a built-in group family")
-    return ring
+    try:
+        return ring, builtin_data(ring), None
+    except DomainError:
+        raise InputError(
+            f"family {spec!r} has no classification data (use z3, nil:z, "
+            "or a family JSON file)"
+        ) from None
 
 
 def _parse_w(raw: str, d: int):
@@ -136,7 +127,9 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_model(args) -> int:
-    ring = _ring_family(args.family)
+    ring, data, _ = _family_pair(args.family)
+    if ring is None:
+        raise InputError("this command needs a built-in group family")
     kind = args.kind
     if kind in ("M0", "M1"):
         sigma = 1 if kind == "M1" else 0
@@ -147,7 +140,7 @@ def _cmd_model(args) -> int:
     elif kind == "N":
         if args.w is None:
             raise InputError("model N needs --w")
-        w = _parse_w(args.w, models.h2_dimension(ring))
+        w = _parse_w(args.w, data.d)
         h = models.model_N_almost_spin(ring, w)
     elif kind == "P":
         if args.gamma is None:
@@ -164,7 +157,7 @@ def _cmd_model(args) -> int:
     elif kind == "realize":
         if args.signature is None:
             raise InputError("realize needs --signature")
-        w = _parse_w(args.w, models.h2_dimension(ring)) if args.w else None
+        w = _parse_w(args.w, data.d) if args.w else None
         if w is None:
             raise InputError("realize needs --w (bits, 0, or infinity)")
         par = None
@@ -189,7 +182,7 @@ def _cmd_parity(args) -> int:
 
 def _cmd_fox(args) -> int:
     if args.family:
-        family = _ring_family(args.family)
+        family = words.parse_family_spec(args.family)
         generators = family.generators
     else:
         generators = _infer_generators(args.word, args.generators)

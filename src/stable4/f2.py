@@ -14,7 +14,7 @@ the caps below, so a group or state space too large fails at once.
 from __future__ import annotations
 
 import os
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .errors import CapExceeded, DomainError, InputError
 from .records import Record

@@ -10,7 +10,7 @@ every module shape that arises here.
 from __future__ import annotations
 
 import enum
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import DomainError, InputError, is_int
 from .groupring import (

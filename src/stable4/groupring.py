@@ -8,7 +8,7 @@ overflow.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .errors import DomainError, InputError, is_int
 from .words import GroupFamily, parse_word

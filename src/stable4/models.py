@@ -11,19 +11,22 @@ order-one intersection class in H_2(Bpi; Z/2)) for the standard models:
 * ``model_N_almost_spin``-- the null-bordant circle-bundle surgery, hyperbolic.
 * ``realize_form``       -- the complete realization list per w-type.
 
-The H_2 coordinates used throughout identify H_2(Bpi;Z/2) with Hom(pi,Z/2):
-for Z^3 the coordinates are the generator values (g1, g2, g3); for the Nil
-families they are (x, y) when z is odd and (x, y, a) when z is even, the
-central/torsion coordinate last.
+The H_2 coordinates identify H_2(Bpi;Z/2) with Hom(pi,Z/2).  Everything the
+F2 side of a built-in family needs comes from one ``BuiltinFamily`` record per
+family (``builtin_family``): its square presentation, the generators whose
+values are the coordinates -- (g1, g2, g3) for Z^3; (x, y) for nil:z with z
+odd and (x, y, a) with z even, the torsion coordinate last -- and automorphisms
+given as generator images, whose pullbacks are the Out(pi)-image that
+``classify.family_z3``/``family_nil`` use.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Mapping, Sequence
+import functools
+from collections.abc import Mapping, Sequence
 
 from .errors import CapExceeded, DomainError, InputError, is_int
-from .f2 import F2Vec, configured_cap
+from .f2 import F2Mat, F2Vec, configured_cap
 from .forms import (
     AugmentedForm,
     Parity,
@@ -42,9 +45,11 @@ from .words import (
     GroupFamily,
     NilFamily,
     Presentation,
+    Word,
     ZnFamily,
     fox_derivative,
     parse_word,
+    word_to_str,
 )
 
 
@@ -124,70 +129,126 @@ class HAN1(Record):
 
 
 # ---------------------------------------------------------------------------
-# H_2 coordinates for the built-in families
+# The built-in families: one record each
+
+
+class BuiltinFamily(Record):
+    """What the F2 side of a built-in ring family is derived from.
+
+    ``name`` is the label FamilyData prints; ``presentation`` is square;
+    ``coords`` are the generators whose Z/2 values are the H_2 coordinates
+    (every homomorphism pi -> Z/2 kills the others).  Each of ``images`` is
+    an automorphism, given by the generators' image words; the constructor
+    checks that it sends every relator to the identity.
+    """
+
+    name: str
+    ring: GroupFamily
+    presentation: Presentation
+    coords: tuple[int, ...]
+    images: tuple[tuple[Word, ...], ...]
+
+    def __init__(self, name, ring, presentation, coords, images) -> None:
+        for k, image in enumerate(images):
+            for rel in presentation.relators:
+                if _image_of(ring, rel, image) != ring.identity():
+                    raise DomainError(
+                        f"automorphism {k} does not send the relator "
+                        f"{word_to_str(rel, ring.generators)} to the identity"
+                    )
+        self.__dict__.update(name=name, ring=ring, presentation=presentation,
+                             coords=coords, images=images)
+
+    def out_generators(self) -> tuple[F2Mat, ...]:
+        """The automorphisms pulled back to H_2, less the identity and repeats.
+
+        Row k of the matrix of alpha holds, mod 2, the exponent sum of each
+        coordinate generator in alpha(g_coords[k]); applied to the
+        coordinates of gamma it gives those of gamma o alpha.
+        """
+        mats = [F2Mat.identity(len(self.coords))]
+        for image in self.images:
+            rows = tuple(
+                sum((sum(e for g, e in image[k].letters if g == c) & 1) << i
+                    for i, c in enumerate(self.coords))
+                for k in self.coords
+            )
+            m = F2Mat(len(rows), rows)
+            if m not in mats:
+                mats.append(m)
+        return tuple(mats[1:])
+
+
+def _image_of(ring: GroupFamily, word: Word, image: Sequence[Word]):
+    """Where the automorphism with these generator images sends the word."""
+    out = ring.identity()
+    for gen, exp in word.letters:
+        piece, k = (image[gen] if exp > 0 else image[gen].inverse()).letters, abs(exp)
+        # (g^e)^k is the one letter g^(ek), however large k is
+        for g, e in ((piece[0][0], piece[0][1] * k),) if len(piece) == 1 else piece * k:
+            out = ring.shift(out, g, e)
+    return out
+
+
+_Z3_RELATORS = ("g1 g2 g1^-1 g2^-1", "g1 g3 g1^-1 g3^-1", "g2 g3 g2^-1 g3^-1")
+# a transposition, the 3-cycle and a transvection: GL_3(Z) -> GL_3(F2) is onto
+_Z3_IMAGES = (("g2", "g1", "g3"), ("g2", "g3", "g1"), ("g1 g2", "g2", "g3"))
+# swap x and y (inverting a), then multiply x by y, x by a and y by a
+_NIL_IMAGES = (("a^-1", "y", "x"), ("a", "x y", "y"), ("a", "x a", "y"), ("a", "x", "y a"))
+
+
+@functools.cache
+def builtin_family(ring: GroupFamily) -> BuiltinFamily:
+    """The record of z3 or nil:z: the one place that tells them apart."""
+    if isinstance(ring, ZnFamily) and ring.n == 3:
+        name, relators, coords, images = "z3", _Z3_RELATORS, (0, 1, 2), _Z3_IMAGES
+    elif isinstance(ring, NilFamily):
+        name, images = f"nil:{ring.z}", _NIL_IMAGES
+        relators = ("x a x^-1 a^-1", "y a y^-1 a^-1", f"x y x^-1 y^-1 a^-{ring.z}")
+        coords = (1, 2) if ring.z % 2 else (1, 2, 0)
+    else:
+        raise DomainError(f"no built-in H_2 data for family {ring!r}")
+    parse = lambda texts: tuple(parse_word(t, ring.generators) for t in texts)
+    pres = Presentation(ring.generators, parse(relators))
+    return BuiltinFamily(name, ring, pres, coords, tuple(map(parse, images)))
 
 
 def h2_dimension(family: GroupFamily) -> int:
     """dim H_2(Bpi; Z/2) for the built-in aspherical families."""
-    if isinstance(family, ZnFamily) and family.n == 3:
-        return 3
-    if isinstance(family, NilFamily):
-        return 2 if family.z % 2 else 3
-    raise DomainError(f"no H_2 data for family {family!r}")
+    return len(builtin_family(family).coords)
+
+
+def _check_homomorphism(pres: Presentation, bits: Sequence[int]) -> None:
+    """Bits on the generators define pi -> Z/2 iff each relator has even weight."""
+    for rel in pres.relators:
+        if sum(exp * bits[gen] for gen, exp in rel.letters) % 2:
+            raise DomainError(
+                "gamma does not define a homomorphism: relator "
+                f"{word_to_str(rel, pres.generators)} has odd gamma-weight"
+            )
 
 
 def hom_bits_to_h2(family: GroupFamily, bits: Sequence[int]) -> F2Vec:
     """Coordinates of a homomorphism pi -> Z/2 given on the generators."""
     if len(bits) != family.rank or any(b not in (0, 1) for b in bits):
         raise DomainError("need one bit per generator")
-    if isinstance(family, ZnFamily) and family.n == 3:
-        coords = tuple(bits)
-    elif isinstance(family, NilFamily):
-        a, x, y = bits
-        if family.z % 2:
-            if a:
-                raise DomainError(
-                    "gamma(a) must vanish: a has odd order in H_1 mod 2"
-                )
-            coords = (x, y)
-        else:
-            coords = (x, y, a)
-    else:
-        raise DomainError(f"no H_2 data for family {family!r}")
-    return F2Vec(len(coords), sum(b << i for i, b in enumerate(coords)))
+    record = builtin_family(family)
+    _check_homomorphism(record.presentation, bits)
+    return F2Vec(len(record.coords), sum(bits[g] << i for i, g in enumerate(record.coords)))
 
 
 def h2_to_hom_bits(family: GroupFamily, v: F2Vec) -> tuple[int, ...]:
     """Inverse of hom_bits_to_h2, in generator order."""
-    if v.dim != h2_dimension(family):
+    coords = builtin_family(family).coords
+    if v.dim != len(coords):
         raise DomainError("H_2 vector has the wrong dimension")
-    if isinstance(family, ZnFamily) and family.n == 3:
-        return v.coords()
-    if isinstance(family, NilFamily):
-        if family.z % 2:
-            return (0, v.bit(0), v.bit(1))
-        return (v.bit(2), v.bit(0), v.bit(1))
-    raise DomainError(f"no H_2 data for family {family!r}")
+    return tuple(v.bit(coords.index(g)) if g in coords else 0
+                 for g in range(family.rank))
 
 
 def builtin_presentation(family: GroupFamily) -> Presentation:
     """The standard square presentation used by the surgery models."""
-    if isinstance(family, ZnFamily) and family.n == 3:
-        gens = family.generators
-        relators = tuple(
-            parse_word(f"{gens[i]} {gens[j]} {gens[i]}^-1 {gens[j]}^-1", gens)
-            for i, j in itertools.combinations(range(3), 2)
-        )
-        return Presentation(gens, relators)
-    if isinstance(family, NilFamily):
-        gens = family.generators
-        texts = (
-            "x a x^-1 a^-1",
-            "y a y^-1 a^-1",
-            f"x y x^-1 y^-1 a^-{family.z}",
-        )
-        return Presentation(gens, tuple(parse_word(t, gens) for t in texts))
-    raise DomainError(f"no built-in presentation for family {family!r}")
+    return builtin_family(family).presentation
 
 
 def fox_jacobian(pres: Presentation, family: GroupFamily) -> list[list[RingElem]]:
@@ -202,10 +263,6 @@ def fox_jacobian(pres: Presentation, family: GroupFamily) -> list[list[RingElem]
 
 # ---------------------------------------------------------------------------
 # The models
-
-
-def _int(family: GroupFamily, n: int) -> RingElem:
-    return RingElem.integer(family, n)
 
 
 def model_M_sigma(
@@ -280,13 +337,7 @@ def model_P(
     if tuple(pres.generators) != family.generators:
         raise DomainError("presentation generators do not match the family")
     bits = _gamma_bits(family, gamma)
-    for rel in pres.relators:
-        weight = sum(exp * bits[gen] for gen, exp in rel.letters)
-        if weight % 2:
-            raise DomainError(
-                "gamma does not define a homomorphism: relator "
-                f"{rel!r} has odd gamma-weight"
-            )
+    _check_homomorphism(pres, bits)
 
     n = family.rank
     jac = fox_jacobian(pres, family)
@@ -299,21 +350,16 @@ def model_P(
     V = lambda i: 2 + i
     W = lambda i: 2 + n + i
 
-    m[0][0] = _int(family, 2)
-    m[0][1] = m[1][0] = _int(family, 1)
-    for j in range(n):
-        g_j = family.generator_element(j)
-        one_minus_gj = _int(family, 1) - RingElem.group(family, g_j)
-        m[0][V(j)] = one_minus_gj.conjugate()
-        m[V(j)][0] = one_minus_gj
+    one = RingElem.one(family)
+    one_minus_g = [one - RingElem.group(family, family.generator_element(j)) for j in range(n)]
+    m[0][0] = RingElem.integer(family, 2)
+    m[0][1] = m[1][0] = one
     for i in range(n):
-        g_i = family.generator_element(i)
-        one_minus_gi = _int(family, 1) - RingElem.group(family, g_i)
+        m[0][V(i)] = one_minus_g[i].conjugate()
+        m[V(i)][0] = one_minus_g[i]
         for j in range(n):
-            g_j = family.generator_element(j)
-            one_minus_gj = _int(family, 1) - RingElem.group(family, g_j)
-            m[V(i)][V(j)] = one_minus_gi * one_minus_gj.conjugate()
-        m[V(i)][W(i)] = m[W(i)][V(i)] = _int(family, 1)
+            m[V(i)][V(j)] = one_minus_g[i] * one_minus_g[j].conjugate()
+        m[V(i)][W(i)] = m[W(i)][V(i)] = one
     for i in range(n):
         for j in range(n):
             total = zero

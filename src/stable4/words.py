@@ -35,7 +35,7 @@ an inverse reverses and negates.  Such results are built by the private
 from __future__ import annotations
 
 from operator import add, itemgetter
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import CapExceeded, DomainError, InputError, is_int
 from .f2 import configured_cap
@@ -117,14 +117,6 @@ class Word(Record):
 
     def inverse(self) -> "Word":
         return Word._trusted(tuple((g, -e) for g, e in reversed(self.letters)))
-
-    def __pow__(self, k: int) -> "Word":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = Word()
-        for _ in range(k):
-            out = out * self
-        return out
 
 
 def parse_word(text: str, generators: Sequence[str]) -> Word:

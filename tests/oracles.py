@@ -309,6 +309,35 @@ def nil_normal_matrix(element, z: int):
 
 
 # ---------------------------------------------------------------------------
+# Out(pi)-images entered by hand: GL_2(F2), GL_3(F2), and for even z the
+# GL_2(F2) generators padded by the torsion coordinate plus the transvections
+# adding that coordinate to x and y
+
+
+def hand_gl2_generators() -> tuple[F2Mat, ...]:
+    return (F2Mat.from_rows(["01", "10"]), F2Mat.from_rows(["11", "01"]))
+
+
+def hand_gl3_generators() -> tuple[F2Mat, ...]:
+    # a transposition, the 3-cycle, and one transvection generate GL_3(F2)
+    return (
+        F2Mat.from_rows(["010", "100", "001"]),
+        F2Mat.from_rows(["001", "100", "010"]),
+        F2Mat.from_rows(["110", "010", "001"]),
+    )
+
+
+def hand_nil_generators(z: int) -> tuple[F2Mat, ...]:
+    if z % 2:
+        return hand_gl2_generators()
+    pad = lambda m: F2Mat.from_rows([row + "0" for row in m.to_rows()] + ["001"])
+    return tuple(pad(m) for m in hand_gl2_generators()) + (
+        F2Mat.from_rows(["101", "010", "001"]),
+        F2Mat.from_rows(["100", "011", "001"]),
+    )
+
+
+# ---------------------------------------------------------------------------
 # Fox calculus: one generic multiply per letter and per unit of exponent
 #
 # The prefix walk that fox_derivative and reduce_word used before they

@@ -4,7 +4,12 @@ import re
 
 import pytest
 
-from oracles import fixed_point_closure
+from oracles import (
+    fixed_point_closure,
+    hand_gl3_generators,
+    hand_nil_generators,
+    nil_word_matrix,
+)
 from stable4.errors import CapExceeded, DomainError, InputError
 from stable4.f2 import F2Mat, F2Vec, group_closure
 from stable4.forms import Parity
@@ -30,12 +35,16 @@ from stable4.classify import (
 )
 from stable4.models import (
     INFINITY,
+    BuiltinFamily,
+    builtin_family,
     builtin_presentation,
+    h2_to_hom_bits,
+    hom_bits_to_h2,
     model_M_sigma,
     model_N_almost_spin,
     model_P,
 )
-from stable4.words import NilFamily, ZnFamily
+from stable4.words import NilFamily, Word, ZnFamily, parse_word
 
 
 def spin_w(family):
@@ -82,6 +91,91 @@ def test_family_nil_rejects_nonpositive():
 def test_family_custom_validates_generators():
     with pytest.raises(DomainError):
         family_custom("bad", 2, [F2Mat.from_rows(["10", "10"])])
+
+
+# ---------------------------------------------------------------------------
+# the family records: Out-images derived from automorphisms
+
+
+BUILTIN = [(ZnFamily(3), family_z3(), hand_gl3_generators(), 3)] + [
+    (NilFamily(z), family_nil(z), hand_nil_generators(z), 2 if z % 2 else 4)
+    for z in range(1, 9)
+]
+BUILTIN_IDS = ["z3"] + [f"nil{z}" for z in range(1, 9)]
+
+
+@pytest.mark.parametrize("ring, data, hand, count", BUILTIN, ids=BUILTIN_IDS)
+def test_derived_action_generates_the_hand_entered_group(ring, data, hand, count):
+    assert group_closure(data.out_generators) == group_closure(hand)
+    assert (data.d, len(data.out_generators)) == (hand[0].dim, count)
+
+
+@pytest.mark.parametrize("z", [2, 4, 6, 8])
+def test_transposed_action_is_another_group_for_even_z(z):
+    # the pullback convention matters: row k holds the exponent sums in the
+    # image of coordinate generator k
+    transposed = [m.transpose() for m in family_nil(z).out_generators]
+    assert group_closure(transposed) != group_closure(hand_nil_generators(z))
+
+
+def _substituted(rel, image):
+    """The relator with each generator spelled out as its image word."""
+    letters = []
+    for gen, exp in rel.letters:
+        piece = image[gen] if exp > 0 else image[gen].inverse()
+        letters += piece.letters * abs(exp)
+    return Word(letters)
+
+
+@pytest.mark.parametrize("z", range(1, 9))
+def test_nil_images_satisfy_the_relators_in_the_matrix_representation(z):
+    record = builtin_family(NilFamily(z))
+    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert len(record.images) == 4
+    for image in record.images:
+        for rel in record.presentation.relators:
+            assert nil_word_matrix(_substituted(rel, image), z) == identity
+
+
+def test_z3_images_satisfy_the_relators():
+    record = builtin_family(ZnFamily(3))
+    for image in record.images:
+        for rel in record.presentation.relators:
+            sums = [0, 0, 0]
+            for g, e in _substituted(rel, image).letters:
+                sums[g] += e
+            assert sums == [0, 0, 0]
+
+
+def test_an_image_that_breaks_a_relator_is_refused():
+    nil2 = NilFamily(2)
+    record = builtin_family(nil2)
+    bad = tuple(parse_word(t, nil2.generators) for t in ("a", "x^2", "y"))
+    with pytest.raises(DomainError, match="does not send the relator x y x"):
+        BuiltinFamily("nil:2", nil2, record.presentation, record.coords, (bad,))
+
+
+def test_record_drops_identity_and_repeated_images():
+    nil1 = NilFamily(1)
+    record = builtin_family(nil1)
+    # x -> x a and y -> y a act trivially on (x, y) when z is odd
+    assert len(record.images) == 4 and len(record.out_generators()) == 2
+    twice = BuiltinFamily("nil:1", nil1, record.presentation, record.coords,
+                          record.images[:1] * 2)
+    assert len(twice.out_generators()) == 1
+
+
+@pytest.mark.parametrize("ring", [b[0] for b in BUILTIN], ids=BUILTIN_IDS)
+def test_h2_coordinates_round_trip_through_the_record(ring):
+    d = len(builtin_family(ring).coords)
+    for bits in range(1 << d):
+        v = F2Vec(d, bits)
+        assert hom_bits_to_h2(ring, h2_to_hom_bits(ring, v)) == v
+
+
+def test_builtin_family_refuses_other_rings():
+    with pytest.raises(DomainError, match="no built-in H_2 data"):
+        builtin_family(ZnFamily(4))
 
 
 # ---------------------------------------------------------------------------

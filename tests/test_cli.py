@@ -69,6 +69,24 @@ def test_classify_almost_spin(capsys):
             assert v[2] == "0"  # kernel of <w, -> for w = 001
 
 
+@pytest.mark.parametrize("w", ["infinity", "0"])
+def test_family_file_with_negative_d_exits_1(capsys, tmp_path, w):
+    path = write_json(tmp_path / "f.json", {"name": "x", "d": -1, "out_generators": []})
+    code, out, err = run(
+        capsys, ["classify", "--family", path, "--w", w, "--category", "smooth"]
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: bad family JSON: d -1 is negative\n"
+
+
+def test_family_file_names_the_generator_that_is_not_invertible(capsys, tmp_path):
+    gens = [["10", "01"], ["10", "10"]]
+    path = write_json(tmp_path / "f.json", {"name": "x", "d": 2, "out_generators": gens})
+    code, _, err = run(capsys, ["orbits", "--family", path])
+    assert code == 1
+    assert err == "error: bad family JSON: generator 1 is not invertible\n"
+
+
 def test_classify_custom_family_file(capsys, tmp_path):
     fam = family_nil(3)
     path = write_json(
@@ -293,6 +311,36 @@ def test_fox_cli_with_family(capsys):
     assert blob["family"] == {"nil": 2}
     terms = {t["word"]: t["coeff"] for t in blob["derivative"]}
     assert terms == {"1": 1, "a": -1}
+
+
+def test_fox_cli_takes_any_zn_family(capsys):
+    code, out, _ = run(
+        capsys,
+        ["fox", "--word", "g1 g2 g1^-1", "--gen", "g1", "--family", "zn:4"],
+    )
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["family"] == {"zn": 4}
+    # 1 - g1 g2 g1^-1, and g1 g2 g1^-1 = g2 in Z^4
+    terms = {t["word"]: t["coeff"] for t in blob["derivative"]}
+    assert terms == {"1": 1, "g2": -1}
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--family", "zn:4", "--w", "0"],
+    ["orbits", "--family", "zn:4"],
+    ["model", "--kind", "M0", "--family", "zn:4"],
+    ["decide", "--a", "a.json", "--b", "b.json", "--category", "smooth",
+     "--family", "zn:4"],
+], ids=["classify", "orbits", "model", "decide"])
+def test_zn_family_without_h2_data_exits_1(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    for name in ("a.json", "b.json"):
+        write_json(tmp_path / name, {"w": "000", "signature": 0, "parity": "odd"})
+    code, _, err = run(capsys, argv)
+    assert code == 1
+    assert err == ("error: family 'zn:4' has no classification data "
+                   "(use z3, nil:z, or a family JSON file)\n")
 
 
 def test_arf_cli(capsys, tmp_path):
@@ -563,11 +611,12 @@ def test_bad_generator_files_and_dimensions_exit_1(capsys, tmp_path, command,
 
 
 def test_cli_import_leaves_out_dataclasses_inspect_and_fractions():
-    """`import stable4.cli` loads none of the three; ldlt_signature imports
-    fractions on first use.  -S keeps site hooks from importing them."""
+    """`import stable4.cli` loads none of dataclasses, inspect, fractions and
+    typing; ldlt_signature imports fractions on first use.  -S keeps site
+    hooks from importing them."""
     script = (
         "import sys, stable4.cli\n"
-        "heavy = ('dataclasses', 'inspect', 'fractions')\n"
+        "heavy = ('dataclasses', 'inspect', 'fractions', 'typing')\n"
         "print(sorted(m for m in heavy if m in sys.modules))\n"
         "from stable4.forms import e8_block, signature_int\n"
         "from stable4.words import ZnFamily\n"

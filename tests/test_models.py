@@ -59,8 +59,10 @@ def test_h2_coordinates_round_trip():
 
 
 def test_h2_rejects_torsion_violation():
-    # gamma(a) must vanish when z is odd: a maps into 3-torsion of H_1
-    with pytest.raises(DomainError):
+    # gamma(a) must vanish when z is odd: a maps into 3-torsion of H_1.  The
+    # same relator check as model_P refuses it.
+    message = "relator x y x^-1 y^-1 a^-3 has odd gamma-weight"
+    with pytest.raises(DomainError, match=re.escape(message)):
         hom_bits_to_h2(NIL3, (1, 0, 0))
 
 
@@ -147,7 +149,8 @@ def test_p_rejects_non_square_presentation():
 
 def test_p_rejects_non_homomorphism():
     # z odd forces gamma(a) = 0
-    with pytest.raises(DomainError):
+    message = "gamma does not define a homomorphism: relator x y x^-1 y^-1 a^-3"
+    with pytest.raises(DomainError, match=re.escape(message)):
         model_P(builtin_presentation(NIL3), NIL3, "100")
 
 

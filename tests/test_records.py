@@ -303,8 +303,9 @@ VALIDATION = [
      "totally non-spin types carry no tau class"),
     (lambda: FamilyData("f", 3, (F2Mat.identity(2),)), DomainError,
      "generator 0 has dimension 2, expected 3"),
-    (lambda: FamilyData("f", 2, (F2Mat(2, (1, 1)),)), DomainError,
-     "Out-action generators must be invertible"),
+    (lambda: FamilyData("f", 2, (F2Mat.identity(2), F2Mat(2, (1, 1)))), DomainError,
+     "generator 1 is not invertible"),
+    (lambda: FamilyData("f", -1, ()), DomainError, "d -1 is negative"),
     (lambda: BordismClassSpin(0, F2Vec(2, 0), 2), DomainError, "eps must be a bit"),
     (lambda: ClassificationTable(INFINITY, "smooth", 1, (), "none"), DomainError,
      "a classification table cannot be empty"),
