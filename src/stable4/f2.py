@@ -9,6 +9,11 @@ XORs rows of the right factor, so it stays below 2^d and is built by the
 private `F2Mat._trusted`, which stores the fields without running
 `__init__` and so without that check again.  Enumerations are bounded by
 the caps below, so a group or state space too large fails at once.
+
+Orbits are searched on int states.  `orbits` first tabulates each
+generator on all 2^d vectors (k * 2^d entries for k generators), which
+also decides its invertibility; `orbit_of` steps each state through the
+generator's columns and builds no table.
 """
 
 from __future__ import annotations
@@ -197,11 +202,14 @@ class F2Mat(Record):
         return acc
 
     def transpose(self) -> "F2Mat":
+        """Row j of the transpose is column j, the image of basis vector j."""
         rows = [0] * self.dim
-        for i, r in enumerate(self.rows):
-            for j in range(self.dim):
-                rows[j] |= (r >> j & 1) << i
-        return F2Mat(self.dim, tuple(rows))
+        for i, row in enumerate(self.rows):
+            while row:
+                low = row & -row
+                rows[low.bit_length() - 1] |= 1 << i
+                row ^= low
+        return F2Mat._trusted(self.dim, tuple(rows))
 
     def is_invertible(self) -> bool:
         try:
@@ -228,10 +236,6 @@ class F2Mat(Record):
 
     def __repr__(self) -> str:
         return f"F2Mat({self.to_rows()!r})"
-
-
-def _vec_key(v: F2Vec):
-    return v.coords()
 
 
 # ---------------------------------------------------------------------------
@@ -354,52 +358,95 @@ def orbits(
 
     The orbit of v lists every vector reachable from v by generator
     applications; each orbit is sorted coordinate-lexicographically and the
-    orbits are sorted by their minimal representatives.  A subset predicate
-    must be stable under every generator; this is validated.
+    orbits are sorted by their minimal representatives.
+
+    The search runs on int states through one image table per generator,
+    t[v] = (g v).bits, so it holds k * 2^d table entries for k generators.
+    A generator is invertible iff its table is a permutation.  The subset
+    predicate is evaluated once per vector; every state the search reaches
+    is checked to lie in the subset, so every edge out of a subset vector
+    lands in it, and a violation names the generator and the edge.
     """
     if d < 0:
         raise InputError(f"orbit dimension {d} is negative")
     cap = max_states if max_states is not None else 1 << ORBIT_DIM_CAP
     if 1 << d > cap:
         raise CapExceeded(f"2^{d} states exceed the orbit cap {cap}")
+    steps = []
     for k, g in enumerate(generators):
         if g.dim != d:
             raise DomainError(f"generator {k} has dimension {g.dim}, expected {d}")
-        if not g.is_invertible():
-            raise DomainError("orbit generators must be invertible")
+        table = _image_table(g.transpose().rows)
+        # A linear map is a permutation iff its kernel is {0}.
+        if table.count(0) != 1:
+            raise DomainError(f"generator {k} is not invertible")
+        steps.append(table.__getitem__)
 
-    domain = [F2Vec(d, bits) for bits in range(1 << d)]
+    inside = None
     if subset is not None:
-        domain = [v for v in domain if subset(v)]
-        for v in domain:
-            for g in generators:
-                if not subset(g.apply(v)):
-                    raise DomainError("subset is not closed under the action")
-
+        inside = [subset(F2Vec(d, bits)) for bits in range(1 << d)]
+    # rank[v] is the bit reversal of v, i.e. the position of v in the
+    # coordinate-lexicographic order; being an involution, rank also lists
+    # the vectors in that order.
+    rank = _image_table([1 << (d - 1 - j) for j in range(d)])
     seen: set[int] = set()
     parts: list[list[F2Vec]] = []
-    for start in domain:
-        if start.bits in seen:
+    for start in rank:
+        if start in seen or inside is not None and not inside[start]:
             continue
-        orbit = orbit_of(start, generators)
-        seen |= orbit
-        parts.append(sorted((F2Vec(d, bits) for bits in orbit), key=_vec_key))
-    parts.sort(key=lambda orb: _vec_key(orb[0]))
+        orbit = _walk(start, steps, seen, inside, d)
+        orbit.sort(key=rank.__getitem__)
+        parts.append([F2Vec(d, bits) for bits in orbit])
     return parts
 
 
 def orbit_of(v: F2Vec, generators: Sequence[F2Mat]) -> set[int]:
-    """Bitmask set of the single orbit through v."""
-    frontier = [v]
-    reached = {v.bits}
-    while frontier:
-        u = frontier.pop()
-        for g in generators:
-            w = g.apply(u)
-            if w.bits not in reached:
-                reached.add(w.bits)
-                frontier.append(w)
+    """Bitmask set of the single orbit through v.
+
+    Each generator steps a state by combining its columns, so no 2^d table
+    is built and there is no dimension cap."""
+    steps = []
+    for k, g in enumerate(generators):
+        if g.dim != v.dim:
+            raise DomainError(f"generator {k} has dimension {g.dim}, expected {v.dim}")
+        steps.append(g.transpose().combine)
+    reached: set[int] = set()
+    _walk(v.bits, steps, reached)
     return reached
+
+
+def _image_table(columns: Sequence[int]) -> list[int]:
+    """t[v] = XOR of the columns at the set bits of v, for all v below
+    2^len(columns), built by doubling over the columns."""
+    table = [0]
+    for c in columns:
+        table += [x ^ c for x in table]
+    return table
+
+
+def _walk(
+    start: int,
+    steps: Sequence[Callable[[int], int]],
+    reached: set[int],
+    inside: Sequence[bool] | None = None,
+    d: int = 0,
+) -> list[int]:
+    """The states reachable from start, in breadth-first order, added to
+    reached.  With inside, each newly reached state must lie in it."""
+    reached.add(start)
+    states = [start]
+    for u in states:
+        for k, step in enumerate(steps):
+            w = step(u)
+            if w not in reached:
+                if inside is not None and not inside[w]:
+                    raise DomainError(
+                        f"subset is not closed under generator {k}: "
+                        f"{F2Vec(d, u).to_bits()} -> {F2Vec(d, w).to_bits()}"
+                    )
+                reached.add(w)
+                states.append(w)
+    return states
 
 
 def group_closure(generators: Sequence[F2Mat], cap: int | None = None) -> set[F2Mat]:
@@ -419,7 +466,7 @@ def group_closure(generators: Sequence[F2Mat], cap: int | None = None) -> set[F2
             raise DomainError(f"generator {k} has dimension {g.dim}, expected {dim} "
                               "(that of generator 0)")
         if not g.is_invertible():
-            raise DomainError("closure generators must be invertible")
+            raise DomainError(f"generator {k} is not invertible")
     closure: set[F2Mat] = {F2Mat.identity(dim)}
     frontier = list(closure)
     while frontier:

@@ -100,6 +100,44 @@ def all_invertible(dim: int) -> list[F2Mat]:
     return mats
 
 
+def naive_orbits(d: int, generators, subset=None):
+    """Orbits of F2^d (or of the vectors subset accepts) under the
+    generators, by union-find over entrywise matrix-vector products.
+
+    Vectors are coordinate tuples, so sorting them is the coordinate-
+    lexicographic order; the result lists each orbit sorted and the orbits
+    sorted by their first vector, as F2Vecs.  None when some generator
+    carries a subset vector outside the subset.
+    """
+
+    def act(g, v):
+        return tuple(sum(g.entry(i, j) * v[j] for j in range(d)) % 2 for i in range(d))
+
+    def to_vec(v):
+        return F2Vec(d, sum(c << i for i, c in enumerate(v)))
+
+    domain = [v for v in itertools.product((0, 1), repeat=d)
+              if subset is None or subset(to_vec(v))]
+    parent = {v: v for v in domain}
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for v in domain:
+        for g in generators:
+            u = act(g, v)
+            if u not in parent:
+                return None
+            parent[find(u)] = find(v)
+    parts: dict = {}
+    for v in domain:
+        parts.setdefault(find(v), []).append(v)
+    ordered = sorted(sorted(part) for part in parts.values())
+    return [[to_vec(v) for v in part] for part in ordered]
+
+
 # ---------------------------------------------------------------------------
 # Integer symmetric matrices
 

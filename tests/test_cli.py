@@ -586,6 +586,14 @@ def test_orbits_dimension_error_names_both_dimensions(capsys, tmp_path):
     assert "error: generator 0 has dimension 2, expected 3" in err
 
 
+@pytest.mark.parametrize("command, extra", [("orbits", ["--d", "2"]), ("closure", [])])
+def test_singular_generator_file_exits_2_naming_the_generator(capsys, tmp_path,
+                                                               command, extra):
+    path = write_json(tmp_path / "g.json", [["10", "10"]])
+    code, out, err = run(capsys, [command, "--generators", path] + extra)
+    assert (code, out, err) == (2, "", "error: generator 0 is not invertible\n")
+
+
 @pytest.mark.parametrize(
     "command, payload, extra, message",
     [

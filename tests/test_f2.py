@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import all_invertible, democratic_arf, entrywise_product, fixed_point_closure
+from oracles import (
+    all_invertible,
+    democratic_arf,
+    entrywise_product,
+    fixed_point_closure,
+    naive_orbits,
+)
 from stable4.errors import CapExceeded, DomainError, InputError
 from stable4.f2 import (
     F2Mat,
@@ -15,6 +21,7 @@ from stable4.f2 import (
     f2mat_from_json,
     f2mat_to_json,
     group_closure,
+    orbit_of,
     orbits,
     quadratic_form_from_json,
     quadratic_form_to_json,
@@ -298,18 +305,70 @@ def test_orbits_subset_validation():
     parts = orbits(3, [F2Mat.identity(3)], subset=kernel)
     assert sum(len(p) for p in parts) == 4
     bad = lambda v: v.to_bits() in ("000", "100")  # not GL3-stable
-    with pytest.raises(DomainError):
+    # GL3[0] swaps the first two coordinates.
+    with pytest.raises(DomainError,
+                       match="subset is not closed under generator 0: 100 -> 010"):
         orbits(3, list(GL3), subset=bad)
 
 
 def test_orbits_rejects_singular_generator():
-    with pytest.raises(DomainError):
-        orbits(2, [F2Mat.from_rows(["10", "10"])])
+    with pytest.raises(DomainError, match="generator 1 is not invertible"):
+        orbits(2, [F2Mat.identity(2), F2Mat.from_rows(["10", "10"])])
 
 
 def test_orbits_dimension_cap():
     with pytest.raises(CapExceeded):
         orbits(21, [F2Mat.identity(21)])
+
+
+def _random_invertible(rng, d, w=0):
+    """A random invertible d x d matrix; with w, one whose transpose fixes w
+    (so it preserves ker<w,->): the row at the lowest bit of w is chosen so
+    that the rows picked by w sum to w."""
+    while True:
+        rows = [rng.randrange(1 << d) for _ in range(d)]
+        if w:
+            low = (w & -w).bit_length() - 1
+            rows[low] = 0
+            rows[low] = w ^ F2Mat(d, tuple(rows)).combine(w)
+        m = F2Mat(d, tuple(rows))
+        if m.is_invertible():
+            return m
+
+
+def _check_orbits_against_oracle(d, gens, subset=None):
+    want = naive_orbits(d, gens, subset)
+    if want is None:
+        with pytest.raises(DomainError, match="subset is not closed under generator"):
+            orbits(d, gens, subset=subset)
+        return
+    got = orbits(d, gens, subset=subset)
+    assert got == want
+    for part in got:
+        bits = {v.bits for v in part}
+        for v in part:
+            assert orbit_of(v, gens) == bits
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 6), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_orbits_and_orbit_of_match_union_find_oracle(d, k, seed):
+    rng = random.Random(seed)
+    w = rng.randrange(1, 1 << d)
+    kernel = lambda v: (v.bits & w).bit_count() % 2 == 0
+    free = [_random_invertible(rng, d) for _ in range(k)]
+    fixing_w = [_random_invertible(rng, d, w) for _ in range(k)]
+    assert all(g.combine(w) == w for g in fixing_w)
+    for gens in (free, fixing_w):
+        # the kernel is closed under fixing_w; under free it may not be
+        generator_sets = [gens]
+        try:
+            generator_sets.append(sorted(group_closure(gens, cap=200), key=lambda m: m.rows))
+        except CapExceeded:
+            pass  # the whole group only where it is small
+        for mats in generator_sets:
+            for subset in (None, kernel):
+                _check_orbits_against_oracle(d, mats, subset)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +399,11 @@ def test_closure_gl3_order():
 
 def test_closure_gl4_order():
     assert len(group_closure(list(GL4))) == 20160
+
+
+def test_closure_rejects_singular_generator():
+    with pytest.raises(DomainError, match="generator 1 is not invertible"):
+        group_closure([F2Mat.identity(2), F2Mat.from_rows(["10", "10"])])
 
 
 def test_closure_cap():
