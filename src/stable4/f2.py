@@ -83,7 +83,9 @@ class F2Vec(Record):
         return cls(len(text), bits)
 
     def to_bits(self) -> str:
-        return "".join("1" if self.bits >> i & 1 else "0" for i in range(self.dim))
+        # A guard bit at position dim keeps the leading zeros (and makes dim
+        # 0 print ""); reversing puts coordinate 0 first and drops the guard.
+        return format(self.bits | 1 << self.dim, "b")[:0:-1]
 
     def coords(self) -> tuple[int, ...]:
         return tuple(self.bits >> i & 1 for i in range(self.dim))

@@ -10,7 +10,7 @@ every module shape that arises here.
 from __future__ import annotations
 
 import enum
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 
 from .errors import DomainError, InputError, is_int
 from .groupring import (
@@ -118,25 +118,33 @@ class RingMatrix:
             self.family, tuple({j: -x for j, x in row.items()} for row in self._rows)
         )
 
+    def _int_rows(self, integer: bool) -> list[dict[int, int]]:
+        """Rows of {column: int} nonzeros: each entry's coefficient on the
+        identity when integer is set (its support must be the identity),
+        else its augmentation, with zero augmentations dropped."""
+        identity = self.family.identity()
+        out = []
+        for row in self._rows:
+            ints = {}
+            for j, x in row.items():
+                if integer:
+                    v = x.coefficient(identity)
+                    if not v or len(x) != 1:
+                        raise DomainError("matrix entry has non-identity support")
+                else:
+                    v = augmentation(x)
+                if v:
+                    ints[j] = v
+            out.append(ints)
+        return out
+
     def augmentation_rows(self) -> list[list[int]]:
         """Apply the augmentation entrywise; the integer shadow of the form."""
-        out = [[0] * self.size for _ in self._rows]
-        for ints, row in zip(out, self._rows):
-            for j, x in row.items():
-                ints[j] = augmentation(x)
-        return out
+        return _dense(self._int_rows(integer=False))
 
     def integer_rows(self) -> list[list[int]]:
         """Entries as plain integers; requires support inside the identity."""
-        identity = self.family.identity()
-        out = [[0] * self.size for _ in self._rows]
-        for ints, row in zip(out, self._rows):
-            for j, x in row.items():
-                c = x.coefficient(identity)
-                if not c or len(x) != 1:
-                    raise DomainError("matrix entry has non-identity support")
-                ints[j] = c
-        return out
+        return _dense(self._int_rows(integer=True))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingMatrix):
@@ -149,6 +157,14 @@ class RingMatrix:
             ", ".join(self.entry(i, j).to_text() for j in range(n)) for i in range(n)
         )
         return f"<RingMatrix [{rows}]>"
+
+
+def _dense(rows: list[dict[int, int]]) -> list[list[int]]:
+    out = [[0] * len(rows) for _ in rows]
+    for ints, row in zip(out, rows):
+        for j, v in row.items():
+            ints[j] = v
+    return out
 
 
 class AugmentedForm(Record):
@@ -253,27 +269,49 @@ def parity(a: AugmentedForm) -> Parity:
 # Integer signatures, exactly
 
 
-def ldlt_signature(rows: Sequence[Sequence[int]]) -> int:
-    """Signature of a symmetric rational matrix by exact pivoting.
+def ldlt_signature(rows: Sequence[Sequence[int]] | Sequence[Mapping[int, int]]) -> int:
+    """Signature of a symmetric integer matrix by fraction-free elimination.
 
-    The indices first split into the connected components of the nonzero
-    pattern.  Listing them component by component is a permutation
-    congruence to the block sum of the principal submatrices on the
-    components, so the signature is the sum of theirs, and each component
-    is pivoted alone (a sum of E8 blocks costs a few 8 x 8 eliminations).
+    Row i is either a dense list of n integers or a dict {column: integer}
+    of its nonzeros (absent columns are zeros); dense rows are converted
+    once, and everything after that scans nonzeros only.  The indices split
+    into the connected components of the nonzero pattern.  Listing them
+    component by component is a permutation congruence to the block sum of
+    the principal submatrices on the components, so the signature is the
+    sum of theirs, and each component is eliminated alone (a sum of E8
+    blocks costs a few 8 x 8 eliminations).  A DomainError names the row,
+    entry or pair at fault when the input is not square, holds an entry
+    that is not an int, or is not symmetric.
     """
     n = len(rows)
+    sparse = []
     for i, row in enumerate(rows):
-        if len(row) != n:
-            raise DomainError(f"matrix must be square: dimension {n}, but row {i} "
-                              f"has length {len(row)}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                raise DomainError(f"matrix must be symmetric: entry ({i}, {j}) is "
-                                  f"{rows[i][j]} but entry ({j}, {i}) is {rows[j][i]}")
-    from fractions import Fraction  # here, so start-up skips fractions and decimal
-
+        if isinstance(row, Mapping):
+            for j, v in row.items():
+                if not (is_int(j) and 0 <= j < n):
+                    raise DomainError(f"matrix must be square: dimension {n}, but row "
+                                      f"{i} has an entry in column {j!r}")
+            items = row.items()
+        else:
+            if len(row) != n:
+                raise DomainError(f"matrix must be square: dimension {n}, but row {i} "
+                                  f"has length {len(row)}")
+            items = enumerate(row)
+        nonzeros = {}
+        for j, v in items:
+            if not is_int(v):
+                raise DomainError(f"matrix entry ({i}, {j}) is {v!r}, not an integer")
+            if v:
+                nonzeros[j] = v
+        sparse.append(nonzeros)
+    mismatch = min(((j, i) if j < i else (i, j)
+                    for i, row in enumerate(sparse) for j, v in row.items()
+                    if sparse[j].get(i) != v), default=None)
+    if mismatch is not None:
+        i, j = mismatch
+        raise DomainError(f"matrix must be symmetric: entry ({i}, {j}) is "
+                          f"{sparse[i].get(j, 0)} but entry ({j}, {i}) is "
+                          f"{sparse[j].get(i, 0)}")
     seen: set[int] = set()
     signature = 0
     for start in range(n):
@@ -282,63 +320,74 @@ def ldlt_signature(rows: Sequence[Sequence[int]]) -> int:
         seen.add(start)
         component = [start]
         for i in component:  # breadth-first: the list grows while it is read
-            found = [j for j, v in enumerate(rows[i]) if v and j not in seen]
+            found = [j for j in sparse[i] if j not in seen]
             seen.update(found)
             component += found
-        component.sort()
-        signature += _pivot_signature(
-            [[Fraction(rows[i][j]) for j in component] for i in component]
-        )
+        signature += _bareiss_signature({i: sparse[i] for i in component})
     return signature
 
 
-def _pivot_signature(s: list[list]) -> int:
-    """Signature of a symmetric Fraction matrix, eliminated in place.
+def _bareiss_signature(rows: dict[int, dict[int, int]]) -> int:
+    """Signature of one symmetric component, eliminated fraction-free.
 
-    Symmetric Gaussian elimination over Fraction: a nonzero diagonal pivot
-    contributes its sign; if the active diagonal vanishes entirely, a 2x2
-    off-diagonal pivot block [[0,b],[b,0]] contributes zero and is
-    eliminated via its Schur complement.  No floating point, no tolerances.
+    rows maps each index to its row of nonzeros, and is consumed.  Bareiss's
+    symmetric elimination: pivoting on a nonzero diagonal entry d replaces
+    every remaining a_rc by (d a_rc - a_rp a_pc) // prev, where prev is the
+    previous pivot (1 at the start).  The division is exact, because by
+    Sylvester's identity every entry at every stage is a minor of the
+    matrix, and the pivots are its leading principal minors in pivot order.
+    The LDL^T diagonal entry of a pivot is d / prev, so it adds +1 when d
+    and prev have the same sign and -1 when not.  When the active diagonal
+    is zero but some a_ij is not, adding row and column j to row and column
+    i is a unimodular congruence on the active indices; the stage entries
+    stay minors (of the congruent matrix), and a_ii becomes 2 a_ij, which is
+    pivoted next.  An all-zero active block adds nothing.
     """
-    active = list(range(len(s)))
     signature = 0
-    while active:
-        pivot = max((i for i in active if s[i][i]), key=lambda i: abs(s[i][i]),
-                    default=None)
-        if pivot is not None:
-            d = s[pivot][pivot]
-            signature += 1 if d > 0 else -1
-            active.remove(pivot)
-            for r in active:
-                if not s[r][pivot]:
+    prev = 1
+    while rows:
+        p = next((i for i, row in rows.items() if i in row), None)
+        if p is None:
+            p = next((i for i, row in rows.items() if row), None)
+            if p is None:
+                break
+            row = rows[p]
+            j = next(iter(row))
+            other, b = rows[j], row[j]
+            for c in set(row).union(other):
+                if c == p:
                     continue
-                factor = s[r][pivot] / d
-                for c in active:
-                    s[r][c] -= factor * s[pivot][c]
-            continue  # the pivot's row and column are never read again
-        block = next(((p, q) for p in active for q in active if p < q and s[p][q]),
-                     None)
-        if block is None:
-            break  # remaining block is zero: degenerate part, signature 0
-        p, q = block
-        b = s[p][q]
-        active.remove(p)
-        active.remove(q)
-        for r in active:
-            for c in active:
-                s[r][c] -= (s[r][p] * s[q][c] + s[r][q] * s[p][c]) / b
+                v = row.get(c, 0) + other.get(c, 0)
+                if v:
+                    row[c] = rows[c][p] = v
+                else:
+                    del row[c], rows[c][p]
+            row[p] = 2 * b
+        pivot_row = rows.pop(p)
+        d = pivot_row.pop(p)
+        signature += 1 if (d > 0) == (prev > 0) else -1
+        for r, row in rows.items():
+            f = row.pop(p, 0)
+            if f:
+                new = {c: d * v for c, v in row.items()}
+                for c, v in pivot_row.items():
+                    new[c] = new.get(c, 0) - f * v
+                rows[r] = {c: v // prev for c, v in new.items() if v}
+            elif d != prev:
+                rows[r] = {c: d * v // prev for c, v in row.items()}
+        prev = d
     return signature
 
 
 def signature_int(a: AugmentedForm | RingMatrix) -> int:
     """Signature of an integer form (all entries supported on the identity)."""
     matrix = a.matrix if isinstance(a, AugmentedForm) else a
-    return ldlt_signature(matrix.integer_rows())
+    return ldlt_signature(matrix._int_rows(integer=True))
 
 
 def augmentation_signature(a: AugmentedForm) -> int:
     """Signature of the integer shadow obtained by augmenting entrywise."""
-    return ldlt_signature(a.matrix.augmentation_rows())
+    return ldlt_signature(a.matrix._int_rows(integer=False))
 
 
 _E8_CHAIN = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)]

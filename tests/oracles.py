@@ -65,6 +65,15 @@ def democratic_arf(q) -> int:
 
 
 # ---------------------------------------------------------------------------
+# F2 vectors
+
+
+def joined_to_bits(v: F2Vec) -> str:
+    """F2Vec.to_bits as first written: one generator step per coordinate."""
+    return "".join("1" if v.bits >> i & 1 else "0" for i in range(v.dim))
+
+
+# ---------------------------------------------------------------------------
 # F2 matrices: independent closure via a product-table fixed point
 
 
@@ -187,9 +196,10 @@ def eigen_free_signature(diag, transform) -> tuple[list[list[int]], int]:
 def dense_ldlt_signature(rows) -> int:
     """Signature by symmetric Fraction pivoting over the whole matrix at once.
 
-    The reference for ``forms.ldlt_signature``, which pivots each connected
-    component of the nonzero pattern separately; this is the routine as it
-    stood before that split.  A nonzero diagonal pivot contributes its sign;
+    The reference for ``forms.ldlt_signature``, which eliminates each
+    connected component of the nonzero pattern separately and fraction-free
+    on ints; this is the routine as it stood before either change, so the
+    two share no arithmetic.  A nonzero diagonal pivot contributes its sign;
     a vanishing active diagonal takes a 2x2 pivot [[0,b],[b,0]], which
     contributes zero, through its Schur complement.
     """

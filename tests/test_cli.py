@@ -620,8 +620,9 @@ def test_bad_generator_files_and_dimensions_exit_1(capsys, tmp_path, command,
 
 def test_cli_import_leaves_out_dataclasses_inspect_and_fractions():
     """`import stable4.cli` loads none of dataclasses, inspect, fractions and
-    typing; ldlt_signature imports fractions on first use.  -S keeps site
-    hooks from importing them."""
+    typing, and computing a signature loads none of them either: the
+    elimination runs on plain ints.  -S keeps site hooks from importing
+    them."""
     script = (
         "import sys, stable4.cli\n"
         "heavy = ('dataclasses', 'inspect', 'fractions', 'typing')\n"
@@ -629,6 +630,7 @@ def test_cli_import_leaves_out_dataclasses_inspect_and_fractions():
         "from stable4.forms import e8_block, signature_int\n"
         "from stable4.words import ZnFamily\n"
         "print(signature_int(e8_block(ZnFamily(3))))\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
@@ -637,5 +639,5 @@ def test_cli_import_leaves_out_dataclasses_inspect_and_fractions():
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split("\n")[:2] == ["[]", "8"]
+    assert result.stdout.split("\n")[:3] == ["[]", "8", "[]"]
 

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -10,6 +10,7 @@ from oracles import (
     democratic_arf,
     entrywise_product,
     fixed_point_closure,
+    joined_to_bits,
     naive_orbits,
 )
 from stable4.errors import CapExceeded, DomainError, InputError
@@ -51,6 +52,19 @@ def test_vec_bits_round_trip():
     assert v.coords() == (1, 0, 1)
     assert v.to_bits() == "101"
     assert v.bit(0) == 1 and v.bit(1) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 40).flatmap(
+    lambda dim: st.tuples(st.just(dim), st.integers(0, (1 << dim) - 1))))
+@example((0, 0))
+def test_vec_to_bits_matches_the_joined_oracle(case):
+    v = F2Vec(*case)
+    assert v.to_bits() == joined_to_bits(v)
+    if not v.dim:
+        assert v.to_bits() == ""
+    if v.dim:  # from_bits refuses the empty string
+        assert F2Vec.from_bits(v.to_bits()) == v
 
 
 def test_vec_dot_and_xor():

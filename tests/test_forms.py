@@ -315,6 +315,34 @@ def test_signature_messages_name_the_offending_entries():
     with pytest.raises(DomainError,
                        match=r"entry \(0, 2\) is 4 but entry \(2, 0\) is -4"):
         ldlt_signature([[1, 0, 4], [0, 1, 7], [-4, 7, 1]])
+    # The same asymmetric pair, given as {column: int} rows.
+    with pytest.raises(DomainError,
+                       match=r"entry \(0, 2\) is 4 but entry \(2, 0\) is -4"):
+        ldlt_signature([{0: 1, 2: 4}, {1: 1, 2: 7}, {0: -4, 1: 7, 2: 1}])
+    # An absent partner reads as 0, whichever side of the diagonal it is on.
+    with pytest.raises(DomainError,
+                       match=r"entry \(0, 2\) is 0 but entry \(2, 0\) is 5"):
+        ldlt_signature([{0: 1}, {1: 1}, {0: 5, 2: 1}])
+    with pytest.raises(DomainError,
+                       match=r"entry \(0, 2\) is 5 but entry \(2, 0\) is 0"):
+        ldlt_signature([{0: 1, 2: 5}, {1: 1}, {2: 1}])
+    # The first asymmetric pair in row-major order is named, for both layouts.
+    dense = [[0, 2, 0, 0], [2, 0, 3, 0], [0, 0, 0, 0], [1, 0, 0, 0]]
+    for rows in (dense, sparse_rows(dense)):
+        with pytest.raises(DomainError,
+                           match=r"entry \(0, 3\) is 0 but entry \(3, 0\) is 1"):
+            ldlt_signature(rows)
+    with pytest.raises(DomainError,
+                       match=r"dimension 2, but row 1 has an entry in column 2"):
+        ldlt_signature([{0: 1}, {2: 1}])
+    with pytest.raises(DomainError,
+                       match=r"dimension 2, but row 0 has an entry in column -1"):
+        ldlt_signature([{-1: 1}, {}])
+    for rows, entry in (([[0.5]], r"\(0, 0\) is 0\.5"), ([[True]], r"\(0, 0\) is True"),
+                        ([{0: 0.5}], r"\(0, 0\) is 0\.5"), ([{0: True}], r"\(0, 0\) is True"),
+                        ([[1, 0], [0, 2.0]], r"\(1, 1\) is 2\.0")):
+        with pytest.raises(DomainError, match=rf"entry {entry}, not an integer"):
+            ldlt_signature(rows)
 
 
 def test_signature_rejects_group_entries():
@@ -340,6 +368,56 @@ def test_augmentation_signature():
     a = AugmentedForm(1, m)
     assert augmentation_signature(a) == 0
     assert ldlt_signature(m.augmentation_rows()) == 0
+
+
+def sparse_rows(rows):
+    return [{j: v for j, v in enumerate(row) if v} for row in rows]
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """A symmetric integer matrix with n <= 10 and entries in -6..6.
+
+    Three kinds: a random one (half the time with a zero diagonal); a
+    low-rank sum of d v v^T; and u u^T with the sign of the entries on a
+    random matching of the indices flipped.  Every entry of the last kind
+    is +-u_r u_c, so after any first pivot the active diagonal is zero and
+    the elimination has to take the congruence, possibly again later.
+    """
+    n = draw(st.integers(0, 10))
+    kind = draw(st.sampled_from(("random", "low rank", "hyperbolic")))
+    rows = [[0] * n for _ in range(n)]
+    if kind == "random":
+        zero_diagonal = draw(st.booleans())
+        for i in range(n):
+            for j in range(i + zero_diagonal, n):
+                if draw(st.booleans()):
+                    rows[i][j] = rows[j][i] = draw(st.integers(-6, 6))
+    elif kind == "low rank":
+        for _ in range(draw(st.integers(1, 3))):
+            d = draw(st.sampled_from((-2, -1, 1, 2)))
+            v = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+            for i in range(n):
+                for j in range(n):
+                    rows[i][j] += d * v[i] * v[j]
+    else:
+        u = draw(st.lists(st.sampled_from((-2, -1, 1, 2)), min_size=n, max_size=n))
+        for i in range(n):
+            for j in range(n):
+                rows[i][j] = u[i] * u[j]
+        perm = draw(st.permutations(range(n)))
+        for k in range(draw(st.integers(0, n // 2))):
+            q, s = perm[2 * k], perm[2 * k + 1]
+            rows[q][s] = rows[s][q] = -u[q] * u[s]
+    return rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(symmetric_matrices())
+def test_dense_and_sparse_rows_match_the_fraction_oracle(rows):
+    expected = dense_ldlt_signature(rows)
+    assert ldlt_signature(rows) == expected
+    assert ldlt_signature(sparse_rows(rows)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +530,31 @@ def test_sparse_rows_match_the_dense_oracle(case, epsilon):
     back = form_from_json(json.loads(json.dumps(blob)))
     assert (back.epsilon, back.family, dense_view(back.matrix)) == dense_form_from_json(blob)
     assert back.matrix == m
+
+
+def signature_or_error(compute):
+    try:
+        return compute()
+    except DomainError as exc:
+        return str(exc)
+
+
+@st.composite
+def ring_matrices(draw):
+    family = draw(st.sampled_from((Z3, NilFamily(2))))
+    return RingMatrix(family, draw(dense_rows(family, draw(st.integers(0, 8)))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ring_matrices())
+def test_ring_signatures_match_the_dense_integer_shadows(m):
+    """signature_int and augmentation_signature read the sparse rows; the
+    dense shadows give the same signature, or the same error."""
+    assert signature_or_error(lambda: signature_int(m)) == signature_or_error(
+        lambda: ldlt_signature(m.integer_rows()))
+    if m.is_hermitian():
+        assert augmentation_signature(AugmentedForm(0, m)) == ldlt_signature(
+            m.augmentation_rows())
 
 
 def test_an_entry_without_its_mirror_is_not_hermitian():
