@@ -10,6 +10,8 @@ enumeration of pairs (phi, eps) under
 and the almost-spin case enumerates orbits of ker<w,-> (smooth) or all of
 H_2 (topological) under the stabilizer of w inside the closure of the
 Out-image.  The signature sits in a separate 16Z / 8Z / Z coordinate.
+The enumerations are bounded by the caps of `f2.orbits` and
+`f2.group_closure`, which read STABLE4_CAP themselves.
 """
 
 from __future__ import annotations
@@ -57,11 +59,8 @@ class FamilyData(Record):
     name: str
     d: int
     out_generators: tuple[F2Mat, ...]
-    notes: str
 
-    def __init__(
-        self, name: str, d: int, out_generators: tuple[F2Mat, ...], notes: str = ""
-    ) -> None:
+    def __init__(self, name: str, d: int, out_generators: tuple[F2Mat, ...]) -> None:
         if d < 0:
             raise DomainError(f"d {d} is negative")
         for k, g in enumerate(out_generators):
@@ -70,7 +69,7 @@ class FamilyData(Record):
                                   f"expected {d}")
             if not g.is_invertible():
                 raise DomainError(f"generator {k} is not invertible")
-        self.__dict__.update(name=name, d=d, out_generators=out_generators, notes=notes)
+        self.__dict__.update(name=name, d=d, out_generators=out_generators)
 
 
 class BordismClassSpin(Record):
@@ -84,13 +83,6 @@ class BordismClassSpin(Record):
         if eps not in (0, 1):
             raise DomainError("eps must be a bit")
         self.__dict__.update(sigma=sigma, phi=phi, eps=eps)
-
-    def validate(self, category: str) -> None:
-        stride = 16 if normalize_category(category) == SMOOTH else 8
-        if self.sigma % stride:
-            raise DomainError(
-                f"{category} spin signatures are divisible by {stride}"
-            )
 
 
 def builtin_data(ring: GroupFamily) -> FamilyData:
@@ -111,8 +103,8 @@ def family_nil(z: int) -> FamilyData:
     return builtin_data(NilFamily(z))
 
 
-def family_custom(name: str, d: int, generators: Sequence[F2Mat], notes: str = "") -> FamilyData:
-    return FamilyData(name=name, d=d, out_generators=tuple(generators), notes=notes)
+def family_custom(name: str, d: int, generators: Sequence[F2Mat]) -> FamilyData:
+    return FamilyData(name=name, d=d, out_generators=tuple(generators))
 
 
 # ---------------------------------------------------------------------------
@@ -140,29 +132,27 @@ def spin_generators(family: FamilyData) -> list[F2Mat]:
     return gens
 
 
-def spin_state_orbits(
-    family: FamilyData, cap: int | None = None
-) -> list[list[BordismClassSpin]]:
+def spin_state_orbits(family: FamilyData) -> list[list[BordismClassSpin]]:
     """Orbits of the (phi, eps) states at signature zero under the full
     automorphism action, sorted by (eps, phi) within and across orbits."""
-    parts = orbits(family.d + 1, spin_generators(family), max_states=cap)
+    parts = orbits(family.d + 1, spin_generators(family))
     return [
         [BordismClassSpin(0, F2Vec(family.d, v.bits >> 1), v.bits & 1) for v in orb]
         for orb in parts
     ]
 
 
-def stabilizer_of_w(family: FamilyData, w: F2Vec, cap: int | None = None) -> list[F2Mat]:
+def stabilizer_of_w(family: FamilyData, w: F2Vec) -> list[F2Mat]:
     """Elements of the Out-image whose induced H^2 action fixes w.
 
     w is the coefficient vector of the evaluation functional on H_2, so the
     condition on a matrix rho is rho^T w = w: the XOR of the rows of rho
     picked by the bits of w is w again.  Computed by closing the generator
-    set (capped) and filtering.
+    set (under the `group_closure` cap) and filtering.
     """
     if w.dim != family.d:
-        raise DomainError("w dimension mismatch")
-    closure = group_closure(family.out_generators, cap=cap)
+        raise DomainError(f"w has dimension {w.dim}, the family needs {family.d}")
+    closure = group_closure(family.out_generators)
     bits = w.bits
     stab = [m for m in closure if m.combine(bits) == bits]
     stab.sort(key=lambda m: m.rows)
@@ -219,7 +209,7 @@ class ClassificationTable(Record):
         )
 
 
-def classify(family: FamilyData, w, category: str, cap: int | None = None) -> ClassificationTable:
+def classify(family: FamilyData, w, category: str) -> ClassificationTable:
     """The stable classification table for one normal 1-type.
 
     Spin tables list the H_2 orbits under the full Out-image plus a single
@@ -240,13 +230,15 @@ def classify(family: FamilyData, w, category: str, cap: int | None = None) -> Cl
             family_name=family.name,
         )
 
-    if not isinstance(w, F2Vec) or w.dim != family.d:
-        raise DomainError("w must be an F2 vector matching the family dimension")
+    if not isinstance(w, F2Vec):
+        raise DomainError("w must be an F2 vector or INFINITY")
+    if w.dim != family.d:
+        raise DomainError(f"w has dimension {w.dim}, the family needs {family.d}")
 
     if w.is_zero:
         entries: list[ClassEntry] = []
         odd_count = 0
-        for orbit in spin_state_orbits(family, cap=cap):
+        for orbit in spin_state_orbits(family):
             if orbit[0].eps == 1:
                 odd_count += 1
                 entries.append(ClassEntry("odd"))
@@ -272,9 +264,9 @@ def classify(family: FamilyData, w, category: str, cap: int | None = None) -> Cl
         )
 
     # almost spin
-    stab = stabilizer_of_w(family, w, cap=cap)
+    stab = stabilizer_of_w(family, w)
     subset = (lambda v: w.dot(v) == 0) if category == SMOOTH else None
-    parts = orbits(family.d, stab, subset=subset, max_states=cap)
+    parts = orbits(family.d, stab, subset=subset)
     entries = tuple(
         ClassEntry("orbit", representative=orb[0], orbit=tuple(orb))
         for orb in parts
@@ -411,7 +403,7 @@ def _validate_tuple(
         if not isinstance(t.tau, F2Vec):
             raise DomainError("even tuples need a tau class")
         if t.tau.dim != t.w.dim:
-            raise DomainError("tau dimension mismatch")
+            raise DomainError(f"tau has dimension {t.tau.dim}, but w has dimension {t.w.dim}")
 
 
 def decide_stable_equiv(
@@ -419,7 +411,6 @@ def decide_stable_equiv(
     b: InvariantTuple,
     category: str,
     family: FamilyData,
-    cap: int | None = None,
 ) -> bool:
     """Are two invariant tuples stably equivalent?
 
@@ -429,11 +420,15 @@ def decide_stable_equiv(
     with different w-types are never equivalent: w is compared literally,
     as a fixed identification, not up to Out(pi).  For nil:2, (w=100,
     tau=010) and (w=010, tau=100) are DISTINCT even though the swap lies in
-    the Out-image.
+    the Out-image.  A w whose dimension is not the family's is refused.
     """
     category = normalize_category(category)
-    _validate_tuple(a, category)
-    _validate_tuple(b, category)
+    for label, t in (("a", a), ("b", b)):
+        _validate_tuple(t, category)
+        if t.w is not INFINITY and t.w.dim != family.d:
+            raise DomainError(
+                f"tuple {label}: w has dimension {t.w.dim}, the family needs {family.d}"
+            )
     if (a.w is INFINITY) != (b.w is INFINITY):
         return False
     if a.w is INFINITY:
@@ -447,7 +442,7 @@ def decide_stable_equiv(
     if a.w.is_zero:
         mats = list(family.out_generators)
     else:
-        mats = stabilizer_of_w(family, a.w, cap=cap)
+        mats = stabilizer_of_w(family, a.w)
     return b.tau.bits in orbit_of(a.tau, mats)
 
 
@@ -460,7 +455,6 @@ def family_data_to_json(f: FamilyData):
         "name": f.name,
         "d": f.d,
         "out_generators": [f2mat_to_json(m) for m in f.out_generators],
-        "notes": f.notes,
     }
 
 
@@ -474,7 +468,6 @@ def family_data_from_json(obj) -> FamilyData:
             name=name,
             d=d,
             out_generators=tuple(f2mat_from_json(m) for m in obj["out_generators"]),
-            notes=str(obj.get("notes", "")),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad family JSON: {exc}") from None

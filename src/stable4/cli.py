@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import f2, forms, groupring, models, words
@@ -96,17 +95,13 @@ def _parse_w(raw: str, d: int):
     return v
 
 
-def _cap(args) -> int | None:
-    return f2.configured_cap() if "STABLE4_CAP" in os.environ else None
-
-
 def _cmd_classify(args) -> int:
     _, data, default_w = _family_pair(args.family)
     raw_w = args.w if args.w is not None else default_w
     if raw_w is None:
         raise InputError("no --w given and the family file supplies none")
     w = _parse_w(raw_w, data.d)
-    table = build_table(data, w, args.category, cap=_cap(args))
+    table = build_table(data, w, args.category)
     _emit(
         table_to_json(table),
         args.format,
@@ -119,7 +114,7 @@ def _cmd_decide(args) -> int:
     _, data, _ = _family_pair(args.family)
     a = invariant_tuple_from_json(_load_json(args.a))
     b = invariant_tuple_from_json(_load_json(args.b))
-    same = decide_stable_equiv(a, b, args.category, data, cap=_cap(args))
+    same = decide_stable_equiv(a, b, args.category, data)
     verdict = "EQUIVALENT" if same else "DISTINCT"
     _emit({"verdict": verdict, "a": a.describe(), "b": b.describe()},
           args.format, lambda: verdict)
@@ -233,7 +228,7 @@ def _cmd_orbits(args) -> int:
             raise InputError("orbits needs --family or --generators/--d")
         _, data, _ = _family_pair(args.family)
         mats, d, name = list(data.out_generators), data.d, data.name
-    parts = f2.orbits(d, mats, max_states=_cap(args))
+    parts = f2.orbits(d, mats)
     payload = {
         "source": name,
         "d": d,
@@ -329,6 +324,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        f2.configured_cap()  # a malformed STABLE4_CAP fails every subcommand
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

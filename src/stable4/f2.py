@@ -8,7 +8,10 @@ matrix has d rows, each a mask below 2^d.  A product of two such matrices
 XORs rows of the right factor, so it stays below 2^d and is built by the
 private `F2Mat._trusted`, which stores the fields without running
 `__init__` and so without that check again.  Enumerations are bounded by
-the caps below, so a group or state space too large fails at once.
+caps, so a group or state space too large fails at once.  `configured_cap`
+is the one reader of the STABLE4_CAP environment variable: each bound calls
+it with its own default where the bound is enforced (2^20 states in
+`orbits`, 10^6 closure elements in `group_closure`).
 
 Orbits are searched on int states.  `orbits` first tabulates each
 generator on all 2^d vectors (k * 2^d entries for k generators), which
@@ -29,8 +32,8 @@ CLOSURE_CAP = 10**6
 
 
 def configured_cap(default: int = CLOSURE_CAP) -> int:
-    """Enumeration cap, overridable via the STABLE4_CAP environment variable
-    (an integer >= 1)."""
+    """The enumeration cap: STABLE4_CAP when it is set (an integer >= 1),
+    else the caller's default.  Every bound reads its cap here."""
     raw = os.environ.get("STABLE4_CAP")
     if raw is None:
         return default
@@ -336,16 +339,6 @@ def arf(q: QuadraticFormF2) -> int:
     return total & 1
 
 
-def standard_symplectic(genus: int) -> F2Mat:
-    """Block-diagonal pairing with blocks [[0,1],[1,0]], dimension 2*genus."""
-    dim = 2 * genus
-    rows = []
-    for i in range(genus):
-        rows.append(1 << (2 * i + 1))
-        rows.append(1 << (2 * i))
-    return F2Mat(dim, tuple(rows))
-
-
 # ---------------------------------------------------------------------------
 # Orbits and closures
 
@@ -354,7 +347,6 @@ def orbits(
     d: int,
     generators: Sequence[F2Mat],
     subset: Callable[[F2Vec], bool] | None = None,
-    max_states: int | None = None,
 ) -> list[list[F2Vec]]:
     """Partition of the (subset of the) 2^d vectors into group orbits.
 
@@ -368,10 +360,13 @@ def orbits(
     predicate is evaluated once per vector; every state the search reaches
     is checked to lie in the subset, so every edge out of a subset vector
     lands in it, and a violation names the generator and the edge.
+
+    Raises CapExceeded before building anything when 2^d exceeds the cap
+    (2^20 states by default, overridable through STABLE4_CAP).
     """
     if d < 0:
         raise InputError(f"orbit dimension {d} is negative")
-    cap = max_states if max_states is not None else 1 << ORBIT_DIM_CAP
+    cap = configured_cap(1 << ORBIT_DIM_CAP)
     if 1 << d > cap:
         raise CapExceeded(f"2^{d} states exceed the orbit cap {cap}")
     steps = []

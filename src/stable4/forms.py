@@ -87,14 +87,6 @@ class RingMatrix:
             raise IndexError(f"column {j} out of range for size {len(self._rows)}")
         return row.get(j, self._zero)
 
-    def adjoint(self) -> "RingMatrix":
-        """Conjugate transpose: entry (i, j) becomes conj(entry (j, i))."""
-        out: tuple[dict, ...] = tuple({} for _ in self._rows)
-        for i, row in enumerate(self._rows):
-            for j, x in row.items():
-                out[j][i] = x.conjugate()
-        return RingMatrix._trusted(self.family, out)
-
     def is_hermitian(self) -> bool:
         """Each stored (i, j) equals conj of (j, i).  A stored entry is
         nonzero, so an absent partner (a zero) fails it."""
@@ -231,10 +223,6 @@ def stabilize_hyperbolic(a: AugmentedForm, k: int) -> AugmentedForm:
     if k:
         m = m.direct_sum(block_copies(hyperbolic_matrix(a.family), k))
     return AugmentedForm(a.epsilon, m)
-
-
-def zero_form(family: GroupFamily, rank: int = 0) -> AugmentedForm:
-    return AugmentedForm(0, RingMatrix._trusted(family, tuple({} for _ in range(rank))))
 
 
 def restrict_to_Ipi(a: AugmentedForm) -> RingElem:

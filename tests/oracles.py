@@ -50,7 +50,17 @@ def one_plus_T_oracle(x: RingElem) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Arf: democratic counting
+# Arf: democratic counting, and the standard symplectic pairing
+
+
+def standard_symplectic(genus: int) -> F2Mat:
+    """Block-diagonal pairing with blocks [[0,1],[1,0]], dimension 2*genus."""
+    dim = 2 * genus
+    rows = []
+    for i in range(genus):
+        rows.append(1 << (2 * i + 1))
+        rows.append(1 << (2 * i))
+    return F2Mat(dim, tuple(rows))
 
 
 def democratic_arf(q) -> int:
@@ -249,11 +259,6 @@ def dense_ldlt_signature(rows) -> int:
 # before rows became sparse, on lists of rows of RingElems, zeros included.
 
 
-def dense_adjoint(rows):
-    n = len(rows)
-    return [[rows[j][i].conjugate() for j in range(n)] for i in range(n)]
-
-
 def dense_is_hermitian(rows) -> bool:
     return all(
         rows[i][j] == rows[j][i].conjugate()
@@ -446,7 +451,7 @@ RECORD_TWINS = {
         _twin("AugmentedForm", "epsilon", "matrix"),
         _twin("HAN1", "w", "signature", "form", ("tau", None),
               ("spin_bordism", None), ("notes", "")),
-        _twin("FamilyData", "name", "d", "out_generators", ("notes", "")),
+        _twin("FamilyData", "name", "d", "out_generators"),
         _twin("BordismClassSpin", "sigma", "phi", "eps"),
         _twin("ClassEntry", "kind", ("representative", None), ("orbit", ())),
         _twin("ClassificationTable", "w", "category", "signature_stride",

@@ -15,7 +15,6 @@ from stable4.f2 import F2Mat, F2Vec, group_closure
 from stable4.forms import Parity
 from stable4.classify import (
     TAU_UNKNOWN,
-    BordismClassSpin,
     InvariantTuple,
     classify,
     decide_stable_equiv,
@@ -222,14 +221,16 @@ def test_act_spin_dimension_mismatch():
         spin_generators(fam)[0].apply(spin_state(0, F2Vec.zero(3)))
 
 
-def test_spin_tables_honour_the_cap():
+def test_spin_tables_honour_the_cap(monkeypatch):
     # 2^21 spin states exceed the 2^20 default before any is built
     fam = family_custom("big", 20, [F2Mat.identity(20)])
     with pytest.raises(CapExceeded):
         classify(fam, F2Vec.zero(20), "smooth")
+    monkeypatch.setenv("STABLE4_CAP", "8")
     with pytest.raises(CapExceeded):
-        classify(family_z3(), spin_w(family_z3()), "smooth", cap=8)
-    assert len(classify(family_z3(), spin_w(family_z3()), "smooth", cap=16).classes) == 3
+        classify(family_z3(), spin_w(family_z3()), "smooth")
+    monkeypatch.setenv("STABLE4_CAP", "16")
+    assert len(classify(family_z3(), spin_w(family_z3()), "smooth").classes) == 3
 
 
 def test_sentinels_survive_deepcopy():
@@ -237,15 +238,6 @@ def test_sentinels_survive_deepcopy():
     copied = copy.deepcopy((t, INFINITY))
     assert copied[0].tau is TAU_UNKNOWN and copied[1] is INFINITY
     assert (repr(INFINITY), repr(TAU_UNKNOWN)) == ("infinity", "tau-unknown")
-
-
-def test_bordism_class_validation():
-    BordismClassSpin(16, F2Vec.zero(3), 0).validate("smooth")
-    with pytest.raises(DomainError):
-        BordismClassSpin(8, F2Vec.zero(3), 0).validate("smooth")
-    BordismClassSpin(8, F2Vec.zero(3), 0).validate("topological")
-    with pytest.raises(DomainError):
-        BordismClassSpin(4, F2Vec.zero(3), 0).validate("topological")
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +505,32 @@ def test_decide_validation():
             InvariantTuple(F2Vec.zero(3), 0, Parity.ODD, F2Vec.zero(3)),
             odd(0), "smooth", fam,
         )
+
+
+@pytest.mark.parametrize("shape", ["odd", "spin-even", "almost-spin-even"])
+def test_decide_refuses_a_w_of_another_dimension(shape):
+    def tuple_of(d):
+        w = F2Vec(d, 1 if shape == "almost-spin-even" else 0)
+        if shape == "odd":
+            return InvariantTuple(w, 0, Parity.ODD, None)
+        return InvariantTuple(w, 0, Parity.EVEN, F2Vec(d, 2))
+
+    fam, short, good = family_z3(), tuple_of(2), tuple_of(3)
+    for a, b, label in ((short, short, "a"), (good, short, "b")):
+        message = f"tuple {label}: w has dimension 2, the family needs 3"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            decide_stable_equiv(a, b, "topological", fam)
+    assert decide_stable_equiv(good, good, "topological", fam)
+
+
+def test_dimension_messages_name_both_dimensions():
+    fam, w = family_z3(), F2Vec.from_bits("10")
+    for call in (lambda: stabilizer_of_w(fam, w), lambda: classify(fam, w, "smooth")):
+        with pytest.raises(DomainError, match="^w has dimension 2, the family needs 3$"):
+            call()
+    t = InvariantTuple(F2Vec.from_bits("100"), 0, Parity.EVEN, F2Vec.from_bits("10"))
+    with pytest.raises(DomainError, match="^tau has dimension 2, but w has dimension 3$"):
+        decide_stable_equiv(t, t, "topological", fam)
 
 
 def test_decide_works_for_almost_spin():

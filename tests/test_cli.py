@@ -1,17 +1,29 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stable4 import cli
 from stable4.f2 import f2mat_to_json
 from stable4.groupring import ring_elem_from_json
 from stable4.classify import family_nil
 from stable4.models import builtin_presentation, han1_from_json, model_P
-from stable4.words import FreeFamily, NilFamily, fox_derivative, parse_word
+from stable4.words import (
+    FreeFamily,
+    NilFamily,
+    fox_derivative,
+    parse_word,
+    presentation_to_json,
+)
 
 
 def run(capsys, argv):
@@ -154,6 +166,19 @@ def test_decide_domain_error_exit_code(capsys, tmp_path):
     )
     assert code == 2
     assert "divisible" in err
+
+
+@pytest.mark.parametrize("w, parity, tau", [
+    ("00", "odd", None), ("00", "even", "01"), ("10", "even", "01"),
+], ids=["odd", "spin-even", "almost-spin-even"])
+def test_decide_refuses_a_w_of_another_dimension(capsys, tmp_path, w, parity, tau):
+    a = write_json(tmp_path / "a.json",
+                   {"w": w, "signature": 0, "parity": parity, "tau": tau})
+    code, out, err = run(
+        capsys, ["decide", "--a", a, "--b", a, "--category", "top", "--family", "z3"]
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: tuple a: w has dimension 2, the family needs 3\n"
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +429,38 @@ def test_env_cap_below_one_is_rejected(capsys, monkeypatch, tmp_path, cap):
     assert f"STABLE4_CAP='{cap}' is below 1" in err
 
 
+def valid_argv(tmp_path):
+    """One valid argv per subcommand, with the files it reads."""
+    tup = write_json(tmp_path / "t.json",
+                     {"w": "000", "signature": 0, "parity": "odd", "tau": None})
+    form = write_json(tmp_path / "form.json", {
+        "epsilon": 0, "family": {"zn": 3}, "size": 1,
+        "entries": [[{"coeff": 1, "word": "1"}]],
+    })
+    q = write_json(tmp_path / "q.json", {"bilinear": ["01", "10"], "values": "11"})
+    gens = write_json(tmp_path / "gens.json", [["01", "10"]])
+    return {
+        "classify": ["classify", "--family", "z3", "--w", "infinity"],
+        "decide": ["decide", "--a", tup, "--b", tup, "--category", "top",
+                   "--family", "z3"],
+        "model": ["model", "--kind", "M0", "--family", "z3"],
+        "parity": ["parity", "--form", form],
+        "fox": ["fox", "--word", "x y x^-1", "--gen", "x"],
+        "arf": ["arf", "--q", q],
+        "orbits": ["orbits", "--family", "z3"],
+        "closure": ["closure", "--generators", gens, "--cap", "5"],
+    }
+
+
+@pytest.mark.parametrize("command", ["classify", "decide", "model", "parity", "fox",
+                                     "arf", "orbits", "closure"])
+def test_malformed_env_cap_fails_every_subcommand(capsys, monkeypatch, tmp_path, command):
+    argv = valid_argv(tmp_path)[command]
+    assert run(capsys, argv)[0] == 0
+    monkeypatch.setenv("STABLE4_CAP", "abc")
+    assert run(capsys, argv) == (1, "", "error: STABLE4_CAP='abc' is not an integer\n")
+
+
 # ---------------------------------------------------------------------------
 # exit codes and validation
 
@@ -612,6 +669,104 @@ def test_bad_generator_files_and_dimensions_exit_1(capsys, tmp_path, command,
     code, out, err = run(capsys, [command, "--generators", path] + extra)
     assert code == 1 and out == ""
     assert err.startswith("error:") and message in err
+
+
+# ---------------------------------------------------------------------------
+# fuzz guard: valid argv over mutated JSON files
+
+
+GL3_ROWS = [["010", "100", "001"], ["001", "100", "010"], ["110", "010", "001"]]
+EVEN_TUPLE = {"w": "000", "signature": 0, "parity": "even", "tau": "100"}
+
+# subcommand -> (the JSON file it reads, its argv with {file} for the path)
+FUZZ_BASES = {
+    "parity": ({"epsilon": 1, "family": {"zn": 3}, "size": 2, "entries": [
+        [{"coeff": 1, "word": "1"}], [{"coeff": 1, "word": "g1"}],
+        [{"coeff": 1, "word": "g1^-1"}], [{"coeff": 2, "word": "1"}],
+    ]}, ["parity", "--form", "{file}"]),
+    "arf": ({"bilinear": ["0100", "1000", "0001", "0010"], "values": "1010"},
+            ["arf", "--q", "{file}"]),
+    "decide": (EVEN_TUPLE, ["decide", "--a", "{file}", "--b", "{file}",
+                            "--category", "smooth", "--family", "z3"]),
+    "classify": ({"name": "f", "d": 3, "out_generators": GL3_ROWS, "w": "100"},
+                 ["classify", "--family", "{file}", "--category", "top"]),
+    "orbits": (GL3_ROWS, ["orbits", "--generators", "{file}", "--d", "3"]),
+    "closure": (GL3_ROWS, ["closure", "--generators", "{file}"]),
+    "model": (presentation_to_json(builtin_presentation(NilFamily(2)), NilFamily(2)),
+              ["model", "--kind", "P", "--family", "nil:2", "--gamma", "110",
+               "--presentation", "{file}"]),
+}
+
+# Small values only: no large dimension, exponent or signature.
+small_ints = st.integers(-3, 12)
+strings = st.sampled_from((
+    "", "0", "1", "01", "10", "11", "000", "010", "110", "0101", "infinity", "odd",
+    "even", "x", "y a^-1", "g1 g2^3", "g2^-1", "x^2 y^-1 x^-2 y", "q", "x^", "1 1",
+))
+json_leaves = st.one_of(
+    st.none(), st.booleans(), small_ints, st.sampled_from((0.5, -1.0)), strings)
+json_values = st.recursive(
+    json_leaves,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(("nil", "zn", "free", "coeff", "word")), kids,
+                      max_size=2),
+    max_leaves=6,
+)
+
+
+def _paths(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def fuzz_cases(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_BASES)))
+    blob, argv = FUZZ_BASES[command]
+    blob = copy.deepcopy(blob)
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(blob))[1:]  # the root itself is never replaced
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        kind = draw(st.sampled_from(("tweak", "replace", "delete", "duplicate")))
+        parent = blob
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        if kind == "tweak" and type(parent[key]) in (int, str):
+            # a value of the same type keeps most files past the type checks
+            parent[key] = draw(small_ints if type(parent[key]) is int else strings)
+        elif kind in ("replace", "tweak"):
+            parent[key] = draw(json_values)
+        elif kind == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+    text = json.dumps(blob)
+    if draw(st.integers(0, 9)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    return argv, text
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz_cases())
+def test_mutated_files_never_escape_main(case):
+    argv, text = case
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setenv("STABLE4_CAP", "5000")
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([arg.replace("{file}", path) for arg in argv])
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert err.getvalue().startswith("error: "), err.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from oracles import (
     fixed_point_closure,
     joined_to_bits,
     naive_orbits,
+    standard_symplectic,
 )
 from stable4.errors import CapExceeded, DomainError, InputError
 from stable4.f2 import (
@@ -26,7 +27,6 @@ from stable4.f2 import (
     orbits,
     quadratic_form_from_json,
     quadratic_form_to_json,
-    standard_symplectic,
     symplectic_basis,
 )
 
@@ -333,6 +333,13 @@ def test_orbits_rejects_singular_generator():
 def test_orbits_dimension_cap():
     with pytest.raises(CapExceeded):
         orbits(21, [F2Mat.identity(21)])
+
+
+def test_orbits_honour_the_env_cap(monkeypatch):
+    monkeypatch.setenv("STABLE4_CAP", "8")
+    with pytest.raises(CapExceeded, match=r"^2\^4 states exceed the orbit cap 8$"):
+        orbits(4, [F2Mat.identity(4)])
+    assert len(orbits(3, [F2Mat.identity(3)])) == 8
 
 
 def _random_invertible(rng, d, w=0):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import random_word
 from oracles import (
     bareiss_det,
-    dense_adjoint,
     dense_augmentation_rows,
     dense_direct_sum,
     dense_form_from_json,
@@ -38,7 +37,6 @@ from stable4.forms import (
     restrict_to_Ipi,
     signature_int,
     stabilize_hyperbolic,
-    zero_form,
 )
 from stable4.groupring import RingElem
 from stable4.words import NilFamily, Word, ZnFamily, normalize
@@ -84,7 +82,7 @@ def random_hermitian_form(rng, fam, size, epsilon=0):
 
 
 # ---------------------------------------------------------------------------
-# adjoints and hermitian checks
+# hermitian checks
 
 
 def test_integer_symmetric_is_hermitian():
@@ -99,17 +97,6 @@ def test_group_element_pair_is_hermitian():
 def test_unconjugated_pair_is_not_hermitian():
     m = RingMatrix(Z3, [[ring(0), grp(G)], [grp(G), ring(0)]])
     assert not m.is_hermitian()
-
-
-def test_adjoint_is_involutive(rng):
-    for _ in range(50):
-        m = random_matrix(rng, Z3, rng.randrange(1, 4))
-        assert m.adjoint().adjoint() == m
-
-
-def test_adjoint_conjugates_entries():
-    m = RingMatrix(Z3, [[grp(G, 2)]])
-    assert m.adjoint().entry(0, 0) == grp(Z3.invert(G), 2)
 
 
 def test_non_square_rejected():
@@ -150,7 +137,7 @@ def test_stabilize_zero_times_is_identity():
 
 
 def test_stabilize_empty_form_gives_hyperbolic():
-    a = stabilize_hyperbolic(zero_form(Z3), 1)
+    a = stabilize_hyperbolic(AugmentedForm(0, RingMatrix.from_int_rows(Z3, [])), 1)
     assert a.matrix == hyperbolic_matrix(Z3)
 
 
@@ -173,7 +160,7 @@ def test_block_copies_match_a_chain_of_sums():
 
 def test_stabilize_rejects_negative():
     with pytest.raises(DomainError):
-        stabilize_hyperbolic(zero_form(Z3), -1)
+        stabilize_hyperbolic(AugmentedForm(0, RingMatrix.from_int_rows(Z3, [])), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +497,6 @@ def test_sparse_rows_match_the_dense_oracle(case, epsilon):
     m, other = RingMatrix(family, a), RingMatrix(family, b)
     assert dense_view(m) == a
     assert m.is_hermitian() == dense_is_hermitian(a)
-    assert dense_view(m.adjoint()) == dense_adjoint(a)
-    assert m.adjoint() == RingMatrix(family, dense_adjoint(a))
     assert dense_view(m.negate()) == dense_negate(a)
     assert dense_view(m.direct_sum(other)) == dense_direct_sum(family, a, b)
     assert (m == other) == (a == b)
@@ -572,8 +557,9 @@ def test_an_entry_without_its_mirror_is_not_hermitian():
 
 def test_zero_entries_are_dropped_from_the_rows():
     m = RingMatrix(Z3, [[ring(0), grp(G) - grp(G)], [ring(0), ring(0)]])
-    assert m == zero_form(Z3, 2).matrix == RingMatrix.from_int_rows(Z3, [[0, 0], [0, 0]])
-    assert form_to_json(zero_form(Z3, 2))["entries"] == [[], [], [], []]
+    zero = RingMatrix.from_int_rows(Z3, [[0, 0], [0, 0]])
+    assert m == zero
+    assert form_to_json(AugmentedForm(0, zero))["entries"] == [[], [], [], []]
 
 
 def test_entry_rejects_a_column_out_of_range():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import RECORD_TWINS, all_invertible, twin_of
+from oracles import RECORD_TWINS, all_invertible, standard_symplectic, twin_of
 from stable4.classify import (
     TAU_UNKNOWN,
     BordismClassSpin,
@@ -23,9 +23,10 @@ from stable4.classify import (
     ClassificationTable,
     FamilyData,
     InvariantTuple,
+    family_data_from_json,
 )
 from stable4.errors import DomainError, InputError
-from stable4.f2 import F2Mat, F2Vec, QuadraticFormF2, standard_symplectic
+from stable4.f2 import F2Mat, F2Vec, QuadraticFormF2
 from stable4.forms import AugmentedForm, Parity, RingMatrix, hyperbolic_matrix
 from stable4.models import HAN1, INFINITY
 from stable4.words import FreeFamily, NilFamily, Presentation, Word, ZnFamily
@@ -109,7 +110,7 @@ def family_data_args(draw):
     d = draw(st.integers(1, 3))
     gens = draw(st.lists(st.sampled_from(INVERTIBLE[d]), max_size=2))
     name = draw(st.sampled_from(("z3", "nil:2")))
-    return name, d, tuple(gens), draw(st.sampled_from(("", "n")))
+    return name, d, tuple(gens)
 
 
 class_entries = st.builds(
@@ -235,8 +236,10 @@ def test_keyword_construction_matches_positional(name, data):
 
 def test_defaults():
     assert Word() == Word(()) and Word().letters == ()
-    assert FamilyData("f", 1, ()).notes == ""
-    assert FamilyData(name="f", d=1, out_generators=(), notes="n").notes == "n"
+    # a family file may carry a "notes" entry, which is ignored
+    fam = family_data_from_json({"name": "f", "d": 1, "out_generators": [["1"]],
+                                 "notes": "n"})
+    assert twin_of(fam) == RECORD_TWINS["FamilyData"]("f", 1, (F2Mat.identity(1),))
     w, form = F2Vec.zero(3), EVEN_FORMS[0]
     h = HAN1(w=w, signature=0, form=form)
     assert (h.tau, h.spin_bordism, h.notes) == (None, None, "")
