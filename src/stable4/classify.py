@@ -12,6 +12,11 @@ H_2 (topological) under the stabilizer of w inside the closure of the
 Out-image.  The signature sits in a separate 16Z / 8Z / Z coordinate.
 The enumerations are bounded by the caps of `f2.orbits` and
 `f2.group_closure`, which read STABLE4_CAP themselves.
+
+Which (w, signature, parity, tau) exist in a category -- the strides, the
+w and tau dimensions, the category names -- is stated once, in
+`stable4.models` (`check_invariants`); the tables, the decision and KS read
+it from there, and the names stay importable from this module.
 """
 
 from __future__ import annotations
@@ -29,23 +34,22 @@ from .f2 import (
     orbits,
 )
 from .forms import Parity, parity
-from .models import HAN1, INFINITY, Sentinel, builtin_family, w_from_json, w_to_json
+from .models import (
+    HAN1,
+    INFINITY,
+    SMOOTH,
+    TAU_UNKNOWN,
+    TOPOLOGICAL,
+    builtin_family,
+    check_invariants,
+    check_w,
+    normalize_category,
+    signature_stride,
+    w_from_json,
+    w_to_json,
+)
 from .records import Record
 from .words import GroupFamily, NilFamily, ZnFamily
-
-SMOOTH = "smooth"
-TOPOLOGICAL = "topological"
-_CATEGORIES = {SMOOTH: SMOOTH, TOPOLOGICAL: TOPOLOGICAL, "top": TOPOLOGICAL}
-
-
-def normalize_category(category: str) -> str:
-    try:
-        return _CATEGORIES[category]
-    except KeyError:
-        raise InputError(f"unknown category {category!r}") from None
-
-
-TAU_UNKNOWN = Sentinel("tau-unknown")
 
 
 class FamilyData(Record):
@@ -150,8 +154,8 @@ def stabilizer_of_w(family: FamilyData, w: F2Vec) -> list[F2Mat]:
     picked by the bits of w is w again.  Computed by closing the generator
     set (under the `group_closure` cap) and filtering.
     """
-    if w.dim != family.d:
-        raise DomainError(f"w has dimension {w.dim}, the family needs {family.d}")
+    if check_w(w, family.d) is INFINITY:
+        raise DomainError("a totally non-spin w has no stabilizer to compute")
     closure = group_closure(family.out_generators)
     bits = w.bits
     stab = [m for m in closure if m.combine(bits) == bits]
@@ -219,21 +223,17 @@ def classify(family: FamilyData, w, category: str) -> ClassificationTable:
     non-spin, 16 for smooth spin, 8 otherwise.
     """
     category = normalize_category(category)
+    stride = signature_stride(check_w(w, family.d), category)
 
     if w is INFINITY:
         return ClassificationTable(
             w=INFINITY,
             category=category,
-            signature_stride=1,
+            signature_stride=stride,
             classes=(ClassEntry("signature-only"),),
             ks_rule="independent-bit" if category == TOPOLOGICAL else "none",
             family_name=family.name,
         )
-
-    if not isinstance(w, F2Vec):
-        raise DomainError("w must be an F2 vector or INFINITY")
-    if w.dim != family.d:
-        raise DomainError(f"w has dimension {w.dim}, the family needs {family.d}")
 
     if w.is_zero:
         entries: list[ClassEntry] = []
@@ -257,7 +257,7 @@ def classify(family: FamilyData, w, category: str) -> ClassificationTable:
         return ClassificationTable(
             w=w,
             category=category,
-            signature_stride=16 if category == SMOOTH else 8,
+            signature_stride=stride,
             classes=tuple(entries),
             ks_rule="sigma/8" if category == TOPOLOGICAL else "none",
             family_name=family.name,
@@ -274,7 +274,7 @@ def classify(family: FamilyData, w, category: str) -> ClassificationTable:
     return ClassificationTable(
         w=w,
         category=category,
-        signature_stride=8,
+        signature_stride=stride,
         classes=entries,
         ks_rule="sigma/8 + <w,->" if category == TOPOLOGICAL else "none",
         family_name=family.name,
@@ -296,7 +296,8 @@ def ks(
 
     Spin: sigma/8 mod 2 (Rochlin).  Almost spin: sigma/8 plus the evaluation
     of w on the H_2 class.  Totally non-spin: not determined by the other
-    data; the caller-supplied free bit is passed through.
+    data; the caller-supplied free bit is passed through.  Otherwise
+    (sigma, h2_class) is checked as the signature and tau of an even tuple.
     """
     if normalize_category(category) != TOPOLOGICAL:
         raise DomainError("the KS invariant lives in the topological category")
@@ -304,14 +305,10 @@ def ks(
         if free_bit not in (0, 1):
             raise DomainError("totally non-spin KS is an independent bit; supply it")
         return free_bit
-    if not isinstance(w, F2Vec):
-        raise DomainError("w must be an F2 vector or INFINITY")
-    if sigma % 8:
-        raise DomainError("signature must be divisible by 8 for this w-type")
-    if w.is_zero:
-        return (sigma // 8) % 2
-    if h2_class is None or h2_class.dim != w.dim:
+    if h2_class is None and not check_w(w).is_zero:
         raise DomainError("almost-spin KS needs the H_2 class of the manifold")
+    h2_class = w if h2_class is None else h2_class  # w = 0 pairs to 0 with any class
+    check_invariants(w, sigma, Parity.EVEN, h2_class, TOPOLOGICAL)
     return (sigma // 8 + w.dot(h2_class)) % 2
 
 
@@ -354,15 +351,12 @@ def invariants_of(h: HAN1, category: str = TOPOLOGICAL) -> InvariantTuple:
     Even forms without tau provenance come back flagged TAU_UNKNOWN; such
     tuples cannot be fed to decide_stable_equiv.
     """
-    category = normalize_category(category)
     if h.w is INFINITY:
-        return InvariantTuple(INFINITY, h.signature, None, None)
-    p = parity(h.form)
-    if p is Parity.ODD:
-        tau = None
+        tup = InvariantTuple(INFINITY, h.signature, None, None)
     else:
-        tau = h.tau if h.tau is not None else TAU_UNKNOWN
-    tup = InvariantTuple(h.w, h.signature, p, tau)
+        p = parity(h.form)
+        tau = None if p is Parity.ODD else (TAU_UNKNOWN if h.tau is None else h.tau)
+        tup = InvariantTuple(h.w, h.signature, p, tau)
     _validate_tuple(tup, category, allow_unknown_tau=True)
     return tup
 
@@ -370,40 +364,9 @@ def invariants_of(h: HAN1, category: str = TOPOLOGICAL) -> InvariantTuple:
 def _validate_tuple(
     t: InvariantTuple, category: str, allow_unknown_tau: bool = False
 ) -> None:
-    if t.w is INFINITY:
-        if t.parity is not None or t.tau is not None:
-            raise DomainError("totally non-spin tuples carry only a signature")
-        return
-    if not isinstance(t.w, F2Vec):
-        raise DomainError("w must be an F2 vector or INFINITY")
-    if t.parity is None:
-        raise DomainError("spin-cover tuples need a parity")
-    if t.signature % 8:
-        raise DomainError("signature must be divisible by 8 for this w-type")
-    if t.w.is_zero and category == SMOOTH and t.signature % 16:
-        raise DomainError("smooth spin signatures are divisible by 16")
-    if (
-        not t.w.is_zero
-        and category == SMOOTH
-        and isinstance(t.tau, F2Vec)
-        and t.w.dot(t.tau)
-    ):
-        raise DomainError(
-            "smooth almost-spin classes pair to zero with w; this tuple is "
-            "only realizable topologically"
-        )
-    if t.parity is Parity.ODD:
-        if t.tau is not None:
-            raise DomainError("odd tuples carry no tau")
-    else:
-        if t.tau is TAU_UNKNOWN:
-            if allow_unknown_tau:
-                return
-            raise DomainError("tau class unknown; cannot decide equivalence")
-        if not isinstance(t.tau, F2Vec):
-            raise DomainError("even tuples need a tau class")
-        if t.tau.dim != t.w.dim:
-            raise DomainError(f"tau has dimension {t.tau.dim}, but w has dimension {t.w.dim}")
+    check_invariants(t.w, t.signature, t.parity, t.tau, category)
+    if t.tau is TAU_UNKNOWN and not allow_unknown_tau:
+        raise DomainError("tau class unknown; cannot decide equivalence")
 
 
 def decide_stable_equiv(
@@ -422,13 +385,12 @@ def decide_stable_equiv(
     tau=010) and (w=010, tau=100) are DISTINCT even though the swap lies in
     the Out-image.  A w whose dimension is not the family's is refused.
     """
-    category = normalize_category(category)
     for label, t in (("a", a), ("b", b)):
         _validate_tuple(t, category)
-        if t.w is not INFINITY and t.w.dim != family.d:
-            raise DomainError(
-                f"tuple {label}: w has dimension {t.w.dim}, the family needs {family.d}"
-            )
+        try:
+            check_w(t.w, family.d)
+        except DomainError as exc:
+            raise DomainError(f"tuple {label}: {exc}") from None
     if (a.w is INFINITY) != (b.w is INFINITY):
         return False
     if a.w is INFINITY:

@@ -85,14 +85,8 @@ def _family_pair(spec: str):
 
 
 def _parse_w(raw: str, d: int):
-    if raw == "infinity":
-        return models.INFINITY
-    if raw == "0":
-        return f2.F2Vec.zero(d)
-    v = f2.F2Vec.from_bits(raw)
-    if v.dim != d:
-        raise InputError(f"w has dimension {v.dim}, the family needs {d}")
-    return v
+    """A w-type from --w or a family file: "infinity", "0" or d bits."""
+    return models.check_w(f2.F2Vec.zero(d) if raw == "0" else models.w_from_json(raw), d)
 
 
 def _cmd_classify(args) -> int:

@@ -11,6 +11,11 @@ order-one intersection class in H_2(Bpi; Z/2)) for the standard models:
 * ``model_N_almost_spin``-- the null-bordant circle-bundle surgery, hyperbolic.
 * ``realize_form``       -- the complete realization list per w-type.
 
+It also states, once, which (w, signature, parity, tau) exist in a category
+(``check_invariants``, with ``signature_stride``, ``check_w`` and the category
+names): realize_form, the classification tables, the pairwise decision and
+the Kirby-Siebenmann invariant in ``classify`` all read the rule from here.
+
 The H_2 coordinates identify H_2(Bpi;Z/2) with Hom(pi,Z/2).  Everything the
 F2 side of a built-in family needs comes from one ``BuiltinFamily`` record per
 family (``builtin_family``): its square presentation, the generators whose
@@ -22,8 +27,9 @@ given as generator images, whose pullbacks are the Out(pi)-image that
 
 from __future__ import annotations
 
+import enum
 import functools
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 from .errors import CapExceeded, DomainError, InputError, is_int
 from .f2 import F2Mat, F2Vec, configured_cap
@@ -53,25 +59,90 @@ from .words import (
 )
 
 
-class Sentinel:
-    """A named marker value: one instance per name, kept by copy and pickle."""
+class Sentinel(enum.Enum):
+    """The marker values of the rule, kept by copy and pickle."""
 
-    _instances: dict[str, "Sentinel"] = {}
-
-    def __new__(cls, name: str):
-        if name not in cls._instances:
-            cls._instances[name] = super().__new__(cls)
-            cls._instances[name].name = name
-        return cls._instances[name]
-
-    def __reduce__(self):
-        return Sentinel, (self.name,)
+    INFINITY = "infinity"  # the totally non-spin w-type
+    TAU_UNKNOWN = "tau-unknown"  # an even form's tau with no model provenance
 
     def __repr__(self) -> str:
-        return self.name
+        return self.value
 
 
-INFINITY = Sentinel("infinity")  # the totally non-spin w-type
+INFINITY, TAU_UNKNOWN = Sentinel.INFINITY, Sentinel.TAU_UNKNOWN
+
+
+# ---------------------------------------------------------------------------
+# Admissibility: which (w, signature, parity, tau) exist in a category
+
+SMOOTH = "smooth"
+TOPOLOGICAL = "topological"
+_CATEGORIES = {SMOOTH: SMOOTH, TOPOLOGICAL: TOPOLOGICAL, "top": TOPOLOGICAL}
+
+
+def normalize_category(category: str) -> str:
+    try:
+        return _CATEGORIES[category]
+    except (KeyError, TypeError):
+        raise InputError(f"unknown category {category!r}") from None
+
+
+def signature_stride(w, category: str) -> int:
+    """Signatures of the w-type come in multiples of this: 1 for totally
+    non-spin, 16 for smooth spin (Rochlin), 8 otherwise."""
+    if w is INFINITY:
+        return 1
+    return 16 if w.is_zero and normalize_category(category) == SMOOTH else 8
+
+
+def check_w(w, d: int | None = None, name: str = "w"):
+    """w itself if it is an F2 vector of dimension d (any dimension when d is
+    None) or, under the name "w", INFINITY.  gamma, tau and H_2 vectors are
+    checked here under their own names."""
+    if w is INFINITY and name == "w":
+        return w
+    if not isinstance(w, F2Vec):
+        raise DomainError(f"{name} must be an F2 vector" + " or INFINITY" * (name == "w"))
+    if d is not None and w.dim != d:
+        raise DomainError(f"{name} has dimension {w.dim}, the family needs {d}")
+    return w
+
+
+def check_invariants(w, signature: int, parity: Parity | None, tau, category: str,
+                     d: int | None = None) -> None:
+    """Refuse a (w, signature, parity, tau) that no manifold of the category
+    has.
+
+    w is INFINITY or an F2 vector of dimension d.  Totally non-spin types
+    carry a signature only.  Otherwise the parity is given, the signature is
+    a multiple of ``signature_stride``, almost-spin forms are even, odd forms
+    carry no tau, and an even form carries a tau of w's dimension (or
+    TAU_UNKNOWN) that pairs to zero with w in the smooth category.
+    """
+    category = normalize_category(category)
+    if check_w(w, d) is INFINITY:  # any signature: the stride is 1
+        if parity is not None or tau is not None:
+            raise DomainError("totally non-spin tuples carry only a signature")
+        return
+    if parity is None:
+        raise DomainError("spin-cover tuples need a parity")
+    stride = signature_stride(w, category)
+    if signature % stride:
+        raise DomainError(f"signature {signature} is not divisible by {stride}, as "
+                          f"{category} signatures of w-type {w.to_bits()} are")
+    if parity is Parity.ODD:
+        if not w.is_zero:
+            raise DomainError("almost-spin intersection forms are even")
+        if tau is not None:
+            raise DomainError("odd tuples carry no tau")
+    elif tau is not TAU_UNKNOWN:
+        if not isinstance(tau, F2Vec):
+            raise DomainError("even tuples need a tau class")
+        if tau.dim != w.dim:
+            raise DomainError(f"tau has dimension {tau.dim}, but w has dimension {w.dim}")
+        if category == SMOOTH and w.dot(tau):
+            raise DomainError("smooth almost-spin classes pair to zero with w; "
+                              "this tuple is only realizable topologically")
 
 
 class HAN1(Record):
@@ -80,29 +151,17 @@ class HAN1(Record):
     ``w`` is an element of H^2(Bpi;Z/2) (zero meaning spin) or INFINITY for
     totally non-spin.  ``tau`` is present only when the form is even and the
     model provenance pins it down; it is always absent for odd forms.
-    ``spin_bordism`` records, for the spin surgery models, the bordism
-    element (signature, phi, eps) they were built to represent.
     """
 
     w: object
     signature: int
     form: AugmentedForm
     tau: F2Vec | None
-    spin_bordism: tuple[int, F2Vec, int] | None
     notes: str
 
-    def __init__(
-        self,
-        w,
-        signature: int,
-        form: AugmentedForm,
-        tau: F2Vec | None = None,
-        spin_bordism: tuple[int, F2Vec, int] | None = None,
-        notes: str = "",
-    ) -> None:
-        if w is not INFINITY:
-            if not isinstance(w, F2Vec):
-                raise DomainError("w must be an F2 vector or INFINITY")
+    def __init__(self, w, signature: int, form: AugmentedForm,
+                 tau: F2Vec | None = None, notes: str = "") -> None:
+        if check_w(w) is not INFINITY:
             if signature % 8:
                 raise DomainError(
                     "signature of a manifold with spin universal cover "
@@ -114,14 +173,7 @@ class HAN1(Record):
                 raise DomainError("odd forms carry no tau class")
         elif tau is not None:
             raise DomainError("totally non-spin types carry no tau class")
-        self.__dict__.update(
-            w=w,
-            signature=signature,
-            form=form,
-            tau=tau,
-            spin_bordism=spin_bordism,
-            notes=notes,
-        )
+        self.__dict__.update(w=w, signature=signature, form=form, tau=tau, notes=notes)
 
     @property
     def family(self) -> GroupFamily:
@@ -230,8 +282,7 @@ def _check_homomorphism(pres: Presentation, bits: Sequence[int]) -> None:
 
 def hom_bits_to_h2(family: GroupFamily, bits: Sequence[int]) -> F2Vec:
     """Coordinates of a homomorphism pi -> Z/2 given on the generators."""
-    if len(bits) != family.rank or any(b not in (0, 1) for b in bits):
-        raise DomainError("need one bit per generator")
+    bits = _gamma_bits(family, bits)
     record = builtin_family(family)
     _check_homomorphism(record.presentation, bits)
     return F2Vec(len(record.coords), sum(bits[g] << i for i, g in enumerate(record.coords)))
@@ -240,8 +291,7 @@ def hom_bits_to_h2(family: GroupFamily, bits: Sequence[int]) -> F2Vec:
 def h2_to_hom_bits(family: GroupFamily, v: F2Vec) -> tuple[int, ...]:
     """Inverse of hom_bits_to_h2, in generator order."""
     coords = builtin_family(family).coords
-    if v.dim != len(coords):
-        raise DomainError("H_2 vector has the wrong dimension")
+    check_w(v, len(coords), "H_2 vector")
     return tuple(v.bit(coords.index(g)) if g in coords else 0
                  for g in range(family.rank))
 
@@ -272,16 +322,13 @@ def model_M_sigma(
 
     sigma = 0 is the null-bordant spin model (hyperbolic extension, tau = 0);
     sigma = 1 realizes the bordism classes (0, gamma, 1) and its form is odd,
-    so no tau class exists.
+    so no tau class exists.  The form does not depend on gamma, which is
+    only checked: an H_2 vector, zero when sigma = 0.
     """
     d = h2_dimension(family)
     if sigma not in (0, 1):
         raise DomainError("sigma must be 0 or 1")
-    if gamma is None:
-        gamma = F2Vec.zero(d)
-    if gamma.dim != d:
-        raise DomainError("gamma has the wrong dimension")
-    if sigma == 0 and not gamma.is_zero:
+    if gamma is not None and not check_w(gamma, d, "gamma").is_zero and sigma == 0:
         raise DomainError("sigma = 0 only represents the zero bordism class")
     matrix = RingMatrix.from_int_rows(family, [[sigma, 1], [1, 0]])
     form = AugmentedForm(1, matrix)
@@ -290,20 +337,23 @@ def model_M_sigma(
         signature=0,
         form=form,
         tau=F2Vec.zero(d) if sigma == 0 else None,
-        spin_bordism=(0, gamma, sigma),
         notes=f"M_{sigma} over {family.generators}",
     )
 
 
 def _gamma_bits(family: GroupFamily, gamma) -> tuple[int, ...]:
+    """gamma as one bit per generator: a string of 0s and 1s, or a sequence
+    of ints (not bools) that are 0 or 1."""
     if isinstance(gamma, str):
-        bits = tuple(int(ch) for ch in gamma)
-    elif isinstance(gamma, Mapping):
-        bits = tuple(int(gamma.get(name, 0)) for name in family.generators)
+        bits = tuple("01".find(ch) for ch in gamma)  # -1 for any other character
     else:
-        bits = tuple(int(b) for b in gamma)
-    if len(bits) != family.rank or any(b not in (0, 1) for b in bits):
-        raise InputError("gamma needs one bit per generator")
+        try:
+            bits = tuple(gamma)
+        except TypeError:
+            bits = ()
+    if len(bits) != family.rank or not all(is_int(b) and b in (0, 1) for b in bits):
+        raise InputError(f"gamma {gamma!r} is not {family.rank} bits, one per "
+                         f"generator of the rank-{family.rank} family")
     return bits
 
 
@@ -334,13 +384,11 @@ def model_P(
             f"need a square presentation, got {len(pres.generators)} "
             f"generators and {len(pres.relators)} relators"
         )
-    if tuple(pres.generators) != family.generators:
-        raise DomainError("presentation generators do not match the family")
+    jac = fox_jacobian(pres, family)  # refuses generators other than the family's
     bits = _gamma_bits(family, gamma)
     _check_homomorphism(pres, bits)
 
     n = family.rank
-    jac = fox_jacobian(pres, family)
     zero = RingElem.zero(family)
     size = 2 * n + 2
     m = [[zero for _ in range(size)] for _ in range(size)]
@@ -375,7 +423,6 @@ def model_P(
         signature=0,
         form=form,
         tau=tau,
-        spin_bordism=(0, tau, 0),
         notes=f"P(gamma={''.join(map(str, bits))}) over {family.generators}",
     )
 
@@ -383,17 +430,15 @@ def model_P(
 def model_N_almost_spin(family: GroupFamily, w: F2Vec) -> HAN1:
     """Null-bordant almost-spin model: hyperbolic extension, class zero."""
     d = h2_dimension(family)
-    if w.dim != d:
-        raise DomainError("w has the wrong dimension")
-    if w.is_zero:
-        raise DomainError("w must be nonzero; use model_M_sigma for spin")
+    if check_w(w, d) is INFINITY or w.is_zero:
+        raise DomainError(f"model N needs a nonzero w other than infinity, not "
+                          f"{w_to_json(w)}; model_M_sigma and realize_form build those")
     form = AugmentedForm(1, hyperbolic_matrix(family))
     return HAN1(
         w=w,
         signature=0,
         form=form,
         tau=F2Vec.zero(d),
-        spin_bordism=None,
         notes=f"N(w={w.to_bits()}) over {family.generators}",
     )
 
@@ -434,21 +479,22 @@ def realize_form(
     * w = 0, odd:  lambda_{M_1} + n E8 with 8n the signature.
     * w = 0, even: lambda_P(gamma) + n E8, gamma the homomorphism with
       class tau.
-    * w nonzero:   lambda_N + n E8.  Only the signature part of the
-      almost-spin classification has explicit matrices; nonzero tau targets
-      are refused rather than guessed.
+    * w nonzero:   lambda_N + n E8, even with tau = 0 (the defaults when
+      parity or tau is None).  Only the signature part of the almost-spin
+      classification has explicit matrices; nonzero tau targets are refused
+      rather than guessed.
 
-    Smooth spin targets need signature divisible by 16, all other non-spin
-    w-types by 8.  The rank is computed before any matrix is built, and a
-    target whose rank^2 entries exceed the cap (STABLE4_CAP, default 10^6)
-    raises CapExceeded.
+    Every other target is checked by ``check_invariants``.  The rank is
+    computed before any matrix is built, and a target whose rank^2 entries
+    exceed the cap (STABLE4_CAP, default 10^6) raises CapExceeded.
     """
-    if category not in ("smooth", "topological"):
-        raise InputError(f"unknown category {category!r}")
+    d = h2_dimension(family)
+    if check_w(w, d) is not INFINITY and not w.is_zero:
+        parity_target = Parity.EVEN if parity_target is None else parity_target
+        tau = F2Vec.zero(d) if tau is None else tau
+    check_invariants(w, signature, parity_target, tau, category, d)
 
     if w is INFINITY:
-        if tau is not None:
-            raise DomainError("totally non-spin targets carry no tau")
         m0 = model_M_sigma(family, 0)
         m = max(1, signature + 1)
         n = m - signature
@@ -463,42 +509,24 @@ def realize_form(
             notes=f"M_0 + Id_{m} + (-Id_{n})",
         )
 
-    d = h2_dimension(family)
-    if not isinstance(w, F2Vec) or w.dim != d:
-        raise DomainError("w must be an F2 vector of the family's H_2 dimension")
-    if signature % 8:
-        raise DomainError("signature must be divisible by 8 for this w-type")
-
+    n_e8 = signature // 8
     if w.is_zero:
-        if parity_target is None:
-            raise DomainError("spin targets need a parity")
-        if category == "smooth" and signature % 16:
-            raise DomainError("smooth spin signatures are divisible by 16")
-        n_e8 = signature // 8
         if parity_target is Parity.ODD:
-            if tau is not None:
-                raise DomainError("odd targets carry no tau")
             base = model_M_sigma(family, 1)
             label = "M_1"
         else:
-            if tau is None:
-                raise DomainError("even spin targets need a tau class")
             gamma = h2_to_hom_bits(family, tau)
             base = model_P(builtin_presentation(family), family, gamma)
             label = f"P(gamma={''.join(map(str, gamma))})"
         return HAN1(
-            w=F2Vec.zero(d),
+            w=w,
             signature=signature,
             form=_plus_e8(base, n_e8),
             tau=base.tau,
-            spin_bordism=base.spin_bordism,
             notes=f"{label} + {n_e8} E8",
         )
 
-    # almost spin
-    if parity_target is Parity.ODD:
-        raise DomainError("almost-spin intersection forms are even")
-    if tau is not None and not tau.is_zero:
+    if tau != F2Vec.zero(d):
         raise DomainError(
             "almost-spin realization beyond the signature part is not "
             "constructed: no explicit matrices exist for the H_2 part"
@@ -507,9 +535,9 @@ def realize_form(
     return HAN1(
         w=w,
         signature=signature,
-        form=_plus_e8(base, signature // 8),
-        tau=F2Vec.zero(d),
-        notes=f"N(w={w.to_bits()}) + {signature // 8} E8 (signature part only)",
+        form=_plus_e8(base, n_e8),
+        tau=base.tau,
+        notes=f"N(w={w.to_bits()}) + {n_e8} E8 (signature part only)",
     )
 
 

@@ -449,8 +449,7 @@ RECORD_TWINS = {
         _twin("NilFamily", "z"),
         _twin("Presentation", "generators", "relators"),
         _twin("AugmentedForm", "epsilon", "matrix"),
-        _twin("HAN1", "w", "signature", "form", ("tau", None),
-              ("spin_bordism", None), ("notes", "")),
+        _twin("HAN1", "w", "signature", "form", ("tau", None), ("notes", "")),
         _twin("FamilyData", "name", "d", "out_generators"),
         _twin("BordismClassSpin", "sigma", "phi", "eps"),
         _twin("ClassEntry", "kind", ("representative", None), ("orbit", ())),

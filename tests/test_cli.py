@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stable4 import cli
@@ -306,6 +306,56 @@ def test_model_n_rejects_zero_w(capsys):
     )
     assert code == 2
     assert "nonzero" in err
+
+
+# The admissibility rule is the same from every subcommand.
+
+
+def test_realize_takes_top_for_topological(capsys):
+    realize = ["model", "--kind", "realize", "--family", "nil:2", "--w", "010",
+               "--signature", "-8", "--category"]
+    assert run(capsys, realize + ["top"]) == run(capsys, realize + ["topological"])
+    assert run(capsys, realize + ["top"])[0] == 0
+
+
+def test_realize_refuses_a_parity_for_infinity(capsys):
+    code, out, err = run(capsys, ["model", "--kind", "realize", "--family", "z3",
+                                  "--w", "infinity", "--signature", "3", "--parity", "odd"])
+    assert (code, out) == (2, "")
+    assert err == "error: totally non-spin tuples carry only a signature\n"
+
+
+def test_decide_refuses_odd_almost_spin_tuples(capsys, tmp_path):
+    """classify lists no odd almost-spin class, so decide has none to compare."""
+    a = write_json(tmp_path / "a.json",
+                   {"w": "100", "signature": 8, "parity": "odd", "tau": None})
+    code, out, err = run(
+        capsys, ["decide", "--a", a, "--b", a, "--category", "top", "--family", "z3"])
+    assert (code, out) == (2, "")
+    assert err == "error: almost-spin intersection forms are even\n"
+    code, out, _ = run(capsys, ["classify", "--family", "z3", "--w", "100",
+                                "--category", "top"])
+    assert code == 0
+    assert {c["kind"] for c in json.loads(out)["classes"]} == {"orbit"}
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["model", "--kind", "N", "--family", "z3", "--w", "infinity"], 2,
+     "model N needs a nonzero w other than infinity, not infinity; "
+     "model_M_sigma and realize_form build those"),
+    (["model", "--kind", "P", "--family", "nil:2", "--gamma", "1a1"], 1,
+     "gamma '1a1' is not 3 bits, one per generator of the rank-3 family"),
+    (["model", "--kind", "P", "--family", "nil:2", "--gamma", "\u0660\u0661\u0661"], 1,
+     "gamma '\u0660\u0661\u0661' is not 3 bits, one per generator of the rank-3 family"),
+    (["model", "--kind", "M1", "--family", "z3", "--gamma", "10"], 2,
+     "gamma has dimension 2, the family needs 3"),
+    (["model", "--kind", "N", "--family", "nil:1", "--w", "100"], 2,
+     "w has dimension 3, the family needs 2"),
+    (["classify", "--family", "z3", "--w", "10"], 2, "w has dimension 2, the family needs 3"),
+], ids=["N infinity", "P 1a1", "P arabic-indic digits", "M1 short gamma", "N long w",
+        "classify short w"])
+def test_inputs_exit_with_an_error_line(capsys, argv, code, message):
+    assert run(capsys, argv) == (code, "", f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -764,6 +814,58 @@ def test_mutated_files_never_escape_main(case):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main([arg.replace("{file}", path) for arg in argv])
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert err.getvalue().startswith("error: "), err.getvalue()
+
+
+# Option values for the argv guard: bit-strings, junk tokens, infinity, top.
+OPTION_VALUES = st.sampled_from((
+    "", "0", "1", "10", "100", "010", "110", "111", "0101", "1a1", "0.5", "x", "-8",
+    "3", "8", "16", "\u0660\u0661\u0661", "infinity", "top", "topological",
+    "smooth", "odd", "even", "M0", "M1", "N", "P", "realize",
+))
+ARGV_TUPLES = {
+    "odd-almost-spin.json": {"w": "100", "signature": 8, "parity": "odd", "tau": None},
+    "even-spin.json": {"w": "000", "signature": 16, "parity": "even", "tau": "110"},
+    "odd-spin-8.json": {"w": "000", "signature": 8, "parity": "odd", "tau": None},
+    "infinity.json": {"w": "infinity", "signature": 3, "parity": None, "tau": None},
+}
+MODEL_OPTIONS = ("--kind", "--gamma", "--w", "--tau", "--category", "--parity",
+                 "--signature")
+
+
+@st.composite
+def argv_cases(draw):
+    family = draw(st.sampled_from(("z3", "nil:1", "nil:2")))
+    command = draw(st.sampled_from(("model", "model", "model", "classify", "decide")))
+    if command == "model":
+        argv = ["model", "--family", family]
+        for option in MODEL_OPTIONS:
+            if draw(st.booleans()):
+                argv += [option, draw(OPTION_VALUES)]
+        return argv
+    argv = [command, "--family", family, "--category", draw(OPTION_VALUES)]
+    if command == "classify":
+        return argv + ["--w", draw(OPTION_VALUES)]
+    tuple_file = st.sampled_from(sorted(ARGV_TUPLES))
+    return argv + ["--a", draw(tuple_file), "--b", draw(tuple_file)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv_cases())
+@example(["model", "--family", "nil:2", "--kind", "P", "--gamma", "1a1"])
+@example(["model", "--family", "z3", "--kind", "N", "--w", "infinity"])
+def test_option_values_never_escape_main(argv):
+    """Whatever the option values, main exits 0-3 and explains a failure."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, payload in ARGV_TUPLES.items():
+            with open(os.path.join(tmp, name), "w") as fh:
+                json.dump(payload, fh)
+        argv = [os.path.join(tmp, arg) if arg in ARGV_TUPLES else arg for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
     assert code in (0, 1, 2, 3)
     if code:
         assert err.getvalue().startswith("error: "), err.getvalue()

@@ -84,7 +84,6 @@ def test_m1_form_and_parity():
     assert h.form.matrix.integer_rows() == [[1, 1], [1, 0]]
     assert parity(h.form) == Parity.ODD
     assert h.tau is None
-    assert h.spin_bordism == (0, F2Vec.from_bits("010"), 1)
 
 
 def test_m_sigma_rejects_nonzero_gamma_at_sigma_zero():
@@ -95,7 +94,7 @@ def test_m_sigma_rejects_nonzero_gamma_at_sigma_zero():
 def test_m_sigma_any_gamma_at_sigma_one():
     for gamma in all_h2_vectors(NIL2):
         h = model_M_sigma(NIL2, 1, gamma)
-        assert h.spin_bordism[2] == 1
+        assert parity(h.form) == Parity.ODD and h.tau is None
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +160,24 @@ def test_p_rejects_arity_mismatch():
         model_P(builtin_presentation(NIL2), NIL2, "01")
 
 
+@pytest.mark.parametrize("gamma", [
+    "1a1", "0.5", "x", "\u0660\u0661\u0661", "01", "0101", (1.7, 0, 0), (True, False, False),
+    (0, 2, 0), {"a": 0, "x": 1, "y": 0}, None, 5,
+])
+def test_p_gamma_is_bits_one_per_generator(gamma):
+    """Only a 0/1 string or a sequence of 0/1 ints (not bools) is a gamma;
+    anything else is refused with the value and the family's rank."""
+    message = f"gamma {gamma!r} is not 3 bits, one per generator of the rank-3 family"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        model_P(builtin_presentation(NIL2), NIL2, gamma)
+
+
+def test_p_gamma_as_a_sequence_of_ints():
+    pres = builtin_presentation(NIL2)
+    assert model_P(pres, NIL2, (0, 1, 1)) == model_P(pres, NIL2, "011")
+    assert model_P(pres, NIL2, [1, 0, 1]).tau == F2Vec.from_bits("011")
+
+
 def test_fox_jacobian_shape():
     jac = fox_jacobian(builtin_presentation(Z3), Z3)
     assert len(jac) == 3 and len(jac[0]) == 3
@@ -183,6 +200,30 @@ def test_n_is_the_hyperbolic_model():
 def test_n_rejects_zero_w():
     with pytest.raises(DomainError):
         model_N_almost_spin(NIL2, F2Vec.zero(3))
+
+
+def test_n_refuses_infinity():
+    with pytest.raises(DomainError, match="model N needs a nonzero w other than infinity"):
+        model_N_almost_spin(Z3, INFINITY)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: realize_form(Z3, F2Vec.from_bits("10"), 0), "w has dimension 2, the family needs 3"),
+    (lambda: realize_form(Z3, F2Vec.zero(3), 0, Parity.EVEN, F2Vec.from_bits("10")),
+     "tau has dimension 2, but w has dimension 3"),
+    (lambda: model_N_almost_spin(Z3, F2Vec.from_bits("10")),
+     "w has dimension 2, the family needs 3"),
+    (lambda: model_M_sigma(Z3, 1, F2Vec.from_bits("1001")),
+     "gamma has dimension 4, the family needs 3"),
+    (lambda: h2_to_hom_bits(NIL3, F2Vec.from_bits("100")),
+     "H_2 vector has dimension 3, the family needs 2"),
+    (lambda: realize_form(Z3, "100", 0), "w must be an F2 vector or INFINITY"),
+    (lambda: h2_to_hom_bits(Z3, INFINITY), "H_2 vector must be an F2 vector"),
+], ids=["realize w", "realize tau", "N w", "M gamma", "h2 vector", "realize str w",
+        "h2 infinity"])
+def test_dimension_errors_name_both_dimensions(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +326,23 @@ def test_realize_validation():
         realize_form(Z3, F2Vec.from_bits("100"), 8, Parity.ODD)
     with pytest.raises(DomainError):
         realize_form(Z3, F2Vec.zero(3), 8, Parity.EVEN)  # tau missing
+
+
+def test_realize_takes_top_for_topological():
+    for w, parity in ((F2Vec.zero(3), Parity.ODD), (F2Vec.from_bits("100"), None),
+                      (INFINITY, None)):
+        assert (realize_form(Z3, w, 8, parity, category="top")
+                == realize_form(Z3, w, 8, parity, category="topological"))
+    with pytest.raises(InputError, match="^unknown category 'TOP'$"):
+        realize_form(Z3, INFINITY, 0, category="TOP")
+
+
+@pytest.mark.parametrize("parity, tau", [
+    (Parity.ODD, None), (Parity.EVEN, None), (None, F2Vec.zero(3)),
+], ids=["odd", "even", "tau"])
+def test_realize_refuses_parity_or_tau_for_totally_non_spin(parity, tau):
+    with pytest.raises(DomainError, match="^totally non-spin tuples carry only a signature$"):
+        realize_form(Z3, INFINITY, 3, parity, tau)
 
 
 def test_realize_refuses_a_form_over_the_cap(monkeypatch):

@@ -96,10 +96,9 @@ def han1_args(draw):
     form = draw(st.sampled_from(EVEN_FORMS))
     notes = draw(st.sampled_from(("", "P + 1 E8")))
     if w is INFINITY:
-        return w, draw(st.integers(-9, 9)), form, None, None, notes
+        return w, draw(st.integers(-9, 9)), form, None, notes
     tau = draw(st.none() | vecs(3))
-    bordism = draw(st.none() | vecs(3).map(lambda v: (0, v, 0)))
-    return w, 8 * draw(st.integers(-2, 2)), form, tau, bordism, notes
+    return w, 8 * draw(st.integers(-2, 2)), form, tau, notes
 
 
 INVERTIBLE = {d: all_invertible(d) for d in (1, 2, 3)}
@@ -242,8 +241,8 @@ def test_defaults():
     assert twin_of(fam) == RECORD_TWINS["FamilyData"]("f", 1, (F2Mat.identity(1),))
     w, form = F2Vec.zero(3), EVEN_FORMS[0]
     h = HAN1(w=w, signature=0, form=form)
-    assert (h.tau, h.spin_bordism, h.notes) == (None, None, "")
-    assert h == HAN1(w, 0, form, None, None, "")
+    assert (h.tau, h.notes) == (None, "")
+    assert h == HAN1(w, 0, form, None, "")
     entry = ClassEntry("odd")
     assert (entry.representative, entry.orbit) == (None, ())
     assert ClassificationTable(INFINITY, "smooth", 1, (entry,), "none").family_name == ""
