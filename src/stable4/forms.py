@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Mapping, Sequence
+from itertools import compress, islice, repeat
+from operator import ne
 
 from .errors import DomainError, InputError, is_int
 from .groupring import (
     RingElem,
     augmentation,
     in_image_one_plus_T,
-    ring_elem_from_json,
-    ring_elem_to_json,
+    ring_elem_reader,
+    ring_elem_writer,
 )
 from .records import Record
 from .words import GroupFamily, family_from_json, family_to_json
@@ -89,12 +91,18 @@ class RingMatrix:
 
     def is_hermitian(self) -> bool:
         """Each stored (i, j) equals conj of (j, i).  A stored entry is
-        nonzero, so an absent partner (a zero) fails it."""
+        nonzero, so an absent partner (a zero) fails it.  Each distinct
+        group element in the support is inverted once per call."""
         rows = self._rows
+        invert = self.family.invert
+        support = set().union(*[x._terms for row in rows for x in row.values()])
+        inverse = {g: invert(g) for g in support}
         for i, row in enumerate(rows):
             for j, x in row.items():
                 partner = rows[j].get(i)
-                if partner is None or x != partner.conjugate():
+                if partner is None or x._terms != {
+                    inverse[g]: c for g, c in partner._terms.items()
+                }:
                     return False
         return True
 
@@ -407,12 +415,15 @@ def identity_block(family: GroupFamily, size: int, sign: int = 1) -> RingMatrix:
 
 def form_to_json(a: AugmentedForm):
     """Dense row-major entries.  Every zero entry is one shared empty list:
-    n^2 fresh lists would cost more in garbage collection than the rest."""
+    n^2 fresh lists would cost more in garbage collection than the rest.
+    The cost is one n^2 list plus the nonzeros, with each distinct group
+    element formatted once."""
     n = a.matrix.size
+    dump = ring_elem_writer(a.family)
     entries: list = [[]] * (n * n)
     for i, row in enumerate(a.matrix._rows):
         for j, x in row.items():
-            entries[i * n + j] = ring_elem_to_json(x)
+            entries[i * n + j] = dump(x)
     return {
         "epsilon": a.epsilon,
         "family": family_to_json(a.family),
@@ -423,7 +434,11 @@ def form_to_json(a: AugmentedForm):
 
 def form_from_json(obj) -> AugmentedForm:
     """Load a form; refuses non-hermitian input.  An empty term list is a
-    zero entry and builds no ring element."""
+    zero entry and builds no ring element.  The cost is two C-level passes
+    over the n^2 entries (find the non-empty ones, count the empty lists)
+    plus the terms of the non-empty ones, with each distinct word text
+    parsed and reduced once; the first bad entry in row-major order sets
+    the error."""
     try:
         epsilon = obj["epsilon"]
         family = family_from_json(obj["family"])
@@ -441,11 +456,19 @@ def form_from_json(obj) -> AugmentedForm:
         raise InputError(f"form size {n!r} is not a non-negative integer")
     elif n * n != len(flat):
         raise InputError(f"form size {n} needs {n * n} entries, got {len(flat)}")
-    rows: tuple[dict, ...] = tuple({} for _ in range(n))
-    for k, terms in enumerate(flat):
-        if terms == []:
-            continue
-        x = ring_elem_from_json(terms, family)
+    # A non-empty list is truthy, so compress finds the candidates row by
+    # row in C.  Unless the empty lists account for every other entry, some
+    # falsy entry is not [] (0, "", null, {}), and the candidates become
+    # every entry that is not [], so that it is refused in row-major order.
+    cols = range(n)
+    entries = iter(flat)
+    nonempty = [(i, j) for i in cols for j in compress(cols, islice(entries, n))]
+    if len(nonempty) + flat.count([]) != n * n:
+        nonempty = [divmod(k, n) for k in compress(range(n * n), map(ne, flat, repeat([])))]
+    load = ring_elem_reader(family)
+    rows: tuple[dict, ...] = tuple({} for _ in cols)
+    for i, j in nonempty:
+        x = load(flat[i * n + j])
         if not x.is_zero:
-            rows[k // n][k % n] = x
+            rows[i][j] = x
     return AugmentedForm(epsilon, RingMatrix._trusted(family, rows))

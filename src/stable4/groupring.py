@@ -187,25 +187,76 @@ def in_image_one_plus_T(x: RingElem) -> bool:
 # JSON format: a list of {"coeff": int, "word": word-string} terms
 
 
+def ring_elem_writer(family: GroupFamily):
+    """A ``dump(x)`` giving the JSON terms of ring elements of family.
+
+    Terms come in the family's canonical element order.  The writer keeps
+    the text of each group element it has formatted, so a form written
+    through one writer formats each distinct element once: the cost is one
+    dict per term plus one ``element_str`` per distinct element.
+    """
+    element_str = family.element_str
+    sort_key = family.sort_key
+    texts: dict = {}
+
+    def dump(x: RingElem) -> list:
+        terms = x._terms
+        items = terms.items()
+        if len(terms) > 1:
+            items = sorted(items, key=lambda kv: sort_key(kv[0]))
+        out = []
+        for g, c in items:
+            text = texts.get(g)
+            if text is None:
+                text = texts[g] = element_str(g)
+            out.append({"coeff": c, "word": text})
+        return out
+
+    return dump
+
+
+def ring_elem_reader(family: GroupFamily):
+    """A ``load(obj)`` reading JSON term lists as ring elements of family.
+
+    Every term must be a {"coeff": int, "word": word-string} object (a bool
+    is not an int); terms on the same group element merge, and terms that
+    cancel drop out.  The reader keeps the group element of each word text
+    it has parsed, so a form loaded through one reader parses and reduces
+    each distinct word once: the cost is the terms plus one ``parse_word``
+    and ``reduce_word`` per distinct word.  Errors are those of the first
+    bad term.
+    """
+    generators = family.generators
+    reduce_word = family.reduce_word
+    elements: dict = {}
+
+    def load(obj) -> RingElem:
+        if not isinstance(obj, list):
+            raise InputError("ring element JSON must be a list of terms")
+        data: dict = {}
+        get = data.get
+        for item in obj:
+            try:
+                coeff = item["coeff"]
+                word_text = item["word"]
+            except (KeyError, TypeError) as exc:
+                raise InputError(f"bad ring element term: {exc}") from None
+            if not is_int(coeff):
+                raise InputError(f"coefficient {coeff!r} is not an integer")
+            try:
+                g = elements[word_text]
+            except (KeyError, TypeError):  # new text, or unhashable: parse it
+                g = reduce_word(parse_word(word_text, generators))
+                elements[word_text] = g
+            data[g] = get(g, 0) + coeff
+        return RingElem._from_dict(family, data)
+
+    return load
+
+
 def ring_elem_to_json(x: RingElem):
-    return [
-        {"coeff": c, "word": x.family.element_str(g)}
-        for g, c in x.items()
-    ]
+    return ring_elem_writer(x.family)(x)
 
 
 def ring_elem_from_json(obj, family: GroupFamily) -> RingElem:
-    if not isinstance(obj, list):
-        raise InputError("ring element JSON must be a list of terms")
-    terms: list = []
-    for item in obj:
-        try:
-            coeff = item["coeff"]
-            word_text = item["word"]
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"bad ring element term: {exc}") from None
-        if not is_int(coeff):
-            raise InputError(f"coefficient {coeff!r} is not an integer")
-        w = parse_word(word_text, family.generators)
-        terms.append((family.reduce_word(w), coeff))
-    return RingElem(family, terms)
+    return ring_elem_reader(family)(obj)

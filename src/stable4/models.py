@@ -117,8 +117,14 @@ def check_invariants(w, signature: int, parity: Parity | None, tau, category: st
     carry a signature only.  Otherwise the parity is given, the signature is
     a multiple of ``signature_stride``, almost-spin forms are even, odd forms
     carry no tau, and an even form carries a tau of w's dimension (or
-    TAU_UNKNOWN) that pairs to zero with w in the smooth category.
+    TAU_UNKNOWN) that pairs to zero with w in the smooth category.  A
+    signature that is not an int (a bool is not one) and a parity that is
+    neither None nor a Parity raise InputError.
     """
+    if not is_int(signature):
+        raise InputError(f"signature {signature!r} is not an integer")
+    if parity is not None and not isinstance(parity, Parity):
+        raise InputError(f"parity {parity!r} is not a Parity or None")
     category = normalize_category(category)
     if check_w(w, d) is INFINITY:  # any signature: the stride is 1
         if parity is not None or tau is not None:

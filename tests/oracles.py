@@ -13,13 +13,8 @@ from fractions import Fraction
 
 from stable4.errors import DomainError
 from stable4.f2 import F2Mat, F2Vec
-from stable4.groupring import (
-    RingElem,
-    augmentation,
-    ring_elem_from_json,
-    ring_elem_to_json,
-)
-from stable4.words import family_from_json, family_to_json
+from stable4.groupring import RingElem, augmentation
+from stable4.words import family_from_json, family_to_json, parse_word
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +289,27 @@ def dense_integer_rows(family, rows) -> list[list[int]]:
     return out
 
 
+def dense_terms_to_json(x: RingElem) -> list:
+    """One element's terms in canonical order, each word formatted afresh."""
+    return [{"coeff": c, "word": x.family.element_str(g)} for g, c in x.items()]
+
+
+def dense_terms_from_json(terms, family) -> RingElem:
+    """Every term parsed and reduced on its own, merged by the checked
+    RingElem constructor."""
+    return RingElem(family, [
+        (family.reduce_word(parse_word(t["word"], family.generators)), t["coeff"])
+        for t in terms
+    ])
+
+
 def dense_form_to_json(epsilon: int, family, rows):
     n = len(rows)
     return {
         "epsilon": epsilon,
         "family": family_to_json(family),
         "size": n,
-        "entries": [ring_elem_to_json(rows[i][j]) for i in range(n) for j in range(n)],
+        "entries": [dense_terms_to_json(rows[i][j]) for i in range(n) for j in range(n)],
     }
 
 
@@ -308,7 +317,7 @@ def dense_form_from_json(obj):
     """(epsilon, family, rows) with a ring element parsed for every entry."""
     family = family_from_json(obj["family"])
     n, flat = obj["size"], obj["entries"]
-    rows = [[ring_elem_from_json(flat[i * n + j], family) for j in range(n)]
+    rows = [[dense_terms_from_json(flat[i * n + j], family) for j in range(n)]
             for i in range(n)]
     return int(obj["epsilon"]), family, rows
 

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +40,7 @@ from stable4.forms import (
     stabilize_hyperbolic,
 )
 from stable4.groupring import RingElem
-from stable4.words import NilFamily, Word, ZnFamily, normalize
+from stable4.words import FreeFamily, NilFamily, Word, ZnFamily, family_to_json, normalize
 
 Z3 = ZnFamily(3)
 G = (1, 0, 0)
@@ -449,6 +450,84 @@ def test_form_loader_rejects_bad_shapes():
         form_from_json({"epsilon": 0, "family": {"zn": 3}, "entries": [[], [], []]})
 
 
+def one_term(word, coeff=1):
+    return [{"coeff": coeff, "word": word}]
+
+
+def z3_blob(entries, epsilon=0):
+    n = int(round(len(entries) ** 0.5))
+    return {"epsilon": epsilon, "family": {"zn": 3}, "size": n, "entries": entries}
+
+
+def test_form_loader_merges_spellings_and_drops_cancelled_terms():
+    entries = [[] for _ in range(9)]
+    entries[0] = [{"coeff": 1, "word": "g1 g1^-1"}, {"coeff": 2, "word": "1"}]
+    entries[1] = [{"coeff": 1, "word": "g1"}, {"coeff": -1, "word": "g2 g1 g2^-1"}]
+    entries[4] = [{"coeff": 0, "word": "g2"}, {"coeff": 1, "word": "g3^-1 g3"}]
+    entries[5] = one_term("g2 g2")
+    entries[7] = one_term("g2^-2")
+    a = form_from_json(z3_blob(entries))
+    assert a.matrix == RingMatrix(Z3, [
+        [ring(3), ring(0), ring(0)],
+        [ring(0), ring(1), grp((0, 2, 0))],
+        [ring(0), grp((0, -2, 0)), ring(0)],
+    ])
+    assert a.matrix._rows[0] == {0: ring(3)}  # the cancelled (0, 1) is not stored
+    assert form_to_json(a)["entries"][:2] == [one_term("1", 3), []]
+
+
+def bad_entries(bad5, bad9):
+    entries = [one_term("1") if i % 5 == 0 else [] for i in range(16)]
+    entries[5], entries[9] = bad5, bad9
+    return entries
+
+
+BAD_WORD = ([{"coeff": 1, "word": "q"}], "unknown generator 'q'")
+BAD_COEFF = ([{"coeff": 1.5, "word": "1"}], "coefficient 1.5 is not an integer")
+NOT_A_LIST = (0, "ring element JSON must be a list of terms")
+
+
+@pytest.mark.parametrize("first, second", [
+    (BAD_WORD, BAD_COEFF), (BAD_COEFF, BAD_WORD), (NOT_A_LIST, BAD_WORD),
+    (BAD_WORD, NOT_A_LIST),
+])
+def test_form_loader_reports_the_first_bad_entry(first, second):
+    with pytest.raises(InputError, match=f"^{re.escape(first[1])}$"):
+        form_from_json(z3_blob(bad_entries(first[0], second[0])))
+
+
+@pytest.mark.parametrize("entry", [0, "", None, {}, False, 0.0, ()])
+def test_form_loader_refuses_falsy_entries_that_are_not_lists(entry):
+    entries = [one_term("1"), [], [], one_term("1")]
+    entries[2] = entry
+    with pytest.raises(InputError, match="^ring element JSON must be a list of terms$"):
+        form_from_json(z3_blob(entries))
+
+
+def test_form_loader_refuses_a_list_valued_word():
+    entries = [one_term("g1 g1^-1"), [], [], one_term(["g1"])]
+    with pytest.raises(InputError, match=re.escape("word ['g1'] is not a string")):
+        form_from_json(z3_blob(entries))
+
+
+def test_form_loader_refuses_non_hermitian_spellings():
+    """(0, 1) is 2 g1 spelled twice; its mirror must be 2 g1^-1."""
+    twice = [{"coeff": 1, "word": "g1"}, {"coeff": 1, "word": "g2 g1 g2^-1"}]
+    for mirror, hermitian in (
+        ([{"coeff": 2, "word": "g1^-1"}], True),
+        ([{"coeff": 1, "word": "g1^-1"}, {"coeff": 1, "word": "g1^-1 g3 g3^-1"}], True),
+        ([{"coeff": 1, "word": "g1^-1"}], False),
+        ([{"coeff": 2, "word": "g1"}], False),
+        ([{"coeff": 2, "word": "g1^-1"}, {"coeff": 1, "word": "g2"}], False),
+    ):
+        blob = z3_blob([[], twice, mirror, []])
+        if hermitian:
+            assert form_from_json(blob).matrix.entry(1, 0) == grp((-1, 0, 0), 2)
+        else:
+            with pytest.raises(DomainError, match="^matrix is not hermitian$"):
+                form_from_json(blob)
+
+
 # ---------------------------------------------------------------------------
 # sparse rows against the dense oracle
 
@@ -515,6 +594,69 @@ def test_sparse_rows_match_the_dense_oracle(case, epsilon):
     back = form_from_json(json.loads(json.dumps(blob)))
     assert (back.epsilon, back.family, dense_view(back.matrix)) == dense_form_from_json(blob)
     assert back.matrix == m
+
+
+def invert_text(text):
+    """The inverse of a word, spelled token by token: reversed, exponents
+    negated.  A non-reduced spelling stays non-reduced."""
+    tokens = []
+    for token in reversed(text.split()):
+        name, _, exp = token.partition("^")
+        e = -int(exp or 1)
+        tokens.append("1" if name == "1" else name if e == 1 else f"{name}^{e}")
+    return " ".join(tokens) or "1"
+
+
+@st.composite
+def pooled_form_blobs(draw):
+    """Dense form JSON whose terms reuse a few word texts (closed under
+    inverse spelling, often non-reduced).  Mirrors spell conj(x_ij) through
+    the inverse texts, diagonals hold x + conj(x), and one extra term
+    sometimes breaks the symmetry."""
+    family = draw(st.sampled_from((Z3, NilFamily(2), FreeFamily(("x", "y")))))
+    token = st.just("1") | st.builds(
+        lambda g, e: g if e == 1 else f"{g}^{e}",
+        st.sampled_from(family.generators), st.sampled_from((-2, -1, 1, 2)))
+    base = draw(st.lists(st.lists(token, max_size=4).map(" ".join), min_size=1, max_size=3))
+    pool = [w or "1" for w in base] + [invert_text(w) for w in base]
+    term = st.tuples(st.integers(-2, 2), st.sampled_from(pool))
+
+    def json_terms(pairs):
+        return [{"coeff": c, "word": w} for c, w in pairs]
+
+    n = draw(st.integers(1, 5))
+    entries = [[] for _ in range(n * n)]
+    for i in range(n):
+        for j in range(i, n):
+            pairs = draw(st.lists(term, max_size=3)) if draw(st.booleans()) else []
+            mirror = [(c, invert_text(w)) for c, w in reversed(pairs)]
+            if i == j:
+                entries[i * n + i] = json_terms(pairs + mirror)
+            else:
+                entries[i * n + j], entries[j * n + i] = json_terms(pairs), json_terms(mirror)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n * n - 1))
+        entries[k] = entries[k] + json_terms([draw(term)])
+    return {"epsilon": draw(st.integers(0, 1)), "family": family_to_json(family),
+            "size": n, "entries": entries}
+
+
+@settings(max_examples=300, deadline=None)
+@given(pooled_form_blobs())
+def test_pooled_word_forms_load_like_the_dense_oracle(blob):
+    """Each word text is parsed once per load and shared by the entries that
+    use it; the loaded form must still be the one the dense oracle parses
+    entry by entry, and writing it must round-trip byte for byte."""
+    epsilon, family, rows = dense_form_from_json(blob)
+    if not dense_is_hermitian(rows):
+        with pytest.raises(DomainError, match="^matrix is not hermitian$"):
+            form_from_json(blob)
+        return
+    a = form_from_json(blob)
+    assert (a.epsilon, a.family, dense_view(a.matrix)) == (epsilon, family, rows)
+    text = json.dumps(form_to_json(a))
+    assert text == json.dumps(dense_form_to_json(epsilon, family, rows))
+    assert json.dumps(form_to_json(form_from_json(json.loads(text)))) == text
 
 
 def signature_or_error(compute):

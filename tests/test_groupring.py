@@ -319,6 +319,59 @@ def test_json_coefficients_must_be_integers(coeff):
         ring_elem_from_json([{"coeff": coeff, "word": "1"}], Z3)
 
 
+FREE_XY = FreeFamily(("x", "y"))
+
+
+def terms(*pairs):
+    return [{"coeff": c, "word": w} for c, w in pairs]
+
+
+def test_json_spellings_of_one_element_merge():
+    x = ring_elem_from_json(terms((2, "x x^-1"), (3, "1"), (1, "y^-1 y")), FREE_XY)
+    assert x == RingElem.integer(FREE_XY, 6)
+    assert len(x) == 1
+
+
+def test_json_terms_that_cancel_drop_out():
+    assert ring_elem_from_json(terms((1, "x"), (-1, "x")), FREE_XY).is_zero
+    x = ring_elem_from_json(terms((1, "x"), (2, "y"), (-1, "y y^-1 x")), FREE_XY)
+    assert x == RingElem.group(FREE_XY, Word(((1, 1),)), 2)
+    assert x.support() == {Word(((1, 1),))}
+
+
+def test_json_zero_coefficients_are_dropped():
+    x = ring_elem_from_json(terms((0, "x"), (1, "y"), (0, "1")), FREE_XY)
+    assert x.support() == {Word(((1, 1),))}
+    assert ring_elem_from_json(terms((0, "x"), (0, "x")), FREE_XY).is_zero
+
+
+@pytest.mark.parametrize("obj", [0, "", None, {}, False, 5, "x", {"coeff": 1, "word": "x"}])
+def test_json_element_must_be_a_list(obj):
+    with pytest.raises(InputError, match="^ring element JSON must be a list of terms$"):
+        ring_elem_from_json(obj, FREE_XY)
+
+
+@pytest.mark.parametrize("word", [["x"], [], {"x": 1}, 1, None])
+def test_json_word_must_be_a_string(word):
+    """A word that cannot key a dict (a list) gives the same error as any
+    other non-string, before or after a string word was read."""
+    message = f"word {word!r} is not a string"
+    for blob in (terms((1, word)), terms((1, "x"), (1, word))):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            ring_elem_from_json(blob, FREE_XY)
+
+
+def test_json_first_bad_term_sets_the_error():
+    blob = terms((1, "x"), (1, "z"), (1.5, "x"))
+    with pytest.raises(InputError, match="^unknown generator 'z'$"):
+        ring_elem_from_json(blob, FREE_XY)
+    blob = terms((1, "x"), (1.5, "z"))
+    with pytest.raises(InputError, match="^coefficient 1.5 is not an integer$"):
+        ring_elem_from_json(blob, FREE_XY)
+    with pytest.raises(InputError, match="^bad ring element term: 'word'$"):
+        ring_elem_from_json([{"coeff": 1, "word": "x"}, {"coeff": 1}], FREE_XY)
+
+
 def test_to_text():
     x = RingElem.integer(Z3, 2) - RingElem.group(Z3, G) \
         - RingElem.group(Z3, Z3.invert(G))

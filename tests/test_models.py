@@ -17,6 +17,7 @@ from stable4.models import (
     HAN1,
     INFINITY,
     builtin_presentation,
+    check_invariants,
     fox_jacobian,
     h2_dimension,
     h2_to_hom_bits,
@@ -343,6 +344,30 @@ def test_realize_takes_top_for_topological():
 def test_realize_refuses_parity_or_tau_for_totally_non_spin(parity, tau):
     with pytest.raises(DomainError, match="^totally non-spin tuples carry only a signature$"):
         realize_form(Z3, INFINITY, 3, parity, tau)
+
+
+@pytest.mark.parametrize("w", [INFINITY, F2Vec.zero(3), F2Vec.from_bits("100")],
+                         ids=["infinity", "spin", "almost-spin"])
+@pytest.mark.parametrize("signature", [2.5, 8.0, True, "8", None])
+def test_realize_refuses_a_signature_that_is_not_an_int(w, signature):
+    parity = Parity.ODD if w == F2Vec.zero(3) else None
+    message = f"signature {signature!r} is not an integer"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        realize_form(Z3, w, signature, parity)
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        check_invariants(w, signature, parity, None, "topological", 3)
+
+
+@pytest.mark.parametrize("w", [INFINITY, F2Vec.zero(3), F2Vec.from_bits("100")],
+                         ids=["infinity", "spin", "almost-spin"])
+@pytest.mark.parametrize("parity", ["odd", "even", "Odd", 1, True, Parity])
+def test_realize_refuses_a_parity_that_is_not_a_parity(w, parity):
+    """A string is not read as a parity: "odd" used to pass as even."""
+    message = f"parity {parity!r} is not a Parity or None"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        realize_form(Z3, w, 8, parity, F2Vec.zero(3))
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        check_invariants(w, 8, parity, F2Vec.zero(3), "topological", 3)
 
 
 def test_realize_refuses_a_form_over_the_cap(monkeypatch):
