@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Mapping, Sequence
-from itertools import compress, islice, repeat
+from itertools import compress, repeat
 from operator import ne
 
 from .errors import DomainError, InputError, is_int
@@ -91,18 +91,12 @@ class RingMatrix:
 
     def is_hermitian(self) -> bool:
         """Each stored (i, j) equals conj of (j, i).  A stored entry is
-        nonzero, so an absent partner (a zero) fails it.  Each distinct
-        group element in the support is inverted once per call."""
+        nonzero, so an absent partner (a zero) fails it."""
         rows = self._rows
-        invert = self.family.invert
-        support = set().union(*[x._terms for row in rows for x in row.values()])
-        inverse = {g: invert(g) for g in support}
         for i, row in enumerate(rows):
             for j, x in row.items():
                 partner = rows[j].get(i)
-                if partner is None or x._terms != {
-                    inverse[g]: c for g, c in partner._terms.items()
-                }:
+                if partner is None or x != partner.conjugate():
                     return False
         return True
 
@@ -434,11 +428,10 @@ def form_to_json(a: AugmentedForm):
 
 def form_from_json(obj) -> AugmentedForm:
     """Load a form; refuses non-hermitian input.  An empty term list is a
-    zero entry and builds no ring element.  The cost is two C-level passes
-    over the n^2 entries (find the non-empty ones, count the empty lists)
-    plus the terms of the non-empty ones, with each distinct word text
-    parsed and reduced once; the first bad entry in row-major order sets
-    the error."""
+    zero entry and builds no ring element.  The cost is one C-level scan
+    of the n^2 entries for the ones that are not [] plus the terms of
+    those, with each distinct word text parsed and reduced once; the first
+    bad entry in row-major order sets the error."""
     try:
         epsilon = obj["epsilon"]
         family = family_from_json(obj["family"])
@@ -456,19 +449,10 @@ def form_from_json(obj) -> AugmentedForm:
         raise InputError(f"form size {n!r} is not a non-negative integer")
     elif n * n != len(flat):
         raise InputError(f"form size {n} needs {n * n} entries, got {len(flat)}")
-    # A non-empty list is truthy, so compress finds the candidates row by
-    # row in C.  Unless the empty lists account for every other entry, some
-    # falsy entry is not [] (0, "", null, {}), and the candidates become
-    # every entry that is not [], so that it is refused in row-major order.
-    cols = range(n)
-    entries = iter(flat)
-    nonempty = [(i, j) for i in cols for j in compress(cols, islice(entries, n))]
-    if len(nonempty) + flat.count([]) != n * n:
-        nonempty = [divmod(k, n) for k in compress(range(n * n), map(ne, flat, repeat([])))]
     load = ring_elem_reader(family)
-    rows: tuple[dict, ...] = tuple({} for _ in cols)
-    for i, j in nonempty:
-        x = load(flat[i * n + j])
+    rows: tuple[dict, ...] = tuple({} for _ in range(n))
+    for k in compress(range(n * n), map(ne, flat, repeat([]))):
+        x = load(flat[k])
         if not x.is_zero:
-            rows[i][j] = x
+            rows[k // n][k % n] = x
     return AugmentedForm(epsilon, RingMatrix._trusted(family, rows))
