@@ -7,11 +7,19 @@ row and acts on column vectors.  Every public constructor checks that a d x d
 matrix has d rows, each a mask below 2^d.  A product of two such matrices
 XORs rows of the right factor, so it stays below 2^d and is built by the
 private `F2Mat._trusted`, which stores the fields without running
-`__init__` and so without that check again.  Enumerations are bounded by
-caps, so a group or state space too large fails at once.  `configured_cap`
-is the one reader of the STABLE4_CAP environment variable: each bound calls
-it with its own default where the bound is enforced (2^20 states in
-`orbits`, 10^6 closure elements in `group_closure`).
+`__init__` and so without that check again.  Up to d = 8 (PRODUCT_TABLE_DIM)
+row i of A @ B is one lookup, T_B[A.rows[i]], in the table of all 2^d subset
+XORs of B's rows; T_B is built the first time B is a right factor and kept
+on B outside its fields, so equality, hash, repr, pickle and copy do not see
+it.  Above d = 8 each row is combined bit by bit and no table is built.
+`group_closure` multiplies on the right, so only its generators carry a
+table.
+
+Enumerations are bounded by caps, so a group or state space too large fails
+at once.  `configured_cap` is the one reader of the STABLE4_CAP environment
+variable: each bound calls it with its own default where the bound is
+enforced (2^20 states in `orbits`, 10^6 closure elements in
+`group_closure`).
 
 Orbits are searched on int states.  `orbits` first tabulates each
 generator on all 2^d vectors (k * 2^d entries for k generators), which
@@ -29,6 +37,7 @@ from .records import Record
 
 ORBIT_DIM_CAP = 20
 CLOSURE_CAP = 10**6
+PRODUCT_TABLE_DIM = 8
 
 
 def configured_cap(default: int = CLOSURE_CAP) -> int:
@@ -189,11 +198,21 @@ class F2Mat(Record):
 
     def __matmul__(self, other: "F2Mat") -> "F2Mat":
         """Row i of the product is the XOR of other.rows[j] over the set bits
-        j of self.rows[i]."""
+        j of self.rows[i]: other.combine(self.rows[i]).
+
+        Up to dimension PRODUCT_TABLE_DIM that XOR is looked up in the table
+        of all 2^d subset XORs of other's rows, built the first time other
+        is a right factor and kept on it outside the fields."""
         if self.dim != other.dim:
             raise DomainError(f"dimension mismatch: product of matrices of dimension "
                               f"{self.dim} and {other.dim}")
-        return F2Mat._trusted(self.dim, tuple(map(other.combine, self.rows)))
+        if self.dim > PRODUCT_TABLE_DIM:
+            return F2Mat._trusted(self.dim, tuple(map(other.combine, self.rows)))
+        table = getattr(other, "_product_table", None)
+        if table is None:
+            table = _image_table(other.rows)
+            object.__setattr__(other, "_product_table", table)
+        return F2Mat._trusted(self.dim, tuple(map(table.__getitem__, self.rows)))
 
     def combine(self, mask: int) -> int:
         """XOR of rows[j] over the set bits j of mask: the row vector mask
@@ -449,9 +468,14 @@ def _walk(
 def group_closure(generators: Sequence[F2Mat], cap: int | None = None) -> set[F2Mat]:
     """The matrix group generated by the given invertible matrices.
 
+    Each element found is multiplied on the right by every generator, so
+    the search costs |G| * k products for k generators, and only the
+    generators, as right factors, get a product table (see `__matmul__`).
+
     Raises CapExceeded once the closure grows past the cap (default 10^6,
-    overridable through STABLE4_CAP): the family is then too large for exact
-    stabilizer computations.
+    overridable through STABLE4_CAP), naming the generator count and the
+    dimension: the family is then too large for exact stabilizer
+    computations.
     """
     if cap is None:
         cap = configured_cap()
@@ -464,16 +488,21 @@ def group_closure(generators: Sequence[F2Mat], cap: int | None = None) -> set[F2
                               "(that of generator 0)")
         if not g.is_invertible():
             raise DomainError(f"generator {k} is not invertible")
+    # add, then compare sizes: one hash per product.
     closure: set[F2Mat] = {F2Mat.identity(dim)}
     frontier = list(closure)
+    size = 1
     while frontier:
         m = frontier.pop()
         for g in generators:
-            nxt = g @ m
-            if nxt not in closure:
-                if len(closure) >= cap:
-                    raise CapExceeded(f"group closure exceeded cap {cap}")
-                closure.add(nxt)
+            nxt = m @ g
+            closure.add(nxt)
+            if len(closure) > size:
+                if size >= cap:
+                    k = len(generators)
+                    raise CapExceeded(f"group closure of {k} generator{'s' * (k != 1)} "
+                                      f"in dimension {dim} exceeded cap {cap}")
+                size += 1
                 frontier.append(nxt)
     return closure
 

@@ -156,7 +156,9 @@ class HAN1(Record):
 
     ``w`` is an element of H^2(Bpi;Z/2) (zero meaning spin) or INFINITY for
     totally non-spin.  ``tau`` is present only when the form is even and the
-    model provenance pins it down; it is always absent for odd forms.
+    model provenance pins it down; it is always absent for odd forms.  An
+    almost-spin (nonzero w) form is even.  The parity is computed at most
+    once, and only when w is nonzero or tau is given.
     """
 
     w: object
@@ -175,7 +177,9 @@ class HAN1(Record):
                 )
             if tau is not None and tau.dim != w.dim:
                 raise DomainError("tau and w dimensions differ")
-            if tau is not None and parity(form) is Parity.ODD:
+            if (tau is not None or not w.is_zero) and parity(form) is Parity.ODD:
+                if not w.is_zero:
+                    raise DomainError("almost-spin intersection forms are even")
                 raise DomainError("odd forms carry no tau class")
         elif tau is not None:
             raise DomainError("totally non-spin types carry no tau class")

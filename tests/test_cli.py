@@ -447,9 +447,9 @@ def test_closure_cli(capsys, tmp_path):
 
 def test_closure_cap_exit_code(capsys, tmp_path):
     gens = write_json(tmp_path / "gens.json", [["01", "10"], ["11", "01"]])
-    code, _, err = run(capsys, ["closure", "--generators", gens, "--cap", "2"])
-    assert code == 3
-    assert "cap" in err
+    code, out, err = run(capsys, ["closure", "--generators", gens, "--cap", "2"])
+    assert (code, out) == (3, "")
+    assert err == "error: group closure of 2 generators in dimension 2 exceeded cap 2\n"
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,8 @@
+import copy
 import itertools
+import pickle
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +19,7 @@ from oracles import (
 )
 from stable4.errors import CapExceeded, DomainError, InputError
 from stable4.f2 import (
+    PRODUCT_TABLE_DIM,
     F2Mat,
     F2Vec,
     QuadraticFormF2,
@@ -121,6 +125,57 @@ def test_product_matches_entrywise_oracle(pair):
     rebuilt = F2Mat(a.dim, product.rows)
     assert product == rebuilt and hash(product) == hash(rebuilt)
     assert all(0 <= r < 1 << a.dim for r in product.rows)
+
+
+@st.composite
+def product_cases(draw):
+    """Two d x d left factors and a right factor that is invertible,
+    singular (one row the XOR of others) or arbitrary, for d on both sides
+    of PRODUCT_TABLE_DIM."""
+    d = draw(st.integers(0, 12))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def rows():
+        return [rng.randrange(1 << d) for _ in range(d)]
+
+    kind = draw(st.sampled_from(("invertible", "singular", "any")))
+    if kind == "invertible":
+        b = _random_invertible(rng, d)
+    elif kind == "singular" and d:
+        # row i becomes the XOR of a random set of the other rows
+        b_rows, i = rows(), rng.randrange(d)
+        b_rows[i] = 0
+        b_rows[i] = F2Mat(d, tuple(b_rows)).combine(rng.randrange(1 << d))
+        b = F2Mat(d, tuple(b_rows))
+        assert not b.is_invertible()
+    else:
+        b = F2Mat(d, tuple(rows()))
+    return F2Mat(d, tuple(rows())), F2Mat(d, tuple(rows())), b
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_cases())
+def test_product_matches_the_row_definition(case):
+    """Row i of A @ B is B.combine(A.rows[i]), before and after B has served
+    as a right factor (and so, up to PRODUCT_TABLE_DIM, carries its table)."""
+    a, a2, b = case
+    for left in (a, a2, a, b):
+        want = F2Mat(b.dim, tuple(b.combine(r) for r in left.rows))
+        assert left @ b == want
+    table = getattr(b, "_product_table", None)
+    assert (table is None) == (b.dim > PRODUCT_TABLE_DIM)
+
+
+def test_product_table_is_invisible():
+    b = F2Mat.from_rows(["110", "011", "001"])
+    assert F2Mat.identity(3) @ b == b
+    assert getattr(b, "_product_table", None) is not None
+    fresh = F2Mat(3, b.rows)
+    assert b == fresh and fresh == b
+    assert hash(b) == hash(fresh) and repr(b) == repr(fresh)
+    assert pickle.dumps(b) == pickle.dumps(fresh)
+    for clone in (pickle.loads(pickle.dumps(b)), copy.deepcopy(b), copy.copy(b)):
+        assert clone == fresh and hash(clone) == hash(fresh) and repr(clone) == repr(fresh)
 
 
 def test_product_dimension_mismatch():
@@ -412,6 +467,14 @@ def test_closure_matches_fixed_point_oracle():
     assert group_closure(gens) == fixed_point_closure(gens)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_closure_matches_fixed_point_oracle_on_seeded_sets(seed):
+    rng = random.Random(seed)
+    d, k = 1 + seed % 3, 1 + seed % 2
+    gens = [_random_invertible(rng, d) for _ in range(k)]
+    assert group_closure(gens) == fixed_point_closure(gens)
+
+
 def test_closure_gl3_order():
     closure = group_closure(list(GL3))
     assert len(closure) == 168
@@ -428,8 +491,28 @@ def test_closure_rejects_singular_generator():
 
 
 def test_closure_cap():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match=r"^group closure of 2 generators in "
+                                          r"dimension 2 exceeded cap 3$"):
         group_closure(list(GL2), cap=3)
+    with pytest.raises(CapExceeded, match=r"^group closure of 1 generator in "
+                                          r"dimension 2 exceeded cap 1$"):
+        group_closure([GL2[0]], cap=1)
+    assert len(group_closure(list(GL2), cap=6)) == 6
+
+
+def test_closure_in_high_dimension_builds_no_product_table():
+    """A transposition of F2^40 generates a group of order 2; the closure
+    must not tabulate 2^40 subset XORs."""
+    d = 40
+    swap = F2Mat(d, (2, 1) + tuple(1 << i for i in range(2, d)))
+    tracemalloc.start()
+    try:
+        closure = group_closure([swap])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert closure == {F2Mat.identity(d), swap}
+    assert peak < 1 << 20
 
 
 def test_closure_env_cap(monkeypatch):

@@ -278,6 +278,34 @@ def test_han1_infinity_allows_any_signature():
     assert h.signature == 5
 
 
+@pytest.mark.parametrize("tau", [None, "000", "100"])
+def test_han1_refuses_an_odd_almost_spin_form(tau):
+    odd = RingMatrix_int([[1, 1], [1, 0]])
+    tau = None if tau is None else F2Vec.from_bits(tau)
+    with pytest.raises(DomainError, match="^almost-spin intersection forms are even$"):
+        HAN1(w=F2Vec.from_bits("100"), signature=8, form=odd, tau=tau)
+    # nor does such a record come back from JSON
+    spin = HAN1(w=F2Vec.zero(3), signature=8, form=odd)
+    obj = dict(han1_to_json(spin), w="100")
+    with pytest.raises(DomainError, match="^almost-spin intersection forms are even$"):
+        han1_from_json(obj)
+
+
+@pytest.mark.parametrize("w, tau, calls", [
+    ("000", None, 0), ("000", "000", 1), ("100", None, 1), ("100", "000", 1),
+    ("infinity", None, 0),
+])
+def test_han1_computes_the_parity_at_most_once(monkeypatch, w, tau, calls):
+    import stable4.models as models
+
+    seen = []
+    monkeypatch.setattr(models, "parity", lambda form: seen.append(form) or parity(form))
+    form = RingMatrix_int([[0, 1], [1, 0]])
+    HAN1(w=w_from_json(w), signature=8, form=form,
+         tau=None if tau is None else F2Vec.from_bits(tau))
+    assert len(seen) == calls
+
+
 # ---------------------------------------------------------------------------
 # realization
 

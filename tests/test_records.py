@@ -301,6 +301,8 @@ VALIDATION = [
      "tau and w dimensions differ"),
     (lambda: HAN1(F2Vec(3, 0), 0, ODD_FORM, F2Vec(3, 0)), DomainError,
      "odd forms carry no tau class"),
+    (lambda: HAN1(F2Vec.from_bits("100"), 8, ODD_FORM), DomainError,
+     "almost-spin intersection forms are even"),
     (lambda: HAN1(INFINITY, 1, ODD_FORM, F2Vec(3, 0)), DomainError,
      "totally non-spin types carry no tau class"),
     (lambda: FamilyData("f", 3, (F2Mat.identity(2),)), DomainError,
