@@ -20,6 +20,7 @@ from .classify import (
     decide_stable_equiv,
     family_data_from_json,
     invariant_tuple_from_json,
+    invariants_of,
     table_to_json,
     table_to_text,
 )
@@ -104,10 +105,20 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _load_tuple(path: str, category: str):
+    """The invariant tuple of a tuple file, or of a model file (one with a
+    "form" key, as `model` writes it), whose parity is read off the form
+    rather than off the recorded "parity" key."""
+    blob = _load_json(path)
+    if isinstance(blob, dict) and "form" in blob:
+        return invariants_of(models.han1_from_json(blob), category)
+    return invariant_tuple_from_json(blob)
+
+
 def _cmd_decide(args) -> int:
     _, data, _ = _family_pair(args.family)
-    a = invariant_tuple_from_json(_load_json(args.a))
-    b = invariant_tuple_from_json(_load_json(args.b))
+    a = _load_tuple(args.a, args.category)
+    b = _load_tuple(args.b, args.category)
     same = decide_stable_equiv(a, b, args.category, data)
     verdict = "EQUIVALENT" if same else "DISTINCT"
     _emit({"verdict": verdict, "a": a.describe(), "b": b.describe()},

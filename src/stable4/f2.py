@@ -5,15 +5,18 @@ orbit enumeration under generator sets.
 Vectors pack coordinate i into bit i of an int; a matrix stores one mask per
 row and acts on column vectors.  Every public constructor checks that a d x d
 matrix has d rows, each a mask below 2^d.  A product of two such matrices
-XORs rows of the right factor, so it stays below 2^d and is built by the
-private `F2Mat._trusted`, which stores the fields without running
-`__init__` and so without that check again.  Up to d = 8 (PRODUCT_TABLE_DIM)
-row i of A @ B is one lookup, T_B[A.rows[i]], in the table of all 2^d subset
-XORs of B's rows; T_B is built the first time B is a right factor and kept
-on B outside its fields, so equality, hash, repr, pickle and copy do not see
-it.  Above d = 8 each row is combined bit by bit and no table is built.
-`group_closure` multiplies on the right, so only its generators carry a
-table.
+XORs rows of the right factor, so it stays below 2^d and is built as the
+private `F2Mat._trusted` builds a matrix: the fields are stored without
+running `__init__` and so without that check again.  Up to d = 8
+(PRODUCT_TABLE_DIM) row i of A @ B is one lookup, T_B[A.rows[i]], in the
+table of all 2^d subset XORs of B's rows; T_B is built the first time B is
+a right factor and kept on B outside its fields, so equality, hash, repr,
+pickle and copy do not see it.  Above d = 8 each row is combined bit by bit
+and no table is built.  `group_closure` multiplies on the right, so only
+its generators carry a table.  It deduplicates products on their `rows`
+tuples, which hash and compare in C, so no `F2Mat.__hash__` or `__eq__`
+runs per product, and it builds the returned set of matrices once, at the
+end, after dropping the row set.
 
 Enumerations are bounded by caps, so a group or state space too large fails
 at once.  `configured_cap` is the one reader of the STABLE4_CAP environment
@@ -38,6 +41,11 @@ from .records import Record
 ORBIT_DIM_CAP = 20
 CLOSURE_CAP = 10**6
 PRODUCT_TABLE_DIM = 8
+
+# Bound once: `F2Mat._trusted` and `F2Mat.__matmul__` build matrices with
+# them, past the frozen `Record.__setattr__`.
+_new_object = object.__new__
+_set_field = object.__setattr__
 
 
 def configured_cap(default: int = CLOSURE_CAP) -> int:
@@ -140,9 +148,9 @@ class F2Mat(Record):
     @classmethod
     def _trusted(cls, dim: int, rows: tuple[int, ...]) -> "F2Mat":
         """A matrix whose rows are known to be d masks below 2^d; no checks."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "dim", dim)
-        object.__setattr__(m, "rows", rows)
+        m = _new_object(cls)
+        _set_field(m, "dim", dim)
+        _set_field(m, "rows", rows)
         return m
 
     def __eq__(self, other):
@@ -202,17 +210,23 @@ class F2Mat(Record):
 
         Up to dimension PRODUCT_TABLE_DIM that XOR is looked up in the table
         of all 2^d subset XORs of other's rows, built the first time other
-        is a right factor and kept on it outside the fields."""
-        if self.dim != other.dim:
+        is a right factor and kept on it outside the fields.  The product
+        is built here, as `_trusted` builds one, to save that call."""
+        dim = self.dim
+        if dim != other.dim:
             raise DomainError(f"dimension mismatch: product of matrices of dimension "
-                              f"{self.dim} and {other.dim}")
-        if self.dim > PRODUCT_TABLE_DIM:
-            return F2Mat._trusted(self.dim, tuple(map(other.combine, self.rows)))
-        table = getattr(other, "_product_table", None)
-        if table is None:
+                              f"{dim} and {other.dim}")
+        if dim > PRODUCT_TABLE_DIM:
+            return F2Mat._trusted(dim, tuple(map(other.combine, self.rows)))
+        try:
+            table = other._product_table
+        except AttributeError:
             table = _image_table(other.rows)
-            object.__setattr__(other, "_product_table", table)
-        return F2Mat._trusted(self.dim, tuple(map(table.__getitem__, self.rows)))
+            _set_field(other, "_product_table", table)
+        product = _new_object(F2Mat)
+        _set_field(product, "dim", dim)
+        _set_field(product, "rows", tuple(map(table.__getitem__, self.rows)))
+        return product
 
     def combine(self, mask: int) -> int:
         """XOR of rows[j] over the set bits j of mask: the row vector mask
@@ -488,23 +502,28 @@ def group_closure(generators: Sequence[F2Mat], cap: int | None = None) -> set[F2
                               "(that of generator 0)")
         if not g.is_invertible():
             raise DomainError(f"generator {k} is not invertible")
-    # add, then compare sizes: one hash per product.
-    closure: set[F2Mat] = {F2Mat.identity(dim)}
-    frontier = list(closure)
+    # The element list is the breadth-first queue.  Products are kept apart
+    # by their row tuples, which hash and compare in C; add, then compare
+    # sizes: one hash per product.  size is len(elements), kept in a local.
+    identity = F2Mat.identity(dim)
+    elements = [identity]
+    seen = {identity.rows}
     size = 1
-    while frontier:
-        m = frontier.pop()
+    for m in elements:
         for g in generators:
             nxt = m @ g
-            closure.add(nxt)
-            if len(closure) > size:
+            seen.add(nxt.rows)
+            if len(seen) > size:
                 if size >= cap:
                     k = len(generators)
                     raise CapExceeded(f"group closure of {k} generator{'s' * (k != 1)} "
                                       f"in dimension {dim} exceeded cap {cap}")
                 size += 1
-                frontier.append(nxt)
-    return closure
+                elements.append(nxt)
+    # Drop the row set before the result set is built, so the two are
+    # never held at once.
+    del seen
+    return set(elements)
 
 
 # ---------------------------------------------------------------------------

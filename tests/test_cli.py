@@ -181,6 +181,42 @@ def test_decide_refuses_a_w_of_another_dimension(capsys, tmp_path, w, parity, ta
     assert err == "error: tuple a: w has dimension 2, the family needs 3\n"
 
 
+def _model_files(capsys, tmp_path):
+    """The HAN1 files of P(gamma=100) and M1 over nil:2, as `model` writes them."""
+    paths = []
+    for argv in (["--kind", "P", "--gamma", "100"], ["--kind", "M1"]):
+        code, out, _ = run(capsys, ["model", "--family", "nil:2", *argv])
+        assert code == 0
+        paths.append(write_json(tmp_path / f"{argv[1]}.json", json.loads(out)))
+    return paths
+
+
+def test_decide_reads_the_parity_of_a_model_file_off_its_form(capsys, tmp_path):
+    p, m1 = _model_files(capsys, tmp_path)
+    code, out, err = run(
+        capsys, ["decide", "--a", p, "--b", m1, "--category", "top", "--family", "nil:2"]
+    )
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["verdict"] == "DISTINCT"
+    assert payload["a"] == "(w=000, sigma=0, even, tau=001)"
+
+
+def test_decide_refuses_a_model_file_whose_recorded_parity_is_edited(capsys, tmp_path):
+    """The form of P(gamma=100) is even: recording it as odd with no tau
+    leaves an even form of unknown tau class, not an odd one."""
+    p, m1 = _model_files(capsys, tmp_path)
+    blob = json.loads(Path(p).read_text())
+    blob.update(parity="odd", tau=None)
+    edited = write_json(tmp_path / "edited.json", blob)
+    code, out, err = run(
+        capsys,
+        ["decide", "--a", edited, "--b", m1, "--category", "top", "--family", "nil:2"],
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # model / parity
 

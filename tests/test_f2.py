@@ -498,6 +498,54 @@ def test_closure_cap():
                                           r"dimension 2 exceeded cap 1$"):
         group_closure([GL2[0]], cap=1)
     assert len(group_closure(list(GL2), cap=6)) == 6
+    with pytest.raises(CapExceeded, match=r"^group closure of 3 generators in "
+                                          r"dimension 3 exceeded cap 167$"):
+        group_closure(list(GL3), cap=167)
+    assert len(group_closure(list(GL3), cap=168)) == 168
+
+
+@pytest.mark.parametrize("gens, order", [(GL3, 168), (GL4, 20160)], ids=["GL3", "GL4"])
+def test_closure_makes_one_product_per_element_and_generator(monkeypatch, gens, order):
+    product = F2Mat.__dict__["__matmul__"]
+    calls = 0
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return product(a, b)
+
+    monkeypatch.setattr(F2Mat, "__matmul__", counting)
+    closure = group_closure(list(gens))
+    assert len(closure) == order
+    assert calls == order * len(gens)
+
+
+def test_closure_peak_memory_is_close_to_its_result():
+    """The row set that deduplicates products is dropped before the result
+    set is built, so the traced peak stays near what the call returns."""
+    gens = list(GL4)
+    tracemalloc.start()
+    try:
+        closure = group_closure(gens)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(closure) == 20160
+    assert peak <= 1.25 * held
+
+
+def test_closure_above_the_table_dimension_matches_the_oracle():
+    """GL_3(F2) + I_6 at d = 9 multiplies row by row, with no product table.
+    The entrywise oracle takes seconds at d = 9, so it runs on the 3 x 3
+    blocks and its result is embedded."""
+    pad = tuple(1 << i for i in range(3, 9))
+    embed = lambda m: F2Mat(9, m.rows + pad)
+    gens = [embed(g) for g in GL3]
+    assert 9 > PRODUCT_TABLE_DIM
+    closure = group_closure(gens)
+    assert len(closure) == 168
+    assert closure == {embed(m) for m in fixed_point_closure(list(GL3))}
+    assert not any(hasattr(g, "_product_table") for g in gens)
 
 
 def test_closure_in_high_dimension_builds_no_product_table():
