@@ -2,7 +2,6 @@
 fundamental group is an aspherical 3-manifold group."""
 
 from .classify import (
-    BordismClassSpin,
     ClassificationTable,
     FamilyData,
     InvariantTuple,
@@ -25,9 +24,8 @@ from .forms import (
     parity,
     restrict_to_Ipi,
     signature_int,
-    stabilize_hyperbolic,
 )
-from .groupring import RingElem, augmentation, in_image_one_plus_T, phi
+from .groupring import RingElem, augmentation, in_image_one_plus_T
 from .models import (
     HAN1,
     INFINITY,

@@ -76,19 +76,6 @@ class FamilyData(Record):
         self.__dict__.update(name=name, d=d, out_generators=out_generators)
 
 
-class BordismClassSpin(Record):
-    """Element (sigma, phi, eps) of the spin bordism group Z + F2^d + Z/2."""
-
-    sigma: int
-    phi: F2Vec
-    eps: int
-
-    def __init__(self, sigma: int, phi: F2Vec, eps: int) -> None:
-        if eps not in (0, 1):
-            raise DomainError("eps must be a bit")
-        self.__dict__.update(sigma=sigma, phi=phi, eps=eps)
-
-
 def builtin_data(ring: GroupFamily) -> FamilyData:
     """The F2 side of z3 or nil:z, derived from its record in models."""
     record = builtin_family(ring)
@@ -136,14 +123,12 @@ def spin_generators(family: FamilyData) -> list[F2Mat]:
     return gens
 
 
-def spin_state_orbits(family: FamilyData) -> list[list[BordismClassSpin]]:
+def spin_state_orbits(family: FamilyData) -> list[list[F2Vec]]:
     """Orbits of the (phi, eps) states at signature zero under the full
-    automorphism action, sorted by (eps, phi) within and across orbits."""
-    parts = orbits(family.d + 1, spin_generators(family))
-    return [
-        [BordismClassSpin(0, F2Vec(family.d, v.bits >> 1), v.bits & 1) for v in orb]
-        for orb in parts
-    ]
+    automorphism action, sorted by (eps, phi) within and across orbits.
+    Each state is the F2^(d+1) vector of `spin_generators`: eps in
+    coordinate 0 (bit 0), phi in coordinates 1..d (bits 1..d)."""
+    return orbits(family.d + 1, spin_generators(family))
 
 
 def stabilizer_of_w(family: FamilyData, w: F2Vec) -> list[F2Mat]:
@@ -216,10 +201,12 @@ class ClassificationTable(Record):
 def classify(family: FamilyData, w, category: str) -> ClassificationTable:
     """The stable classification table for one normal 1-type.
 
-    Spin tables list the H_2 orbits under the full Out-image plus a single
-    odd class; almost-spin tables list orbits under the stabilizer of w, of
-    the kernel of evaluation (smooth) or of everything (topological);
-    totally non-spin tables are signature-only.  Strides: 1 for totally
+    Spin tables read the orbits of `spin_state_orbits` off the state bits:
+    an orbit of eps = 0 states is an H_2 orbit of phi, and the eps = 1
+    states (one orbit, checked) are the odd class.  Almost-spin tables list
+    orbits under the stabilizer of w, of the kernel of evaluation (smooth)
+    or of everything (topological); totally non-spin tables are
+    signature-only.  Strides: 1 for totally
     non-spin, 16 for smooth spin, 8 otherwise.
     """
     category = normalize_category(category)
@@ -239,17 +226,12 @@ def classify(family: FamilyData, w, category: str) -> ClassificationTable:
         entries: list[ClassEntry] = []
         odd_count = 0
         for orbit in spin_state_orbits(family):
-            if orbit[0].eps == 1:
+            if orbit[0].bits & 1:  # eps = 1: the odd class
                 odd_count += 1
                 entries.append(ClassEntry("odd"))
             else:
-                entries.append(
-                    ClassEntry(
-                        "orbit",
-                        representative=orbit[0].phi,
-                        orbit=tuple(s.phi for s in orbit),
-                    )
-                )
+                phis = tuple(F2Vec(family.d, v.bits >> 1) for v in orbit)
+                entries.append(ClassEntry("orbit", representative=phis[0], orbit=phis))
         if odd_count != 1:
             raise DomainError(
                 f"expected exactly one odd class, found {odd_count}"

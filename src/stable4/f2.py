@@ -140,8 +140,11 @@ class F2Mat(Record):
     rows: tuple[int, ...]
 
     def __init__(self, dim: int, rows: tuple[int, ...]) -> None:
-        if len(rows) != dim or any(r >> dim for r in rows):
-            raise InputError("matrix rows inconsistent with dimension")
+        if len(rows) != dim:
+            raise InputError(f"matrix of dimension {dim} needs {dim} rows, got {len(rows)}")
+        if any(r >> dim for r in rows):
+            i = next(i for i, r in enumerate(rows) if r >> dim)
+            raise InputError(f"matrix row {i} bits {rows[i]:#x} out of range for dim {dim}")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "rows", rows)
 

@@ -132,14 +132,6 @@ class RingMatrix:
             out.append(ints)
         return out
 
-    def augmentation_rows(self) -> list[list[int]]:
-        """Apply the augmentation entrywise; the integer shadow of the form."""
-        return _dense(self._int_rows(integer=False))
-
-    def integer_rows(self) -> list[list[int]]:
-        """Entries as plain integers; requires support inside the identity."""
-        return _dense(self._int_rows(integer=True))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingMatrix):
             return NotImplemented
@@ -151,14 +143,6 @@ class RingMatrix:
             ", ".join(self.entry(i, j).to_text() for j in range(n)) for i in range(n)
         )
         return f"<RingMatrix [{rows}]>"
-
-
-def _dense(rows: list[dict[int, int]]) -> list[list[int]]:
-    out = [[0] * len(rows) for _ in rows]
-    for ints, row in zip(out, rows):
-        for j, v in row.items():
-            ints[j] = v
-    return out
 
 
 class AugmentedForm(Record):
@@ -207,6 +191,8 @@ def block_copies(block: RingMatrix, count: int) -> RingMatrix | None:
     first operand and copies the nonzeros of its second, and the operands
     double, so the work is linear in the rows and nonzeros of the result.
     """
+    if count < 0:
+        raise DomainError(f"copy count {count} is negative")
     out = None
     while count:
         if count & 1:
@@ -215,16 +201,6 @@ def block_copies(block: RingMatrix, count: int) -> RingMatrix | None:
         if count:
             block = block.direct_sum(block)
     return out
-
-
-def stabilize_hyperbolic(a: AugmentedForm, k: int) -> AugmentedForm:
-    """Append k hyperbolic planes; this is what summing S^2 x S^2's does."""
-    if k < 0:
-        raise DomainError("stabilization count must be nonnegative")
-    m = a.matrix
-    if k:
-        m = m.direct_sum(block_copies(hyperbolic_matrix(a.family), k))
-    return AugmentedForm(a.epsilon, m)
 
 
 def restrict_to_Ipi(a: AugmentedForm) -> RingElem:

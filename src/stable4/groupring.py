@@ -158,11 +158,6 @@ def augmentation(x: RingElem) -> int:
     return sum(x._terms.values())
 
 
-def phi(x: RingElem) -> int:
-    """Augmentation reduced modulo 2."""
-    return augmentation(x) % 2
-
-
 def in_image_one_plus_T(x: RingElem) -> bool:
     """Decide whether x = p + conj(p) for some p in the group ring.
 

@@ -157,8 +157,10 @@ class HAN1(Record):
     ``w`` is an element of H^2(Bpi;Z/2) (zero meaning spin) or INFINITY for
     totally non-spin.  ``tau`` is present only when the form is even and the
     model provenance pins it down; it is always absent for odd forms.  An
-    almost-spin (nonzero w) form is even.  The parity is computed at most
-    once, and only when w is nonzero or tau is given.
+    almost-spin (nonzero w) form is even.  ``check_invariants`` decides what
+    is admissible, in the topological category, with TAU_UNKNOWN for an even
+    form without tau.  The parity is computed at most once, and only when w
+    is nonzero or tau is given.
     """
 
     w: object
@@ -169,20 +171,14 @@ class HAN1(Record):
 
     def __init__(self, w, signature: int, form: AugmentedForm,
                  tau: F2Vec | None = None, notes: str = "") -> None:
+        p, t = None, tau
         if check_w(w) is not INFINITY:
-            if signature % 8:
-                raise DomainError(
-                    "signature of a manifold with spin universal cover "
-                    "must be divisible by 8"
-                )
-            if tau is not None and tau.dim != w.dim:
-                raise DomainError("tau and w dimensions differ")
-            if (tau is not None or not w.is_zero) and parity(form) is Parity.ODD:
-                if not w.is_zero:
-                    raise DomainError("almost-spin intersection forms are even")
-                raise DomainError("odd forms carry no tau class")
-        elif tau is not None:
-            raise DomainError("totally non-spin types carry no tau class")
+            # A spin w without tau passes the rule with either parity (odd,
+            # no tau; or even, TAU_UNKNOWN), so the parity is not needed.
+            p = parity(form) if tau is not None or not w.is_zero else Parity.ODD
+            if p is Parity.EVEN and tau is None:
+                t = TAU_UNKNOWN
+        check_invariants(w, signature, p, t, TOPOLOGICAL)
         self.__dict__.update(w=w, signature=signature, form=form, tau=tau, notes=notes)
 
     @property

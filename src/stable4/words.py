@@ -548,11 +548,15 @@ def presentation_to_json(pres: Presentation, family: GroupFamily):
 
 def presentation_from_json(obj) -> tuple[Presentation, GroupFamily]:
     try:
-        generators = tuple(str(g) for g in obj["generators"])
-        relator_texts = list(obj["relators"])
+        generators, relator_texts = obj["generators"], obj["relators"]
         family_tag = obj.get("family", "free")
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad presentation JSON: {exc}") from None
+    for field, value in (("generators", generators), ("relators", relator_texts)):
+        if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
+            raise InputError(f'presentation field "{field}" needs a list of strings, '
+                             f"not {value!r}")
+    generators = tuple(generators)
     family = family_from_json(family_tag, generators)
     if not isinstance(family, FreeFamily) and generators != family.generators:
         raise InputError(

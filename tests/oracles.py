@@ -272,6 +272,11 @@ def dense_negate(rows):
     return [[-x for x in row] for row in rows]
 
 
+def dense_view(m) -> list[list[RingElem]]:
+    """Every entry of a RingMatrix, zeros included, row by row."""
+    return [[m.entry(i, j) for j in range(m.size)] for i in range(m.size)]
+
+
 def dense_augmentation_rows(rows) -> list[list[int]]:
     return [[augmentation(x) for x in row] for row in rows]
 
@@ -460,7 +465,6 @@ RECORD_TWINS = {
         _twin("AugmentedForm", "epsilon", "matrix"),
         _twin("HAN1", "w", "signature", "form", ("tau", None), ("notes", "")),
         _twin("FamilyData", "name", "d", "out_generators"),
-        _twin("BordismClassSpin", "sigma", "phi", "eps"),
         _twin("ClassEntry", "kind", ("representative", None), ("orbit", ())),
         _twin("ClassificationTable", "w", "category", "signature_stride",
               "classes", "ks_rule", ("family_name", "")),

@@ -28,6 +28,7 @@ from stable4.classify import (
     invariants_of,
     ks,
     spin_generators,
+    spin_state_orbits,
     stabilizer_of_w,
     table_to_json,
     table_to_text,
@@ -219,6 +220,22 @@ def test_act_spin_dimension_mismatch():
     fam = family_nil(3)
     with pytest.raises(DomainError):
         spin_generators(fam)[0].apply(spin_state(0, F2Vec.zero(3)))
+
+
+@pytest.mark.parametrize("fam", [family_z3(), family_nil(2), family_nil(3)],
+                         ids=lambda f: f.name)
+def test_spin_state_orbits_are_vectors_with_eps_in_bit_0(fam):
+    """The states are F2^(d+1) vectors; the eps = 1 states are one orbit, and
+    the eps = 0 orbits carry the phi orbits of the classify table."""
+    parts = spin_state_orbits(fam)
+    assert all(v.dim == fam.d + 1 for orbit in parts for v in orbit)
+    odd = [orbit for orbit in parts if orbit[0].bits & 1]
+    assert [sorted(v.bits for v in orbit) for orbit in odd] == [
+        list(range(1, 2 << fam.d, 2))]
+    table = classify(fam, spin_w(fam), "smooth")
+    assert [e.orbit for e in table.classes if e.kind == "orbit"] == [
+        tuple(F2Vec(fam.d, v.bits >> 1) for v in orbit)
+        for orbit in parts if not orbit[0].bits & 1]
 
 
 def test_spin_tables_honour_the_cap(monkeypatch):

@@ -248,6 +248,23 @@ def test_presentation_rejects_a_malformed_family_tag(capsys, tmp_path, tag):
     assert err.startswith(f'error: family tag "{name}" needs')
 
 
+@pytest.mark.parametrize("field, value", [
+    ("relators", "axy"), ("generators", "axy"), ("generators", ["a", None, "y"]),
+    ("relators", ["x a x^-1 a^-1", 3]), ("relators", None),
+])
+def test_presentation_fields_must_be_lists_of_strings(capsys, tmp_path, field, value):
+    """A string is not split into one-letter names or relators, and null is
+    not read as the name "None"."""
+    pres = {"generators": ["a", "x", "y"], "relators": [], "family": {"nil": 2}}
+    path = write_json(tmp_path / "p.json", {**pres, field: value})
+    argv = ["model", "--kind", "P", "--family", "nil:2", "--gamma", "000",
+            "--presentation", path]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == (f'error: presentation field "{field}" needs a list of strings, '
+                   f"not {value!r}\n")
+
+
 def test_parity_rejects_a_string_as_free_generators(capsys, tmp_path):
     path = write_json(
         tmp_path / "f.json",

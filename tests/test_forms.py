@@ -17,6 +17,7 @@ from oracles import (
     dense_is_hermitian,
     dense_ldlt_signature,
     dense_negate,
+    dense_view,
     eigen_free_signature,
     leading_minors_positive,
 )
@@ -37,7 +38,6 @@ from stable4.forms import (
     parity,
     restrict_to_Ipi,
     signature_int,
-    stabilize_hyperbolic,
 )
 from stable4.groupring import RingElem
 from stable4.words import FreeFamily, NilFamily, Word, ZnFamily, family_to_json, normalize
@@ -132,20 +132,26 @@ def test_direct_sum_rejects_two_ideals():
         direct_sum(a, a)
 
 
+def stabilize(a, k):
+    """a plus k hyperbolic planes: what summing k copies of S^2 x S^2 does."""
+    planes = block_copies(hyperbolic_matrix(a.family), k)  # None when k = 0
+    return direct_sum(a, AugmentedForm(0, planes or RingMatrix.from_int_rows(a.family, [])))
+
+
 def test_stabilize_zero_times_is_identity():
     a = AugmentedForm(1, RingMatrix.from_int_rows(Z3, [[1, 1], [1, 0]]))
-    assert stabilize_hyperbolic(a, 0) == a
+    assert stabilize(a, 0) == a
 
 
 def test_stabilize_empty_form_gives_hyperbolic():
-    a = stabilize_hyperbolic(AugmentedForm(0, RingMatrix.from_int_rows(Z3, [])), 1)
+    a = stabilize(AugmentedForm(0, RingMatrix.from_int_rows(Z3, [])), 1)
     assert a.matrix == hyperbolic_matrix(Z3)
 
 
 def test_stabilize_preserves_signature_and_parity(rng):
     a = AugmentedForm(0, e8_block(Z3))
     for k in range(5):
-        s = stabilize_hyperbolic(a, k)
+        s = stabilize(a, k)
         assert signature_int(s) == 8
         assert parity(s) == parity(a)
 
@@ -160,8 +166,8 @@ def test_block_copies_match_a_chain_of_sums():
 
 
 def test_stabilize_rejects_negative():
-    with pytest.raises(DomainError):
-        stabilize_hyperbolic(AugmentedForm(0, RingMatrix.from_int_rows(Z3, [])), -1)
+    with pytest.raises(DomainError, match="^copy count -1 is negative$"):
+        stabilize(AugmentedForm(0, RingMatrix.from_int_rows(Z3, [])), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +227,7 @@ def test_signature_diagonal():
 
 
 def test_e8_is_positive_definite_hence_signature_eight():
-    rows = e8_block(Z3).integer_rows()
+    rows = dense_integer_rows(Z3, dense_view(e8_block(Z3)))
     assert leading_minors_positive(rows)  # Sylvester: definite, so sig = rank
     assert signature_int(AugmentedForm(0, e8_block(Z3))) == 8
 
@@ -229,7 +235,7 @@ def test_e8_is_positive_definite_hence_signature_eight():
 def test_e8_is_even_and_unimodular():
     block = e8_block(Z3)
     assert parity(AugmentedForm(0, block)) == Parity.EVEN
-    assert bareiss_det(block.integer_rows()) == 1
+    assert bareiss_det(dense_integer_rows(Z3, dense_view(block))) == 1
 
 
 def test_signature_additive():
@@ -355,7 +361,7 @@ def test_augmentation_signature():
     )
     a = AugmentedForm(1, m)
     assert augmentation_signature(a) == 0
-    assert ldlt_signature(m.augmentation_rows()) == 0
+    assert ldlt_signature(dense_augmentation_rows(dense_view(m))) == 0
 
 
 def sparse_rows(rows):
@@ -532,15 +538,11 @@ def test_form_loader_refuses_non_hermitian_spellings():
 # sparse rows against the dense oracle
 
 
-def dense_view(m):
-    return [[m.entry(i, j) for j in range(m.size)] for i in range(m.size)]
-
-
 @st.composite
 def dense_rows(draw, family, size):
     """size x size RingElems over family, each zero with probability ~1/2;
     a nonzero draw may still cancel to zero.  When integer is drawn every
-    entry lies on the identity, so integer_rows has an answer."""
+    entry lies on the identity, so dense_integer_rows has an answer."""
     integer = draw(st.booleans())
     letter = st.tuples(st.integers(0, family.rank - 1), st.sampled_from((-2, -1, 1, 2)))
     term = st.tuples(
@@ -579,14 +581,15 @@ def test_sparse_rows_match_the_dense_oracle(case, epsilon):
     assert dense_view(m.negate()) == dense_negate(a)
     assert dense_view(m.direct_sum(other)) == dense_direct_sum(family, a, b)
     assert (m == other) == (a == b)
-    assert m.augmentation_rows() == dense_augmentation_rows(a)
+    nonzeros = lambda rows: [{j: v for j, v in enumerate(row) if v} for row in rows]
+    assert m._int_rows(integer=False) == nonzeros(dense_augmentation_rows(a))
     try:
         expected = dense_integer_rows(family, a)
     except DomainError:
-        with pytest.raises(DomainError):
-            m.integer_rows()
+        with pytest.raises(DomainError, match="^matrix entry has non-identity support$"):
+            signature_int(m)
     else:
-        assert m.integer_rows() == expected
+        assert m._int_rows(integer=True) == nonzeros(expected)
     if not m.is_hermitian() or m.size < epsilon:
         return
     blob = form_to_json(AugmentedForm(epsilon, m))
@@ -678,10 +681,10 @@ def test_ring_signatures_match_the_dense_integer_shadows(m):
     """signature_int and augmentation_signature read the sparse rows; the
     dense shadows give the same signature, or the same error."""
     assert signature_or_error(lambda: signature_int(m)) == signature_or_error(
-        lambda: ldlt_signature(m.integer_rows()))
+        lambda: ldlt_signature(dense_integer_rows(m.family, dense_view(m))))
     if m.is_hermitian():
         assert augmentation_signature(AugmentedForm(0, m)) == ldlt_signature(
-            m.augmentation_rows())
+            dense_augmentation_rows(dense_view(m)))
 
 
 def test_an_entry_without_its_mirror_is_not_hermitian():

@@ -12,7 +12,6 @@ from stable4.groupring import (
     RingElem,
     augmentation,
     in_image_one_plus_T,
-    phi,
     ring_elem_from_json,
     ring_elem_to_json,
 )
@@ -189,7 +188,6 @@ def test_augmentation_of_ideal_generators():
 def test_augmentation_and_phi():
     x = RingElem(Z3, {Z3.identity(): 3, G: 1})
     assert augmentation(x) == 4
-    assert phi(x) == 0
 
 
 def test_augmentation_multiplicative(rng):

@@ -1,12 +1,16 @@
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import dense_augmentation_rows, dense_integer_rows, dense_view
 from stable4.errors import CapExceeded, DomainError, InputError
 from stable4.f2 import F2Vec
 from stable4.forms import (
     AugmentedForm,
     Parity,
+    RingMatrix,
     augmentation_signature,
     hyperbolic_matrix,
     parity,
@@ -16,6 +20,7 @@ from stable4.groupring import RingElem
 from stable4.models import (
     HAN1,
     INFINITY,
+    TAU_UNKNOWN,
     builtin_presentation,
     check_invariants,
     fox_jacobian,
@@ -82,7 +87,7 @@ def test_m0_is_exactly_hyperbolic():
 
 def test_m1_form_and_parity():
     h = model_M_sigma(Z3, 1, F2Vec.from_bits("010"))
-    assert h.form.matrix.integer_rows() == [[1, 1], [1, 0]]
+    assert dense_integer_rows(Z3, dense_view(h.form.matrix)) == [[1, 1], [1, 0]]
     assert parity(h.form) == Parity.ODD
     assert h.tau is None
 
@@ -263,8 +268,6 @@ def test_han1_rejects_tau_on_odd_form():
 
 
 def RingMatrix_int(rows):
-    from stable4.forms import RingMatrix
-
     return AugmentedForm(1, RingMatrix.from_int_rows(Z3, rows))
 
 
@@ -306,13 +309,59 @@ def test_han1_computes_the_parity_at_most_once(monkeypatch, w, tau, calls):
     assert len(seen) == calls
 
 
+def test_han1_refuses_a_signature_that_is_not_an_integer():
+    form = RingMatrix_int([[0, 1], [1, 0]])
+    with pytest.raises(InputError, match=r"^signature 2\.5 is not an integer$"):
+        HAN1(w=INFINITY, signature=2.5, form=form)
+
+
+def _rule_error(w, signature, form, tau):
+    """What check_invariants says of the model's tuple, with TAU_UNKNOWN
+    standing for the tau of an even form that has none."""
+    p, t = None, tau
+    if w is not INFINITY:
+        p = parity(form)
+        if p is Parity.EVEN and tau is None:
+            t = TAU_UNKNOWN
+    try:
+        check_invariants(w, signature, p, t, "topological")
+    except (DomainError, InputError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def han1_cases(draw):
+    family = draw(st.sampled_from((Z3, NIL2)))  # both have d = 3
+    corner = draw(st.sampled_from((0, 1, 2, 3)))  # the parity of the form
+    form = AugmentedForm(1, RingMatrix.from_int_rows(family, [[corner, 1], [1, 0]]))
+    vec = st.integers(0, 7).map(lambda bits: F2Vec(3, bits))
+    w = draw(st.just(INFINITY) | vec)
+    tau = draw(st.none() | vec | st.integers(0, 3).map(lambda bits: F2Vec(2, bits)))
+    signature = draw(st.integers(-24, 24) | st.sampled_from((2.5, 8.0, True)))
+    return w, signature, form, tau
+
+
+@settings(max_examples=300, deadline=None)
+@given(han1_cases())
+def test_han1_refuses_exactly_what_the_rule_refuses(case):
+    w, signature, form, tau = case
+    expected = _rule_error(w, signature, form, tau)
+    try:
+        HAN1(w=w, signature=signature, form=form, tau=tau)
+    except (DomainError, InputError) as exc:
+        assert (type(exc), str(exc)) == expected
+    else:
+        assert expected is None
+
+
 # ---------------------------------------------------------------------------
 # realization
 
 
 def test_realize_totally_non_spin_signature_zero():
     h = realize_form(Z3, INFINITY, 0)
-    rows = h.form.matrix.integer_rows()
+    rows = dense_integer_rows(Z3, dense_view(h.form.matrix))
     assert rows[2][2] == 1 and rows[3][3] == -1
     assert h.form.matrix.size == 4
 
@@ -327,7 +376,7 @@ def test_realize_odd_spin_with_e8():
 def signature_int_of_shadow(h):
     from stable4.forms import ldlt_signature
 
-    return ldlt_signature(h.form.matrix.augmentation_rows())
+    return ldlt_signature(dense_augmentation_rows(dense_view(h.form.matrix)))
 
 
 def test_realize_even_spin_plain_p():

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from oracles import RECORD_TWINS, all_invertible, standard_symplectic, twin_of
 from stable4.classify import (
     TAU_UNKNOWN,
-    BordismClassSpin,
     ClassEntry,
     ClassificationTable,
     FamilyData,
@@ -35,7 +34,7 @@ CLASSES = {
     cls.__name__: cls
     for cls in (
         F2Vec, F2Mat, QuadraticFormF2, Word, FreeFamily, ZnFamily, NilFamily,
-        Presentation, AugmentedForm, HAN1, FamilyData, BordismClassSpin,
+        Presentation, AugmentedForm, HAN1, FamilyData,
         ClassEntry, ClassificationTable, InvariantTuple,
     )
 }
@@ -136,7 +135,6 @@ ARGS = {
     "AugmentedForm": form_args(),
     "HAN1": han1_args(),
     "FamilyData": family_data_args(),
-    "BordismClassSpin": st.tuples(st.integers(-32, 32), vecs(), st.integers(0, 1)),
     "ClassEntry": st.tuples(
         st.sampled_from(("orbit", "odd")), st.none() | vecs(2),
         st.lists(vecs(2), max_size=3).map(tuple)),
@@ -257,7 +255,6 @@ def test_hash_is_the_field_tuple_hash():
     assert hash(m) == hash((2, (1, 2)))
     assert hash(Word(((0, 1),))) == hash((((0, 1),),))
     assert hash(NilFamily(2)) == hash((2,))
-    assert hash(BordismClassSpin(0, v, 1)) == hash((0, v, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +270,8 @@ ODD_FORM = AugmentedForm(1, RingMatrix.from_int_rows(Z3, [[1, 1], [1, 0]]))
 VALIDATION = [
     (lambda: F2Vec(3, 8), InputError, "bits 0x8 out of range for dim 3"),
     (lambda: F2Vec(-1, 0), InputError, "bits 0x0 out of range for dim -1"),
-    (lambda: F2Mat(2, (1,)), InputError, "matrix rows inconsistent with dimension"),
-    (lambda: F2Mat(2, (1, 4)), InputError, "matrix rows inconsistent with dimension"),
+    (lambda: F2Mat(2, (1,)), InputError, "matrix of dimension 2 needs 2 rows, got 1"),
+    (lambda: F2Mat(2, (1, 4)), InputError, "matrix row 1 bits 0x4 out of range for dim 2"),
     (lambda: QuadraticFormF2(standard_symplectic(1), F2Vec(3, 0)), InputError,
      "value vector dimension must match the bilinear form"),
     (lambda: _qf((1, 0), 0), DomainError,
@@ -296,21 +293,20 @@ VALIDATION = [
      DomainError, "matrix is not hermitian"),
     (lambda: HAN1("0", 0, ODD_FORM), DomainError, "w must be an F2 vector or INFINITY"),
     (lambda: HAN1(F2Vec(3, 0), 4, ODD_FORM), DomainError,
-     "signature of a manifold with spin universal cover must be divisible by 8"),
+     "signature 4 is not divisible by 8, as topological signatures of w-type 000 are"),
     (lambda: HAN1(F2Vec(3, 0), 0, EVEN_FORMS[0], F2Vec(2, 0)), DomainError,
-     "tau and w dimensions differ"),
+     "tau has dimension 2, but w has dimension 3"),
     (lambda: HAN1(F2Vec(3, 0), 0, ODD_FORM, F2Vec(3, 0)), DomainError,
-     "odd forms carry no tau class"),
+     "odd tuples carry no tau"),
     (lambda: HAN1(F2Vec.from_bits("100"), 8, ODD_FORM), DomainError,
      "almost-spin intersection forms are even"),
     (lambda: HAN1(INFINITY, 1, ODD_FORM, F2Vec(3, 0)), DomainError,
-     "totally non-spin types carry no tau class"),
+     "totally non-spin tuples carry only a signature"),
     (lambda: FamilyData("f", 3, (F2Mat.identity(2),)), DomainError,
      "generator 0 has dimension 2, expected 3"),
     (lambda: FamilyData("f", 2, (F2Mat.identity(2), F2Mat(2, (1, 1)))), DomainError,
      "generator 1 is not invertible"),
     (lambda: FamilyData("f", -1, ()), DomainError, "d -1 is negative"),
-    (lambda: BordismClassSpin(0, F2Vec(2, 0), 2), DomainError, "eps must be a bit"),
     (lambda: ClassificationTable(INFINITY, "smooth", 1, (), "none"), DomainError,
      "a classification table cannot be empty"),
 ]
