@@ -11,7 +11,10 @@ and the almost-spin case enumerates orbits of ker<w,-> (smooth) or all of
 H_2 (topological) under the stabilizer of w inside the closure of the
 Out-image.  The signature sits in a separate 16Z / 8Z / Z coordinate.
 The enumerations are bounded by the caps of `f2.orbits` and
-`f2.group_closure`, which read STABLE4_CAP themselves.
+`f2.group_closure`, which read STABLE4_CAP themselves.  That closure is
+computed once per `FamilyData`, packed one int per element, and kept on
+the instance outside its fields; every table and decision over the family
+filters the kept closure, checking it against the cap again.
 
 Which (w, signature, parity, tau) exist in a category -- the strides, the
 w and tau dimensions, the category names -- is stated once, in
@@ -27,6 +30,8 @@ from .errors import DomainError, InputError, is_int
 from .f2 import (
     F2Mat,
     F2Vec,
+    closure_cap_exceeded,
+    configured_cap,
     f2mat_from_json,
     f2mat_to_json,
     group_closure,
@@ -131,20 +136,60 @@ def spin_state_orbits(family: FamilyData) -> list[list[F2Vec]]:
     return orbits(family.d + 1, spin_generators(family))
 
 
+def _packed_closure(family: FamilyData) -> list[int]:
+    """The closure of the family's Out-generators, one int per element with
+    row 0 in the top d bits and row d-1 in the lowest, ascending; as each
+    row is below 2^d, that is the order of the row tuples.
+
+    The list is built once per family, from `group_closure`, and kept on
+    the family outside its fields, so equality, hash, repr, pickle and copy
+    do not see it.  A kept closure is checked against the cap again on
+    every call, with the message `group_closure` raises; a closure that
+    raised is not kept."""
+    try:
+        packed = family._closure
+    except AttributeError:
+        d = family.d
+        packed = []
+        for m in group_closure(family.out_generators):
+            p = 0
+            for row in m.rows:
+                p = p << d | row
+            packed.append(p)
+        packed.sort()
+        object.__setattr__(family, "_closure", packed)
+        return packed
+    cap = configured_cap()
+    if len(packed) > cap:
+        raise closure_cap_exceeded(len(family.out_generators), family.d, cap)
+    return packed
+
+
 def stabilizer_of_w(family: FamilyData, w: F2Vec) -> list[F2Mat]:
-    """Elements of the Out-image whose induced H^2 action fixes w.
+    """Elements of the Out-image whose induced H^2 action fixes w, sorted
+    by their row tuples; a new list on every call.
 
     w is the coefficient vector of the evaluation functional on H_2, so the
     condition on a matrix rho is rho^T w = w: the XOR of the rows of rho
-    picked by the bits of w is w again.  Computed by closing the generator
-    set (under the `group_closure` cap) and filtering.
+    picked by the bits of w is w again.  The rows are XORed on the packed
+    closure of `_packed_closure` (computed once per family, under the
+    `group_closure` cap), and a matrix is built only for each element kept.
     """
     if check_w(w, family.d) is INFINITY:
         raise DomainError("a totally non-spin w has no stabilizer to compute")
-    closure = group_closure(family.out_generators)
-    bits = w.bits
-    stab = [m for m in closure if m.combine(bits) == bits]
-    stab.sort(key=lambda m: m.rows)
+    packed = _packed_closure(family)
+    d, bits = family.d, w.bits
+    mask = (1 << d) - 1
+    # p >> shifts[j] & mask is row j of the packed element p.
+    shifts = [d * (d - 1 - j) for j in range(d)]
+    picked = [shifts[j] for j in range(d) if bits >> j & 1]
+    stab = []
+    for p in packed:
+        acc = 0
+        for s in picked:
+            acc ^= p >> s
+        if acc & mask == bits:
+            stab.append(F2Mat._trusted(d, tuple(p >> s & mask for s in shifts)))
     return stab
 
 
@@ -404,7 +449,9 @@ def family_data_to_json(f: FamilyData):
 
 def family_data_from_json(obj) -> FamilyData:
     try:
-        name = str(obj["name"])
+        name = obj["name"]
+        if not isinstance(name, str):
+            raise InputError(f"family name {name!r} is not a string")
         d = obj["d"]
         if not is_int(d):
             raise InputError(f"d {d!r} is not an integer")

@@ -518,15 +518,21 @@ def group_closure(generators: Sequence[F2Mat], cap: int | None = None) -> set[F2
             seen.add(nxt.rows)
             if len(seen) > size:
                 if size >= cap:
-                    k = len(generators)
-                    raise CapExceeded(f"group closure of {k} generator{'s' * (k != 1)} "
-                                      f"in dimension {dim} exceeded cap {cap}")
+                    raise closure_cap_exceeded(len(generators), dim, cap)
                 size += 1
                 elements.append(nxt)
     # Drop the row set before the result set is built, so the two are
     # never held at once.
     del seen
     return set(elements)
+
+
+def closure_cap_exceeded(k: int, dim: int, cap: int) -> CapExceeded:
+    """The error for a closure of k generators in dimension dim that has
+    more than cap elements; raised by `group_closure` and by callers that
+    keep a closure and check it against the cap again."""
+    return CapExceeded(f"group closure of {k} generator{'s' * (k != 1)} "
+                       f"in dimension {dim} exceeded cap {cap}")
 
 
 # ---------------------------------------------------------------------------

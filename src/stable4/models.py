@@ -584,10 +584,13 @@ def han1_from_json(obj) -> HAN1:
         raise InputError(f"bad HAN1 JSON: {exc}") from None
     if not is_int(signature):
         raise InputError(f"signature {signature!r} is not an integer")
+    notes = obj.get("notes", "")
+    if not isinstance(notes, str):
+        raise InputError(f"notes {notes!r} is not a string")
     return HAN1(
         w=w,
         signature=signature,
         form=form,
         tau=None if tau is None else F2Vec.from_bits(tau),
-        notes=str(obj.get("notes", "")),
+        notes=notes,
     )

@@ -1,4 +1,6 @@
 import copy
+import importlib
+import pickle
 import random
 import re
 
@@ -360,6 +362,108 @@ def test_stabilizer_matches_the_transpose_filter(fam):
         w = F2Vec(fam.d, bits)
         old = sorted((m for m in closure if m.transpose().apply(w) == w), key=lambda m: m.rows)
         assert stabilizer_of_w(fam, w) == old
+
+
+# A 4-cycle of the basis and one transvection generate GL_4(F2).
+GL4 = (
+    F2Mat.from_rows(["0100", "0010", "0001", "1000"]),
+    F2Mat.from_rows(["1100", "0100", "0010", "0001"]),
+)
+FRESH_FAMILIES = [
+    family_z3,
+    lambda: family_nil(2),
+    lambda: family_nil(4),
+    *[lambda s=s: _seeded_d4_family(s) for s in (1, 2, 3)],
+    lambda: family_custom("gl4", 4, GL4),
+]
+FRESH_IDS = ["z3", "nil:2", "nil:4", "d4-seed1", "d4-seed2", "d4-seed3", "gl4"]
+
+
+@pytest.mark.parametrize("make", FRESH_FAMILIES, ids=FRESH_IDS)
+def test_kept_closure_gives_the_uncached_stabilizer(make):
+    fam = make()
+    closure = group_closure(fam.out_generators)
+    for bits in range(1, 1 << fam.d):
+        w = F2Vec(fam.d, bits)
+        want = sorted([m for m in closure if m.combine(bits) == bits], key=lambda m: m.rows)
+        assert stabilizer_of_w(fam, w) == want
+        assert stabilizer_of_w(fam, w) == want
+
+
+def test_stabilizer_is_a_new_list_on_every_call():
+    fam, w = family_z3(), F2Vec.from_bits("100")
+    first = stabilizer_of_w(fam, w)
+    want = list(first)
+    first.clear()
+    second = stabilizer_of_w(fam, w)
+    assert second == want
+    second.append(F2Mat.identity(3))
+    assert stabilizer_of_w(fam, w) == want
+
+
+def _count_closures(monkeypatch) -> list:
+    calls = []
+    module = importlib.import_module("stable4.classify")
+    original = module.group_closure
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, "group_closure", counting)
+    return calls
+
+
+def test_classify_and_decide_close_the_group_once(monkeypatch):
+    calls = _count_closures(monkeypatch)
+    fam, w = family_nil(2), F2Vec.from_bits("100")
+    a = InvariantTuple(w, 8, Parity.EVEN, F2Vec.from_bits("010"))
+    b = InvariantTuple(w, 8, Parity.EVEN, F2Vec.from_bits("011"))
+    classify(fam, w, "smooth")
+    classify(fam, F2Vec.from_bits("010"), "topological")
+    decide_stable_equiv(a, b, "topological", fam)
+    assert len(calls) == 1
+    classify(family_nil(2), w, "smooth")
+    assert len(calls) == 2
+
+
+def test_kept_closure_honours_a_lowered_cap(monkeypatch):
+    fam, w = family_z3(), F2Vec.from_bits("100")
+    assert len(stabilizer_of_w(fam, w)) == 24
+    message = "group closure of 3 generators in dimension 3 exceeded cap 167"
+    monkeypatch.setenv("STABLE4_CAP", "167")
+    for call in (lambda: group_closure(fam.out_generators),
+                 lambda: stabilizer_of_w(fam, w),
+                 lambda: classify(fam, w, "smooth")):
+        with pytest.raises(CapExceeded, match=f"^{re.escape(message)}$"):
+            call()
+    monkeypatch.setenv("STABLE4_CAP", "168")
+    assert len(stabilizer_of_w(fam, w)) == 24
+
+
+def test_a_closure_over_the_cap_is_not_kept(monkeypatch):
+    calls = _count_closures(monkeypatch)
+    fam, w = family_z3(), F2Vec.from_bits("100")
+    monkeypatch.setenv("STABLE4_CAP", "167")
+    with pytest.raises(CapExceeded):
+        stabilizer_of_w(fam, w)
+    monkeypatch.delenv("STABLE4_CAP")
+    assert len(stabilizer_of_w(fam, w)) == 24
+    assert len(stabilizer_of_w(fam, w)) == 24
+    assert len(calls) == 2
+
+
+def test_kept_closure_is_invisible():
+    fam = family_nil(2)
+    stabilizer_of_w(fam, F2Vec.from_bits("100"))
+    assert getattr(fam, "_closure", None) is not None
+    fresh = family_nil(2)
+    assert fam == fresh and fresh == fam
+    assert hash(fam) == hash(fresh) and repr(fam) == repr(fresh)
+    assert pickle.dumps(fam) == pickle.dumps(fresh)
+    for clone in (pickle.loads(pickle.dumps(fam)), copy.deepcopy(fam), copy.copy(fam)):
+        assert clone == fresh and hash(clone) == hash(fresh) and repr(clone) == repr(fresh)
+        assert not hasattr(clone, "_closure")
 
 
 def _count_classes_brute_force(fam, rng):

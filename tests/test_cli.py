@@ -99,6 +99,17 @@ def test_family_file_names_the_generator_that_is_not_invertible(capsys, tmp_path
     assert err == "error: bad family JSON: generator 1 is not invertible\n"
 
 
+@pytest.mark.parametrize("name", [None, 7, ["x"]])
+def test_family_file_name_must_be_a_string(capsys, tmp_path, name):
+    path = write_json(tmp_path / "f.json",
+                      {"name": name, "d": 2, "out_generators": [["01", "10"]]})
+    code, out, err = run(
+        capsys, ["classify", "--family", path, "--w", "00", "--category", "smooth"]
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: bad family JSON: family name {name!r} is not a string\n"
+
+
 def test_classify_custom_family_file(capsys, tmp_path):
     fam = family_nil(3)
     path = write_json(

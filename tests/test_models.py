@@ -489,6 +489,21 @@ def test_han1_json_signature_must_be_an_integer(signature):
         han1_from_json(blob)
 
 
+@pytest.mark.parametrize("notes", [None, [1, 2], 3, 2.5])
+def test_han1_json_notes_must_be_a_string(notes):
+    blob = han1_to_json(model_M_sigma(NIL2, 1))
+    blob["notes"] = notes
+    message = f"notes {notes!r} is not a string"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        han1_from_json(blob)
+
+
+def test_han1_json_without_notes_loads_empty_notes():
+    blob = han1_to_json(model_M_sigma(NIL2, 1))
+    del blob["notes"]
+    assert han1_from_json(blob).notes == ""
+
+
 def test_w_json():
     assert w_from_json("infinity") is INFINITY
     assert w_from_json("011") == F2Vec.from_bits("011")
