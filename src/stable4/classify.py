@@ -13,8 +13,9 @@ Out-image.  The signature sits in a separate 16Z / 8Z / Z coordinate.
 The enumerations are bounded by the caps of `f2.orbits` and
 `f2.group_closure`, which read STABLE4_CAP themselves.  That closure is
 computed once per `FamilyData`, packed one int per element, and kept on
-the instance outside its fields; every table and decision over the family
-filters the kept closure, checking it against the cap again.
+the instance outside its fields; every almost-spin table over the family
+filters the kept closure, checking it against the cap again.  The decision
+walks one orbit of (w, tau) pairs instead, under the `f2.orbit_of` cap.
 
 Which (w, signature, parity, tau) exist in a category -- the strides, the
 w and tau dimensions, the category names -- is stated once, in
@@ -151,7 +152,7 @@ def _packed_closure(family: FamilyData) -> list[int]:
     except AttributeError:
         d = family.d
         packed = []
-        for m in group_closure(family.out_generators):
+        for m in group_closure(family.out_generators or (F2Mat.identity(d),)):
             p = 0
             for row in m.rows:
                 p = p << d | row
@@ -404,11 +405,14 @@ def decide_stable_equiv(
 ) -> bool:
     """Are two invariant tuples stably equivalent?
 
-    Signatures and parities must agree; even classes additionally need their
-    tau classes in one orbit (full Out-image for spin, stabilizer of w for
-    almost spin).  Odd classes are decided by the signature alone.  Tuples
-    with different w-types are never equivalent: w is compared literally,
-    as a fixed identification, not up to Out(pi).  For nil:2, (w=100,
+    Signatures and parities must agree; even classes additionally need b's
+    tau in Stab(w) a.tau, Stab(w) being the Out-image elements fixing w.
+    By orbit-stabilizer that holds iff (w, b.tau) lies in the orbit of
+    (w, a.tau) under the Out-generators acting by (w, tau) -> (rho^-T w,
+    rho tau): one `f2.orbit_of` walk under the orbit cap, with no closure.
+    Odd classes are decided by the signature alone.  Tuples with different
+    w-types are never equivalent: w is compared literally, as a fixed
+    identification, not up to Out(pi).  For nil:2, (w=100,
     tau=010) and (w=010, tau=100) are DISTINCT even though the swap lies in
     the Out-image.  A w whose dimension is not the family's is refused.
     """
@@ -428,11 +432,12 @@ def decide_stable_equiv(
         return False
     if a.parity is Parity.ODD:
         return True
-    if a.w.is_zero:
-        mats = list(family.out_generators)
-    else:
-        mats = stabilizer_of_w(family, a.w)
-    return b.tau.bits in orbit_of(a.tau, mats)
+    d = family.d  # rho acts as diag(rho^-T, rho): w in bits 0..d-1, tau above
+    pair_generators = [F2Mat(2 * d, rho.inverse().transpose().rows
+                             + tuple(row << d for row in rho.rows))
+                       for rho in family.out_generators]
+    reached = orbit_of(F2Vec(2 * d, a.w.bits | a.tau.bits << d), pair_generators)
+    return a.w.bits | b.tau.bits << d in reached
 
 
 # ---------------------------------------------------------------------------

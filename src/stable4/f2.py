@@ -21,13 +21,13 @@ end, after dropping the row set.
 Enumerations are bounded by caps, so a group or state space too large fails
 at once.  `configured_cap` is the one reader of the STABLE4_CAP environment
 variable: each bound calls it with its own default where the bound is
-enforced (2^20 states in `orbits`, 10^6 closure elements in
-`group_closure`).
+enforced (2^20 states in `orbits` and `orbit_of`, 10^6 closure elements
+in `group_closure`).
 
 Orbits are searched on int states.  `orbits` first tabulates each
 generator on all 2^d vectors (k * 2^d entries for k generators), which
 also decides its invertibility; `orbit_of` steps each state through the
-generator's columns and builds no table.
+generator's columns, builds no table, and counts its states to the cap.
 """
 
 from __future__ import annotations
@@ -437,14 +437,15 @@ def orbit_of(v: F2Vec, generators: Sequence[F2Mat]) -> set[int]:
     """Bitmask set of the single orbit through v.
 
     Each generator steps a state by combining its columns, so no 2^d table
-    is built and there is no dimension cap."""
+    is built; a state past the orbit cap (2^20) raises CapExceeded."""
+    cap = configured_cap(1 << ORBIT_DIM_CAP)
     steps = []
     for k, g in enumerate(generators):
         if g.dim != v.dim:
             raise DomainError(f"generator {k} has dimension {g.dim}, expected {v.dim}")
         steps.append(g.transpose().combine)
     reached: set[int] = set()
-    _walk(v.bits, steps, reached)
+    _walk(v.bits, steps, reached, d=v.dim, cap=cap)
     return reached
 
 
@@ -463,9 +464,11 @@ def _walk(
     reached: set[int],
     inside: Sequence[bool] | None = None,
     d: int = 0,
+    cap: int | None = None,
 ) -> list[int]:
     """The states reachable from start, in breadth-first order, added to
-    reached.  With inside, each newly reached state must lie in it."""
+    reached.  With inside, each newly reached state must lie in it; with
+    cap, there may be at most cap states."""
     reached.add(start)
     states = [start]
     for u in states:
@@ -477,6 +480,9 @@ def _walk(
                         f"subset is not closed under generator {k}: "
                         f"{F2Vec(d, u).to_bits()} -> {F2Vec(d, w).to_bits()}"
                     )
+                if cap is not None and len(states) >= cap:
+                    raise CapExceeded(f"orbit in dimension {d} reached {cap + 1} "
+                                      f"states, over the orbit cap {cap}")
                 reached.add(w)
                 states.append(w)
     return states

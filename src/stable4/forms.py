@@ -182,27 +182,6 @@ def hyperbolic_matrix(family: GroupFamily) -> RingMatrix:
     return RingMatrix.from_int_rows(family, [[0, 1], [1, 0]])
 
 
-def block_copies(block: RingMatrix, count: int) -> RingMatrix | None:
-    """count copies of block along the diagonal, or None when count = 0.
-
-    Built by doubling: the sums of 2, 4, 8, ... copies take one direct_sum
-    each and the binary digits of count pick which of them join the result,
-    so at most 2 log2(count) sums build it.  A sum shares the rows of its
-    first operand and copies the nonzeros of its second, and the operands
-    double, so the work is linear in the rows and nonzeros of the result.
-    """
-    if count < 0:
-        raise DomainError(f"copy count {count} is negative")
-    out = None
-    while count:
-        if count & 1:
-            out = block if out is None else out.direct_sum(block)
-        count >>= 1
-        if count:
-            block = block.direct_sum(block)
-    return out
-
-
 def restrict_to_Ipi(a: AugmentedForm) -> RingElem:
     """The ring element whose right-multiplication gives the Ipi pairing.
 

@@ -37,7 +37,6 @@ from .forms import (
     AugmentedForm,
     Parity,
     RingMatrix,
-    block_copies,
     e8_block,
     form_from_json,
     form_to_json,
@@ -455,7 +454,9 @@ def _plus_e8(base: HAN1, count: int) -> AugmentedForm:
     _check_rank(matrix.size + 8 * abs(count))
     if count:
         block = e8_block(base.family)
-        stack = block_copies(block if count > 0 else block.negate(), abs(count))
+        if count < 0:
+            block = block.negate()
+        stack = functools.reduce(RingMatrix.direct_sum, [block] * abs(count))
         matrix = matrix.direct_sum(stack)
     return AugmentedForm(1, matrix)
 

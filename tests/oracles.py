@@ -96,13 +96,17 @@ def entrywise_product(a: F2Mat, b: F2Mat) -> F2Mat:
     return F2Mat(n, rows)
 
 
-def fixed_point_closure(generators) -> set[F2Mat]:
+def fixed_point_closure(generators, cap: int | None = None) -> set[F2Mat] | None:
+    """Products of pairs until nothing new appears; with cap, None as soon
+    as more than cap elements are found."""
     current = set(generators) | {F2Mat.identity(generators[0].dim)}
     while True:
         extra = {entrywise_product(a, b) for a in current for b in current} - current
         if not extra:
             return current
         current |= extra
+        if cap is not None and len(current) > cap:
+            return None
 
 
 def all_invertible(dim: int) -> list[F2Mat]:

