@@ -74,6 +74,8 @@ class FamilyData(Record):
         if d < 0:
             raise DomainError(f"d {d} is negative")
         for k, g in enumerate(out_generators):
+            if not isinstance(g, F2Mat):
+                raise InputError(f"generator {k} is {g!r}, not an F2 matrix")
             if g.dim != d:
                 raise DomainError(f"generator {k} has dimension {g.dim}, "
                                   f"expected {d}")

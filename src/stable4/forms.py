@@ -5,6 +5,12 @@ hermitian matrix over Zpi (the pairing on the augmentation ideal extends
 uniquely to the whole group ring, and restricting the first slot recovers
 it).  At most one augmentation-ideal summand is supported, which matches
 every module shape that arises here.
+
+Matrices are stored by their nonzeros, and the checks cost what is distinct
+in a form: the hermitian check compares each pair of mirror entries once
+and inverts each distinct group element once, and the integer signature
+eliminates each distinct connected component once, so a model plus k
+copies of E8 pays for one E8.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from .errors import DomainError, InputError, is_int
 from .groupring import (
     RingElem,
     augmentation,
+    conjugate_matcher,
     in_image_one_plus_T,
     ring_elem_reader,
     ring_elem_writer,
@@ -35,9 +42,10 @@ class RingMatrix:
     """Square matrix over one family's group ring, stored by its nonzeros.
 
     Row i is a dict {column: RingElem} holding the nonzero entries of row i
-    only, and `entry` returns a shared zero everywhere else, so the methods
-    below cost the number of nonzeros, not n^2.  Row dicts are never changed
-    after construction, which lets a direct sum share its operand's rows.
+    only, in increasing column order, and `entry` returns a shared zero
+    everywhere else, so the methods below cost the number of nonzeros, not
+    n^2.  Row dicts are never changed after construction, which lets a
+    direct sum share its operand's rows.
     """
 
     __slots__ = ("family", "_rows", "_zero")
@@ -62,7 +70,7 @@ class RingMatrix:
     @classmethod
     def _trusted(cls, family: GroupFamily, rows: tuple[dict, ...]) -> "RingMatrix":
         """A matrix from row dicts known to hold only nonzero ring elements of
-        the family, at columns below len(rows); no checks."""
+        the family, at increasing columns below len(rows); no checks."""
         m = cls.__new__(cls)
         m.family = family
         m._rows = rows
@@ -91,14 +99,30 @@ class RingMatrix:
 
     def is_hermitian(self) -> bool:
         """Each stored (i, j) equals conj of (j, i).  A stored entry is
-        nonzero, so an absent partner (a zero) fails it."""
+        nonzero, so an absent mirror (a zero) fails it."""
+        return self._asymmetry() is None
+
+    def _asymmetry(self) -> tuple[int, int, RingElem, RingElem] | None:
+        """The first stored entry (i, j) in row-major order whose mirror
+        (j, i) is not its conjugate, as (i, j, x_ij, x_ji) with the zero
+        element for an absent mirror; None when the matrix is hermitian.
+
+        Each pair is compared once, at j >= i, through one conjugate
+        matcher, so every distinct group element is inverted once per call
+        and no ring element is built.  At j < i only the presence of the
+        mirror is checked: a stored mirror was compared on row j, and conj
+        is an involution.
+        """
         rows = self._rows
+        matches = conjugate_matcher(self.family)
         for i, row in enumerate(rows):
             for j, x in row.items():
-                partner = rows[j].get(i)
-                if partner is None or x != partner.conjugate():
-                    return False
-        return True
+                mirror = rows[j].get(i)
+                if mirror is None:
+                    return i, j, x, self._zero
+                if j >= i and not matches(x, mirror):
+                    return i, j, x, mirror
+        return None
 
     def direct_sum(self, other: "RingMatrix") -> "RingMatrix":
         if self.family != other.family:
@@ -161,7 +185,11 @@ class AugmentedForm(Record):
         if matrix.size < epsilon:
             raise DomainError("matrix too small for the Ipi summand")
         if not matrix.is_hermitian():
-            raise DomainError("matrix is not hermitian")
+            i, j, x, mirror = matrix._asymmetry()
+            mirror_text = "zero" if mirror.is_zero else mirror.to_text()
+            raise DomainError(f"matrix is not hermitian: entry ({i}, {j}) is "
+                              f"{x.to_text()} but entry ({j}, {i}) is {mirror_text}, "
+                              f"not its conjugate")
         self.__dict__.update(epsilon=epsilon, matrix=matrix)
 
     @property
@@ -223,8 +251,11 @@ def ldlt_signature(rows: Sequence[Sequence[int]] | Sequence[Mapping[int, int]]) 
     into the connected components of the nonzero pattern.  Listing them
     component by component is a permutation congruence to the block sum of
     the principal submatrices on the components, so the signature is the
-    sum of theirs, and each component is eliminated alone (a sum of E8
-    blocks costs a few 8 x 8 eliminations).  A DomainError names the row,
+    sum of theirs, and each component is eliminated alone.  A component
+    whose rows, in breadth-first order and shifted to start at column 0,
+    repeat an earlier one's is the same matrix and takes its signature
+    without elimination, so a sum of k E8 blocks costs one 8 x 8
+    elimination; nothing is kept across calls.  A DomainError names the row,
     entry or pair at fault when the input is not square, holds an entry
     that is not an int, or is not symmetric.
     """
@@ -258,6 +289,7 @@ def ldlt_signature(rows: Sequence[Sequence[int]] | Sequence[Mapping[int, int]]) 
                           f"{sparse[i].get(j, 0)} but entry ({j}, {i}) is "
                           f"{sparse[j].get(i, 0)}")
     seen: set[int] = set()
+    signatures: dict[tuple, int] = {}
     signature = 0
     for start in range(n):
         if start in seen:
@@ -268,7 +300,13 @@ def ldlt_signature(rows: Sequence[Sequence[int]] | Sequence[Mapping[int, int]]) 
             found = [j for j in sparse[i] if j not in seen]
             seen.update(found)
             component += found
-        signature += _bareiss_signature({i: sparse[i] for i in component})
+        # The rows in BFS order, columns shifted by start, fix the BFS order
+        # itself and so the principal submatrix: equal keys, equal signatures.
+        key = tuple(tuple((j - start, v) for j, v in sparse[i].items()) for i in component)
+        part = signatures.get(key)
+        if part is None:
+            part = signatures[key] = _bareiss_signature({i: sparse[i] for i in component})
+        signature += part
     return signature
 
 

@@ -3,7 +3,9 @@
 Elements are finite integer combinations of group elements of one family,
 stored as a map from canonical normal forms to nonzero coefficients.
 Coefficients are Python ints, so Fox derivatives of long relators cannot
-overflow.
+overflow.  The per-family helpers (``conjugate_matcher`` and the JSON
+reader and writer) keep what they compute per distinct group element, so a
+matrix pays for its distinct elements once rather than for every term.
 """
 
 from __future__ import annotations
@@ -176,6 +178,34 @@ def in_image_one_plus_T(x: RingElem) -> bool:
         if g == gi and c % 2:
             return False
     return True
+
+
+def conjugate_matcher(family: GroupFamily):
+    """A ``matches(x, y)`` deciding x == conj(y) for ring elements of family.
+
+    It reads the two term dicts directly and builds no ring element: the
+    sizes must agree, and each term c g of y must appear in x as c g^-1
+    (inversion is a bijection, so that covers every term of x).  The
+    matcher keeps the inverse of each group element it has seen, so a
+    matrix checked through one matcher inverts each distinct element once:
+    the cost is the terms of y plus one ``invert`` per distinct element.
+    """
+    invert = family.invert
+    inverses: dict = {}
+
+    def matches(x: RingElem, y: RingElem) -> bool:
+        terms = x._terms
+        if len(terms) != len(y._terms):
+            return False
+        for g, c in y._terms.items():
+            gi = inverses.get(g)
+            if gi is None:
+                gi = inverses[g] = invert(g)
+            if terms.get(gi) != c:
+                return False
+        return True
+
+    return matches
 
 
 # ---------------------------------------------------------------------------

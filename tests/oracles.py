@@ -265,6 +265,20 @@ def dense_is_hermitian(rows) -> bool:
     )
 
 
+def dense_hermitian_error(rows) -> str | None:
+    """The message AugmentedForm gives for rows, or None when they are
+    hermitian: the first nonzero (i, j) in row-major order that is not the
+    conjugate of (j, i), with both entries."""
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            mirror = rows[j][i]
+            if not x.is_zero and x != mirror.conjugate():
+                mirror_text = "zero" if mirror.is_zero else mirror.to_text()
+                return (f"matrix is not hermitian: entry ({i}, {j}) is {x.to_text()} "
+                        f"but entry ({j}, {i}) is {mirror_text}, not its conjugate")
+    return None
+
+
 def dense_direct_sum(family, a, b):
     zero = RingElem.zero(family)
     n, m = len(a), len(b)

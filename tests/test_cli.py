@@ -322,6 +322,16 @@ def test_parity_rejects_a_string_as_free_generators(capsys, tmp_path):
     assert 'family tag "free" needs a list of names' in err
 
 
+def test_parity_names_the_pair_of_a_non_hermitian_form(capsys, tmp_path):
+    g1 = [{"coeff": 1, "word": "g1"}]
+    path = write_json(tmp_path / "f.json",
+                      {"epsilon": 0, "family": {"zn": 3}, "entries": [[], g1, g1, []]})
+    code, out, err = run(capsys, ["parity", "--form", path])
+    assert (code, out) == (2, "")
+    assert err == ("error: matrix is not hermitian: entry (0, 1) is g1 but entry (1, 0) "
+                   "is g1, not its conjugate\n")
+
+
 def test_model_m1_and_parity_cli(capsys, tmp_path):
     code, out, _ = run(capsys, ["model", "--kind", "M1", "--family", "z3"])
     assert code == 0

@@ -14,6 +14,7 @@ from oracles import (
     dense_direct_sum,
     dense_form_from_json,
     dense_form_to_json,
+    dense_hermitian_error,
     dense_integer_rows,
     dense_is_hermitian,
     dense_ldlt_signature,
@@ -22,6 +23,7 @@ from oracles import (
     eigen_free_signature,
     leading_minors_positive,
 )
+from stable4 import forms
 from stable4.errors import DomainError, InputError, is_int
 from stable4.forms import (
     AugmentedForm,
@@ -252,6 +254,17 @@ def test_signature_against_congruence_oracle():
         assert ldlt_signature(rows) == expected
 
 
+def block_sum(blocks):
+    n = sum(len(b) for b in blocks)
+    rows = [[0] * n for _ in range(n)]
+    offset = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[offset + i][offset:offset + len(row)] = row
+        offset += len(b)
+    return rows
+
+
 @st.composite
 def permuted_block_sums(draw):
     """A permuted block sum of small symmetric pieces and its signature."""
@@ -271,13 +284,8 @@ def permuted_block_sums(draw):
         else:
             n = draw(st.integers(1, 3))
             pieces.append(([[0] * n for _ in range(n)], 0))
-    n = sum(len(rows) for rows, _ in pieces)
-    full = [[0] * n for _ in range(n)]
-    offset = 0
-    for rows, _ in pieces:
-        for i, row in enumerate(rows):
-            full[offset + i][offset:offset + len(row)] = row
-        offset += len(rows)
+    full = block_sum([rows for rows, _ in pieces])
+    n = len(full)
     perm = draw(st.permutations(range(n)))
     permuted = [[full[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
     return permuted, sum(sig for _, sig in pieces)
@@ -401,6 +409,68 @@ def test_dense_and_sparse_rows_match_the_fraction_oracle(rows):
     assert ldlt_signature(sparse_rows(rows)) == expected
 
 
+@st.composite
+def repeated_block_sums(draw):
+    """Block sums of copies of one symmetric block and its near relatives:
+    the block with one entry pair changed, with the sign of one entry pair
+    flipped, negated, or listed in another row order."""
+    base = draw(symmetric_matrices().filter(lambda rows: 0 < len(rows) <= 6))
+    n = len(base)
+    blocks = []
+    for kind in draw(st.lists(st.sampled_from(
+            ("copy", "entry", "sign", "negated", "reordered")), min_size=1, max_size=6)):
+        block = [list(row) for row in base]
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if kind == "entry":
+            block[i][j] = block[j][i] = block[i][j] + draw(st.sampled_from((-1, 1)))
+        elif kind == "sign":
+            block[i][j] = block[j][i] = -block[i][j]
+        elif kind == "negated":
+            block = [[-v for v in row] for row in block]
+        elif kind == "reordered":
+            perm = draw(st.permutations(range(n)))
+            block = [[base[perm[r]][perm[c]] for c in range(n)] for r in range(n)]
+        blocks.append(block)
+    return blocks
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeated_block_sums())
+def test_repeated_components_match_the_fraction_oracle(blocks):
+    """Components whose keys agree share one elimination; near relatives of
+    a block must not, and the sum is still the oracle's signature."""
+    rows = block_sum(blocks)
+    expected = dense_ldlt_signature(rows)
+    assert expected == sum(map(dense_ldlt_signature, blocks))
+    assert ldlt_signature(rows) == expected
+    assert ldlt_signature(sparse_rows(rows)) == expected
+
+
+def test_each_distinct_component_is_eliminated_once(monkeypatch):
+    """k copies of E8 cost one elimination per call; a negated copy is a
+    distinct component, and nothing is kept from one call to the next."""
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return bareiss(rows)
+
+    bareiss = forms._bareiss_signature
+    monkeypatch.setattr(forms, "_bareiss_signature", counted)
+    e8 = e8_block(Z3)
+    for k in (1, 2, 5):
+        calls.clear()
+        stack = functools.reduce(RingMatrix.direct_sum, [e8] * k)
+        assert signature_int(stack) == 8 * k
+        assert calls == [8]
+        assert signature_int(stack) == 8 * k
+        assert calls == [8, 8]
+    calls.clear()
+    mixed = functools.reduce(RingMatrix.direct_sum, [e8, e8.negate(), e8, e8.negate()])
+    assert signature_int(mixed) == 0
+    assert calls == [8, 8]
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -504,20 +574,24 @@ def test_form_loader_refuses_a_list_valued_word():
 
 
 def test_form_loader_refuses_non_hermitian_spellings():
-    """(0, 1) is 2 g1 spelled twice; its mirror must be 2 g1^-1."""
+    """(0, 1) is 2 g1 spelled twice; its mirror must be 2 g1^-1.  A refusal
+    names the pair and both entries."""
     twice = [{"coeff": 1, "word": "g1"}, {"coeff": 1, "word": "g2 g1 g2^-1"}]
-    for mirror, hermitian in (
-        ([{"coeff": 2, "word": "g1^-1"}], True),
-        ([{"coeff": 1, "word": "g1^-1"}, {"coeff": 1, "word": "g1^-1 g3 g3^-1"}], True),
-        ([{"coeff": 1, "word": "g1^-1"}], False),
-        ([{"coeff": 2, "word": "g1"}], False),
-        ([{"coeff": 2, "word": "g1^-1"}, {"coeff": 1, "word": "g2"}], False),
+    for mirror, mirror_text in (
+        ([{"coeff": 2, "word": "g1^-1"}], None),
+        ([{"coeff": 1, "word": "g1^-1"}, {"coeff": 1, "word": "g1^-1 g3 g3^-1"}], None),
+        ([{"coeff": 1, "word": "g1^-1"}], "g1^-1"),
+        ([{"coeff": 2, "word": "g1"}], "2*g1"),
+        ([{"coeff": 2, "word": "g1^-1"}, {"coeff": 1, "word": "g2"}], "2*g1^-1 + g2"),
+        ([], "zero"),
     ):
         blob = z3_blob([[], twice, mirror, []])
-        if hermitian:
+        if mirror_text is None:
             assert form_from_json(blob).matrix.entry(1, 0) == grp((-1, 0, 0), 2)
         else:
-            with pytest.raises(DomainError, match="^matrix is not hermitian$"):
+            message = (f"matrix is not hermitian: entry (0, 1) is 2*g1 but entry (1, 0) "
+                       f"is {mirror_text}, not its conjugate")
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
                 form_from_json(blob)
 
 
@@ -639,7 +713,8 @@ def test_pooled_word_forms_load_like_the_dense_oracle(blob):
     entry by entry, and writing it must round-trip byte for byte."""
     epsilon, family, rows = dense_form_from_json(blob)
     if not dense_is_hermitian(rows):
-        with pytest.raises(DomainError, match="^matrix is not hermitian$"):
+        message = dense_hermitian_error(rows)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             form_from_json(blob)
         return
     a = form_from_json(blob)
@@ -683,8 +758,62 @@ def test_an_entry_without_its_mirror_is_not_hermitian():
         assert not dense_is_hermitian(rows)
         assert not RingMatrix(Z3, rows).is_hermitian()
         blob = dense_form_to_json(0, Z3, rows)
-        with pytest.raises(DomainError, match="not hermitian"):
+        with pytest.raises(DomainError, match=f"^{re.escape(dense_hermitian_error(rows))}$"):
             form_from_json(blob)
+
+
+@st.composite
+def near_hermitian_rows(draw):
+    """A hermitian matrix over z3, nil:2 or a free group, and often one
+    defect: a mirror removed, a mirror equal to its entry instead of to the
+    entry's conjugate, or one term added to one entry.  Entries hold up to
+    three terms, and the identity (the one self-inverse element of these
+    torsion-free groups) is drawn often."""
+    family = draw(st.sampled_from((Z3, NilFamily(2), FreeFamily(("x", "y")))))
+    letter = st.tuples(st.integers(0, family.rank - 1), st.sampled_from((-2, -1, 1)))
+    word = st.just(()) | st.lists(letter, min_size=1, max_size=3)
+    terms = st.lists(st.tuples(word, st.integers(-2, 2)), min_size=1, max_size=3)
+    element = terms.map(lambda ts: RingElem(
+        family, [(family.reduce_word(Word(tuple(w))), c) for w, c in ts]))
+    n = draw(st.integers(1, 5))
+    zero = RingElem.zero(family)
+    rows = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if draw(st.booleans()):
+                x = draw(element)
+                if i == j:
+                    x = x + x.conjugate()
+                rows[i][j], rows[j][i] = x, x.conjugate()
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    defect = draw(st.sampled_from((None, "missing mirror", "unconjugated mirror", "extra term")))
+    if defect == "missing mirror":
+        rows[i][j] = rows[i][j] if not rows[i][j].is_zero else draw(element)
+        rows[j][i] = zero if i != j else rows[i][j]
+    elif defect == "unconjugated mirror":
+        rows[i][j] = rows[j][i] = draw(element)
+    elif defect == "extra term":
+        rows[i][j] = rows[i][j] + draw(element)
+    return family, rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(near_hermitian_rows())
+def test_hermitian_check_matches_the_dense_oracle(case):
+    """is_hermitian compares each pair once through a conjugate matcher; it
+    must agree with the entry-by-entry oracle, and a refusal must name the
+    first stored entry whose mirror differs."""
+    family, rows = case
+    m = RingMatrix(family, rows)
+    assert m.is_hermitian() == dense_is_hermitian(rows)
+    message = dense_hermitian_error(rows)
+    assert (message is None) == dense_is_hermitian(rows)
+    if message is None:
+        assert m._asymmetry() is None
+        AugmentedForm(0, m)
+    else:
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            AugmentedForm(0, m)
 
 
 def test_zero_entries_are_dropped_from_the_rows():

@@ -22,6 +22,7 @@ from stable4.classify import (
     ClassificationTable,
     FamilyData,
     InvariantTuple,
+    family_custom,
     family_data_from_json,
 )
 from stable4.errors import DomainError, InputError
@@ -290,7 +291,8 @@ VALIDATION = [
     (lambda: AugmentedForm(1, RingMatrix(Z3, [])), DomainError,
      "matrix too small for the Ipi summand"),
     (lambda: AugmentedForm(0, RingMatrix.from_int_rows(Z3, [[0, 1], [0, 0]])),
-     DomainError, "matrix is not hermitian"),
+     DomainError,
+     "matrix is not hermitian: entry (0, 1) is 1 but entry (1, 0) is zero, not its conjugate"),
     (lambda: HAN1("0", 0, ODD_FORM), DomainError, "w must be an F2 vector or INFINITY"),
     (lambda: HAN1(F2Vec(3, 0), 4, ODD_FORM), DomainError,
      "signature 4 is not divisible by 8, as topological signatures of w-type 000 are"),
@@ -307,6 +309,8 @@ VALIDATION = [
     (lambda: FamilyData("f", 2, (F2Mat.identity(2), F2Mat(2, (1, 1)))), DomainError,
      "generator 1 is not invertible"),
     (lambda: FamilyData("f", -1, ()), DomainError, "d -1 is negative"),
+    (lambda: family_custom("p", 4, [(7, 14, 4, 2)]), InputError,
+     "generator 0 is (7, 14, 4, 2), not an F2 matrix"),
     (lambda: ClassificationTable(INFINITY, "smooth", 1, (), "none"), DomainError,
      "a classification table cannot be empty"),
 ]
