@@ -12,8 +12,8 @@ H_2 (topological) under the stabilizer of w inside the closure of the
 Out-image.  The signature sits in a separate 16Z / 8Z / Z coordinate.
 The enumerations are bounded by the caps of `f2.orbits` and
 `f2.group_closure`, which read STABLE4_CAP themselves.  That closure is
-computed once per `FamilyData`, packed one int per element, and kept on
-the instance outside its fields; every almost-spin table over the family
+computed once per `FamilyData` and kept on the instance outside its fields,
+as the row tuples of its elements; every almost-spin table over the family
 filters the kept closure, checking it against the cap again.  The decision
 walks one orbit of (w, tau) pairs instead, under the `f2.orbit_of` cap.
 
@@ -71,6 +71,10 @@ class FamilyData(Record):
     out_generators: tuple[F2Mat, ...]
 
     def __init__(self, name: str, d: int, out_generators: tuple[F2Mat, ...]) -> None:
+        if not isinstance(name, str):
+            raise InputError(f"family name {name!r} is not a string")
+        if not is_int(d):
+            raise InputError(f"d {d!r} is not an integer")
         if d < 0:
             raise DomainError(f"d {d} is negative")
         for k, g in enumerate(out_generators):
@@ -139,60 +143,41 @@ def spin_state_orbits(family: FamilyData) -> list[list[F2Vec]]:
     return orbits(family.d + 1, spin_generators(family))
 
 
-def _packed_closure(family: FamilyData) -> list[int]:
-    """The closure of the family's Out-generators, one int per element with
-    row 0 in the top d bits and row d-1 in the lowest, ascending; as each
-    row is below 2^d, that is the order of the row tuples.
-
-    The list is built once per family, from `group_closure`, and kept on
-    the family outside its fields, so equality, hash, repr, pickle and copy
-    do not see it.  A kept closure is checked against the cap again on
-    every call, with the message `group_closure` raises; a closure that
-    raised is not kept."""
-    try:
-        packed = family._closure
-    except AttributeError:
-        d = family.d
-        packed = []
-        for m in group_closure(family.out_generators or (F2Mat.identity(d),)):
-            p = 0
-            for row in m.rows:
-                p = p << d | row
-            packed.append(p)
-        packed.sort()
-        object.__setattr__(family, "_closure", packed)
-        return packed
-    cap = configured_cap()
-    if len(packed) > cap:
-        raise closure_cap_exceeded(len(family.out_generators), family.d, cap)
-    return packed
-
-
 def stabilizer_of_w(family: FamilyData, w: F2Vec) -> list[F2Mat]:
-    """Elements of the Out-image whose induced H^2 action fixes w, sorted
-    by their row tuples; a new list on every call.
+    """Elements of the Out-image whose induced H^2 action fixes w, in the
+    order of the kept closure; a new list on every call.
 
     w is the coefficient vector of the evaluation functional on H_2, so the
     condition on a matrix rho is rho^T w = w: the XOR of the rows of rho
-    picked by the bits of w is w again.  The rows are XORed on the packed
-    closure of `_packed_closure` (computed once per family, under the
-    `group_closure` cap), and a matrix is built only for each element kept.
+    picked by the bits of w is w again.  The closure of the Out-generators
+    comes from `group_closure` once per family and is kept on the family,
+    as its elements' row tuples, outside its fields, so equality, hash,
+    repr, pickle and copy do not see it.  A kept closure is checked against
+    the cap again on every call, with the message `group_closure` raises; a
+    closure that raised is not kept.  A matrix is built only for each
+    element kept.
     """
     if check_w(w, family.d) is INFINITY:
         raise DomainError("a totally non-spin w has no stabilizer to compute")
-    packed = _packed_closure(family)
     d, bits = family.d, w.bits
-    mask = (1 << d) - 1
-    # p >> shifts[j] & mask is row j of the packed element p.
-    shifts = [d * (d - 1 - j) for j in range(d)]
-    picked = [shifts[j] for j in range(d) if bits >> j & 1]
+    try:
+        closure = family._closure
+    except AttributeError:
+        generators = family.out_generators or (F2Mat.identity(d),)
+        closure = [m.rows for m in group_closure(generators)]
+        object.__setattr__(family, "_closure", closure)
+    else:
+        cap = configured_cap()
+        if len(closure) > cap:
+            raise closure_cap_exceeded(len(family.out_generators), d, cap)
+    picked = [j for j in range(d) if bits >> j & 1]
     stab = []
-    for p in packed:
+    for rows in closure:
         acc = 0
-        for s in picked:
-            acc ^= p >> s
-        if acc & mask == bits:
-            stab.append(F2Mat._trusted(d, tuple(p >> s & mask for s in shifts)))
+        for j in picked:
+            acc ^= rows[j]
+        if acc == bits:
+            stab.append(F2Mat._trusted(d, rows))
     return stab
 
 
@@ -252,9 +237,10 @@ def classify(family: FamilyData, w, category: str) -> ClassificationTable:
     Spin tables read the orbits of `spin_state_orbits` off the state bits:
     an orbit of eps = 0 states is an H_2 orbit of phi, and the eps = 1
     states (one orbit, checked) are the odd class.  Almost-spin tables list
-    orbits under the stabilizer of w, of the kernel of evaluation (smooth)
-    or of everything (topological); totally non-spin tables are
-    signature-only.  Strides: 1 for totally
+    orbits under `stabilizer_of_w`, which filters the family's kept closure
+    (row tuples, in the closure's own order; `orbits` sorts its output), of
+    the kernel of evaluation (smooth) or of everything (topological);
+    totally non-spin tables are signature-only.  Strides: 1 for totally
     non-spin, 16 for smooth spin, 8 otherwise.
     """
     category = normalize_category(category)
@@ -456,15 +442,9 @@ def family_data_to_json(f: FamilyData):
 
 def family_data_from_json(obj) -> FamilyData:
     try:
-        name = obj["name"]
-        if not isinstance(name, str):
-            raise InputError(f"family name {name!r} is not a string")
-        d = obj["d"]
-        if not is_int(d):
-            raise InputError(f"d {d!r} is not an integer")
         return FamilyData(
-            name=name,
-            d=d,
+            name=obj["name"],
+            d=obj["d"],
             out_generators=tuple(f2mat_from_json(m) for m in obj["out_generators"]),
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -253,9 +253,7 @@ def _cmd_orbits(args) -> int:
 
 def _cmd_closure(args) -> int:
     mats = _load_generators(args.generators)
-    if args.cap is not None and args.cap < 1:
-        raise InputError(f"--cap {args.cap} is below 1")
-    closure = f2.group_closure(mats, cap=args.cap)
+    closure = f2.group_closure(mats)
     elements = sorted(closure, key=lambda m: m.rows)
     _emit(
         {
@@ -320,7 +318,6 @@ def build_parser() -> _Parser:
 
     p = add("closure", _cmd_closure, help="closure of a matrix generator set")
     p.add_argument("--generators", required=True)
-    p.add_argument("--cap", type=int)
 
     return parser
 

@@ -195,6 +195,8 @@ class F2Mat(Record):
         return [F2Vec(self.dim, r).to_bits() for r in self.rows]
 
     def entry(self, i: int, j: int) -> int:
+        if not (0 <= i < self.dim and 0 <= j < self.dim):
+            raise IndexError(f"entry ({i}, {j}) out of range for size {self.dim}")
         return self.rows[i] >> j & 1
 
     def apply(self, v: F2Vec) -> F2Vec:
@@ -488,20 +490,19 @@ def _walk(
     return states
 
 
-def group_closure(generators: Sequence[F2Mat], cap: int | None = None) -> set[F2Mat]:
+def group_closure(generators: Sequence[F2Mat]) -> set[F2Mat]:
     """The matrix group generated by the given invertible matrices.
 
     Each element found is multiplied on the right by every generator, so
     the search costs |G| * k products for k generators, and only the
     generators, as right factors, get a product table (see `__matmul__`).
 
-    Raises CapExceeded once the closure grows past the cap (default 10^6,
-    overridable through STABLE4_CAP), naming the generator count and the
-    dimension: the family is then too large for exact stabilizer
-    computations.
+    Raises CapExceeded once the closure grows past the cap, 10^6 or
+    STABLE4_CAP when it is set (no argument takes a cap), naming the
+    generator count and the dimension: the family is then too large for
+    exact stabilizer computations.
     """
-    if cap is None:
-        cap = configured_cap()
+    cap = configured_cap()
     if not generators:
         raise DomainError("need at least one generator (use the identity)")
     dim = generators[0].dim

@@ -92,10 +92,10 @@ class RingMatrix:
         return len(self._rows)
 
     def entry(self, i: int, j: int) -> RingElem:
-        row = self._rows[i]
-        if not 0 <= j < len(self._rows):
-            raise IndexError(f"column {j} out of range for size {len(self._rows)}")
-        return row.get(j, self._zero)
+        n = len(self._rows)
+        if not (0 <= i < n and 0 <= j < n):
+            raise IndexError(f"entry ({i}, {j}) out of range for size {n}")
+        return self._rows[i].get(j, self._zero)
 
     def is_hermitian(self) -> bool:
         """Each stored (i, j) equals conj of (j, i).  A stored entry is

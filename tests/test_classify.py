@@ -19,6 +19,7 @@ from stable4.f2 import F2Mat, F2Vec, group_closure
 from stable4.forms import Parity
 from stable4.classify import (
     TAU_UNKNOWN,
+    FamilyData,
     InvariantTuple,
     classify,
     decide_stable_equiv,
@@ -368,13 +369,16 @@ GL4 = (
 )
 def test_stabilizer_matches_the_transpose_filter(fam):
     # The first call closes the group and keeps the closure; every later
-    # call, the second for each w included, filters the kept one.
+    # call, the second for each w included, filters the kept one, in the
+    # kept order.
     closure = group_closure(fam.out_generators)
+    by_rows = lambda m: m.rows
     for bits in range(1, 1 << fam.d):
         w = F2Vec(fam.d, bits)
-        old = sorted((m for m in closure if m.transpose().apply(w) == w), key=lambda m: m.rows)
-        assert stabilizer_of_w(fam, w) == old
-        assert stabilizer_of_w(fam, w) == old
+        old = sorted((m for m in closure if m.transpose().apply(w) == w), key=by_rows)
+        first = stabilizer_of_w(fam, w)
+        assert sorted(first, key=by_rows) == old
+        assert stabilizer_of_w(fam, w) == first
 
 
 def test_stabilizer_is_a_new_list_on_every_call():
@@ -752,9 +756,11 @@ def test_family_json_round_trip():
 def test_family_json_d_must_be_an_integer(d):
     blob = family_data_to_json(family_z3())
     blob["d"] = d
-    message = f"bad family JSON: d {d!r} is not an integer"
-    with pytest.raises(InputError, match=re.escape(message)):
+    message = f"d {d!r} is not an integer"
+    with pytest.raises(InputError, match=re.escape(f"bad family JSON: {message}")):
         family_data_from_json(blob)
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        FamilyData("x", d, ())
 
 
 def test_table_json_and_text():

@@ -1,9 +1,11 @@
 import copy
 import itertools
+import os
 import pickle
 import random
 import re
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -449,7 +451,9 @@ def test_orbits_and_orbit_of_match_union_find_oracle(d, k, seed):
         # the kernel is closed under fixing_w; under free it may not be
         generator_sets = [gens]
         try:
-            generator_sets.append(sorted(group_closure(gens, cap=200), key=lambda m: m.rows))
+            with mock.patch.dict(os.environ, {"STABLE4_CAP": "200"}):
+                closure = group_closure(gens)
+            generator_sets.append(sorted(closure, key=lambda m: m.rows))
         except CapExceeded:
             pass  # the whole group only where it is small
         for mats in generator_sets:
@@ -500,18 +504,23 @@ def test_closure_rejects_singular_generator():
         group_closure([F2Mat.identity(2), F2Mat.from_rows(["10", "10"])])
 
 
-def test_closure_cap():
+def test_closure_cap(monkeypatch):
+    monkeypatch.setenv("STABLE4_CAP", "3")
     with pytest.raises(CapExceeded, match=r"^group closure of 2 generators in "
                                           r"dimension 2 exceeded cap 3$"):
-        group_closure(list(GL2), cap=3)
+        group_closure(list(GL2))
+    monkeypatch.setenv("STABLE4_CAP", "1")
     with pytest.raises(CapExceeded, match=r"^group closure of 1 generator in "
                                           r"dimension 2 exceeded cap 1$"):
-        group_closure([GL2[0]], cap=1)
-    assert len(group_closure(list(GL2), cap=6)) == 6
+        group_closure([GL2[0]])
+    monkeypatch.setenv("STABLE4_CAP", "6")
+    assert len(group_closure(list(GL2))) == 6
+    monkeypatch.setenv("STABLE4_CAP", "167")
     with pytest.raises(CapExceeded, match=r"^group closure of 3 generators in "
                                           r"dimension 3 exceeded cap 167$"):
-        group_closure(list(GL3), cap=167)
-    assert len(group_closure(list(GL3), cap=168)) == 168
+        group_closure(list(GL3))
+    monkeypatch.setenv("STABLE4_CAP", "168")
+    assert len(group_closure(list(GL3))) == 168
 
 
 @pytest.mark.parametrize("gens, order", [(GL3, 168), (GL4, 20160)], ids=["GL3", "GL4"])

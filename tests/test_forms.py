@@ -25,6 +25,7 @@ from oracles import (
 )
 from stable4 import forms
 from stable4.errors import DomainError, InputError, is_int
+from stable4.f2 import F2Mat
 from stable4.forms import (
     AugmentedForm,
     Parity,
@@ -824,8 +825,13 @@ def test_zero_entries_are_dropped_from_the_rows():
 
 
 def test_entry_rejects_a_column_out_of_range():
-    with pytest.raises(IndexError):
-        hyperbolic_matrix(Z3).entry(0, 2)
+    cases = [(hyperbolic_matrix(Z3), 2, 0, 2), (e8_block(Z3), 8, -1, 7), (e8_block(Z3), 8, 8, 0),
+             (F2Mat.identity(3), 3, -1, 2), (F2Mat.identity(3), 3, 0, 3),
+             (F2Mat.identity(3), 3, 3, 0)]
+    for matrix, size, i, j in cases:
+        message = f"entry ({i}, {j}) out of range for size {size}"
+        with pytest.raises(IndexError, match=f"^{re.escape(message)}$"):
+            matrix.entry(i, j)
 
 
 def test_identity_blocks_match_their_integer_rows():

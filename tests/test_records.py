@@ -309,6 +309,7 @@ VALIDATION = [
     (lambda: FamilyData("f", 2, (F2Mat.identity(2), F2Mat(2, (1, 1)))), DomainError,
      "generator 1 is not invertible"),
     (lambda: FamilyData("f", -1, ()), DomainError, "d -1 is negative"),
+    (lambda: FamilyData(7, 2, ()), InputError, "family name 7 is not a string"),
     (lambda: family_custom("p", 4, [(7, 14, 4, 2)]), InputError,
      "generator 0 is (7, 14, 4, 2), not an F2 matrix"),
     (lambda: ClassificationTable(INFINITY, "smooth", 1, (), "none"), DomainError,
