@@ -14,8 +14,10 @@ The enumerations are bounded by the caps of `f2.orbits` and
 `f2.group_closure`, which read STABLE4_CAP themselves.  That closure is
 computed once per `FamilyData` and kept on the instance outside its fields,
 as the row tuples of its elements; every almost-spin table over the family
-filters the kept closure, checking it against the cap again.  The decision
-walks one orbit of (w, tau) pairs instead, under the `f2.orbit_of` cap.
+filters the kept closure, checking it against the cap again, and hands
+`f2.orbits` one stabilizer element per vector reached, which have the same
+orbits.  The decision walks one orbit of (w, tau) pairs instead, under the
+`f2.orbit_of` cap, over pair generators also kept per `FamilyData`.
 
 Which (w, signature, parity, tau) exist in a category -- the strides, the
 w and tau dimensions, the category names -- is stated once, in
@@ -31,6 +33,7 @@ from .errors import DomainError, InputError, is_int
 from .f2 import (
     F2Mat,
     F2Vec,
+    _orbit_witnesses,
     closure_cap_exceeded,
     configured_cap,
     f2mat_from_json,
@@ -63,20 +66,22 @@ class FamilyData(Record):
 
     H^1(Bpi;Z/2) = Hom(pi,Z/2) acts through the same F2^d coordinates as
     H_2 (Poincare duality + Kronecker evaluation); an element m sends
-    (phi, eps) to (eps m + phi, eps).
+    (phi, eps) to (eps m + phi, eps).  The generators are stored as a
+    tuple, whatever sequence they come in, so the record hashes.
     """
 
     name: str
     d: int
     out_generators: tuple[F2Mat, ...]
 
-    def __init__(self, name: str, d: int, out_generators: tuple[F2Mat, ...]) -> None:
+    def __init__(self, name: str, d: int, out_generators: Sequence[F2Mat]) -> None:
         if not isinstance(name, str):
             raise InputError(f"family name {name!r} is not a string")
         if not is_int(d):
             raise InputError(f"d {d!r} is not an integer")
         if d < 0:
             raise DomainError(f"d {d} is negative")
+        out_generators = tuple(out_generators)
         for k, g in enumerate(out_generators):
             if not isinstance(g, F2Mat):
                 raise InputError(f"generator {k} is {g!r}, not an F2 matrix")
@@ -107,7 +112,7 @@ def family_nil(z: int) -> FamilyData:
 
 
 def family_custom(name: str, d: int, generators: Sequence[F2Mat]) -> FamilyData:
-    return FamilyData(name=name, d=d, out_generators=tuple(generators))
+    return FamilyData(name=name, d=d, out_generators=generators)
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +242,14 @@ def classify(family: FamilyData, w, category: str) -> ClassificationTable:
     Spin tables read the orbits of `spin_state_orbits` off the state bits:
     an orbit of eps = 0 states is an H_2 orbit of phi, and the eps = 1
     states (one orbit, checked) are the odd class.  Almost-spin tables list
-    orbits under `stabilizer_of_w`, which filters the family's kept closure
-    (row tuples, in the closure's own order; `orbits` sorts its output), of
-    the kernel of evaluation (smooth) or of everything (topological);
-    totally non-spin tables are signature-only.  Strides: 1 for totally
-    non-spin, 16 for smooth spin, 8 otherwise.
+    the orbits of Stab(w), which `stabilizer_of_w` filters from the kept
+    closure, on the kernel of evaluation (smooth) or on everything
+    (topological).  `orbits` gets only the orbit witnesses: per orbit, the
+    first element of Stab(w) carrying its least vector to each other
+    vector.  They reach each whole Stab(w)-orbit from its start, so they
+    generate a subgroup with exactly the same orbits, and there are at most
+    2^d - (#orbits) of them.  Totally non-spin tables are signature-only.
+    Strides: 1 for totally non-spin, 16 for smooth spin, 8 otherwise.
     """
     category = normalize_category(category)
     stride = signature_stride(check_w(w, family.d), category)
@@ -282,7 +290,7 @@ def classify(family: FamilyData, w, category: str) -> ClassificationTable:
     # almost spin
     stab = stabilizer_of_w(family, w)
     subset = (lambda v: w.dot(v) == 0) if category == SMOOTH else None
-    parts = orbits(family.d, stab, subset=subset)
+    parts = orbits(family.d, _orbit_witnesses(family.d, stab, subset), subset=subset)
     entries = tuple(
         ClassEntry("orbit", representative=orb[0], orbit=tuple(orb))
         for orb in parts
@@ -398,6 +406,8 @@ def decide_stable_equiv(
     By orbit-stabilizer that holds iff (w, b.tau) lies in the orbit of
     (w, a.tau) under the Out-generators acting by (w, tau) -> (rho^-T w,
     rho tau): one `f2.orbit_of` walk under the orbit cap, with no closure.
+    The pair generators are built once per `FamilyData` and kept on it
+    outside its fields, as `stabilizer_of_w` keeps the closure.
     Odd classes are decided by the signature alone.  Tuples with different
     w-types are never equivalent: w is compared literally, as a fixed
     identification, not up to Out(pi).  For nil:2, (w=100,
@@ -421,9 +431,13 @@ def decide_stable_equiv(
     if a.parity is Parity.ODD:
         return True
     d = family.d  # rho acts as diag(rho^-T, rho): w in bits 0..d-1, tau above
-    pair_generators = [F2Mat(2 * d, rho.inverse().transpose().rows
-                             + tuple(row << d for row in rho.rows))
-                       for rho in family.out_generators]
+    try:
+        pair_generators = family._pair_generators
+    except AttributeError:
+        pair_generators = tuple(F2Mat(2 * d, rho.inverse().transpose().rows
+                                      + tuple(row << d for row in rho.rows))
+                                for rho in family.out_generators)
+        object.__setattr__(family, "_pair_generators", pair_generators)
     reached = orbit_of(F2Vec(2 * d, a.w.bits | a.tau.bits << d), pair_generators)
     return a.w.bits | b.tau.bits << d in reached
 

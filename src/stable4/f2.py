@@ -402,11 +402,7 @@ def orbits(
     Raises CapExceeded before building anything when 2^d exceeds the cap
     (2^20 states by default, overridable through STABLE4_CAP).
     """
-    if d < 0:
-        raise InputError(f"orbit dimension {d} is negative")
-    cap = configured_cap(1 << ORBIT_DIM_CAP)
-    if 1 << d > cap:
-        raise CapExceeded(f"2^{d} states exceed the orbit cap {cap}")
+    _check_orbit_dim(d)
     steps = []
     for k, g in enumerate(generators):
         if g.dim != d:
@@ -433,6 +429,43 @@ def orbits(
         orbit.sort(key=rank.__getitem__)
         parts.append([F2Vec(d, bits) for bits in orbit])
     return parts
+
+
+def _check_orbit_dim(d: int) -> None:
+    """Refuse a negative d, and 2^d states over the orbit cap."""
+    if d < 0:
+        raise InputError(f"orbit dimension {d} is negative")
+    cap = configured_cap(1 << ORBIT_DIM_CAP)
+    if 1 << d > cap:
+        raise CapExceeded(f"2^{d} states exceed the orbit cap {cap}")
+
+
+def _orbit_witnesses(
+    d: int,
+    group: Sequence[F2Mat],
+    subset: Callable[[F2Vec], bool] | None = None,
+) -> list[F2Mat]:
+    """Elements of a fully listed group G with G's orbits on the (subset
+    of the) 2^d vectors: after the orbit cap check, each orbit starts at
+    its least vector v, and of the elements applied to v the first to
+    reach each new vector is kept.  They carry v across all of G v, so
+    they generate a subgroup with the same orbits; |G v| - 1 are kept."""
+    _check_orbit_dim(d)
+    seen = [False] * (1 << d)
+    seen[0] = True  # 0 is fixed: its orbit needs no witness
+    witnesses = []
+    for start in range(1, 1 << d):
+        if seen[start] or subset is not None and not subset(F2Vec(d, start)):
+            continue
+        seen[start] = True
+        for g in group:
+            image = 0
+            for i, row in enumerate(g.rows):
+                image |= ((row & start).bit_count() & 1) << i
+            if not seen[image]:
+                seen[image] = True
+                witnesses.append(g)
+    return witnesses
 
 
 def orbit_of(v: F2Vec, generators: Sequence[F2Mat]) -> set[int]:

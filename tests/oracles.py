@@ -156,6 +156,42 @@ def naive_orbits(d: int, generators, subset=None):
     return [[to_vec(v) for v in part] for part in ordered]
 
 
+def stabilizer_orbits(closure, w: F2Vec, smooth: bool):
+    """Orbits of ker<w,-> (smooth) or of F2^d under {rho in closure :
+    rho^T w = w}, by a breadth-first search from each unseen vector, with
+    every product read entry by entry.
+
+    Listed as `naive_orbits` lists them: each orbit sorted by coordinate
+    tuples, the orbits by their first vector, as F2Vecs.
+    """
+    d = w.dim
+    w_coords = tuple(w.bits >> i & 1 for i in range(d))
+
+    def act(g, v, transpose=False):
+        entry = (lambda i, j: g.entry(j, i)) if transpose else g.entry
+        return tuple(sum(entry(i, j) * v[j] for j in range(d)) % 2 for i in range(d))
+
+    stab = [g for g in closure if act(g, w_coords, transpose=True) == w_coords]
+    domain = [v for v in itertools.product((0, 1), repeat=d)
+              if not smooth or sum(a * b for a, b in zip(v, w_coords)) % 2 == 0]
+    seen: set = set()
+    parts = []
+    for v in domain:
+        if v in seen:
+            continue
+        seen.add(v)
+        orbit = [v]
+        for u in orbit:  # the list grows into a breadth-first queue
+            for g in stab:
+                image = act(g, u)
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+        parts.append(sorted(orbit))
+    parts.sort()
+    return [[F2Vec(d, sum(c << i for i, c in enumerate(v))) for v in part] for part in parts]
+
+
 # ---------------------------------------------------------------------------
 # Integer symmetric matrices
 

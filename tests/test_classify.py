@@ -3,6 +3,7 @@ import importlib
 import pickle
 import random
 import re
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,9 +14,10 @@ from oracles import (
     hand_gl3_generators,
     hand_nil_generators,
     nil_word_matrix,
+    stabilizer_orbits,
 )
 from stable4.errors import CapExceeded, DomainError, InputError
-from stable4.f2 import F2Mat, F2Vec, group_closure
+from stable4.f2 import F2Mat, F2Vec, _orbit_witnesses, group_closure
 from stable4.forms import Parity
 from stable4.classify import (
     TAU_UNKNOWN,
@@ -455,6 +457,11 @@ def test_a_closure_over_the_cap_is_not_kept(monkeypatch):
 def test_kept_closure_is_invisible():
     fam = family_nil(2)
     stabilizer_of_w(fam, F2Vec.from_bits("100"))
+    t = InvariantTuple(F2Vec.from_bits("100"), 8, Parity.EVEN, F2Vec.from_bits("010"))
+    assert decide_stable_equiv(t, t, "topological", fam)
+    kept = fam._pair_generators
+    assert decide_stable_equiv(t, t, "topological", fam)
+    assert fam._pair_generators is kept and len(kept) == len(fam.out_generators)
     assert getattr(fam, "_closure", None) is not None
     fresh = family_nil(2)
     assert fam == fresh and fresh == fam
@@ -463,6 +470,7 @@ def test_kept_closure_is_invisible():
     for clone in (pickle.loads(pickle.dumps(fam)), copy.deepcopy(fam), copy.copy(fam)):
         assert clone == fresh and hash(clone) == hash(fresh) and repr(clone) == repr(fresh)
         assert not hasattr(clone, "_closure")
+        assert not hasattr(clone, "_pair_generators")
 
 
 def _count_classes_brute_force(fam, rng):
@@ -812,6 +820,75 @@ def test_almost_spin_count_matches_independent_enumeration():
             expected = len({find(b) for b in domain})
             table = classify(fam, w, category)
             assert len(table.classes) == expected
+
+
+# A parabolic subgroup of GL_4(F2) of order 1344; 192 of its elements fix
+# w = 0100.
+PARABOLIC = tuple(F2Mat(4, rows) for rows in ((7, 14, 4, 2), (3, 6, 12, 4), (15, 14, 8, 2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 4), k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_almost_spin_tables_match_closure_and_filter(d, k, seed):
+    """Every almost-spin table against the orbits of {rho : rho^T w = w}
+    over the fixed-point closure, on groups small enough for that oracle."""
+    rng = random.Random(seed)
+    gens = []
+    while len(gens) < k:
+        m = F2Mat(d, tuple(rng.randrange(1 << d) for _ in range(d)))
+        if m.is_invertible():
+            gens.append(m)
+    closure = fixed_point_closure(gens, cap=64)
+    assume(closure is not None)
+    fam = family_custom("random", d, gens)
+    for bits in range(1, 1 << d):
+        w = F2Vec(d, bits)
+        for category in ("smooth", "topological"):
+            table = classify(fam, w, category)
+            want = stabilizer_orbits(closure, w, smooth=category == "smooth")
+            assert [list(entry.orbit) for entry in table.classes] == want
+            assert [entry.representative for entry in table.classes] == [o[0] for o in want]
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [family_z3(), family_nil(2), family_custom("parabolic", 4, PARABOLIC),
+     family_custom("gl4", 4, GL4)],
+    ids=lambda fam: fam.name,
+)
+def test_orbit_witnesses_fix_w_and_reach_each_vector_once(fam):
+    for bits in range(1, 1 << fam.d):
+        w = F2Vec(fam.d, bits)
+        stab = stabilizer_of_w(fam, w)
+        for category in ("smooth", "topological"):
+            subset = (lambda v: w.dot(v) == 0) if category == "smooth" else None
+            witnesses = _orbit_witnesses(fam.d, stab, subset)
+            assert all(m.transpose().apply(w) == w for m in witnesses)
+            # one witness per vector past each orbit's start: at most
+            # 2^d - (#orbits), fewer when smooth
+            table = classify(fam, w, category)
+            reached = sum(len(entry.orbit) for entry in table.classes)
+            assert len(witnesses) == reached - len(table.classes)
+
+
+def test_a_parabolic_table_hands_orbits_at_most_15_generators(monkeypatch):
+    calls = _count_calls(monkeypatch, "orbits")
+    fam, w = family_custom("parabolic", 4, PARABOLIC), F2Vec.from_bits("0100")
+    assert len(stabilizer_of_w(fam, w)) == 192
+    for category in ("smooth", "topological"):
+        classify(fam, w, category)
+    assert len(calls) == 2
+    assert all(len(generators) <= 15 for _, generators in calls)
+
+
+def test_the_orbit_cap_is_checked_before_the_witness_pass(monkeypatch):
+    monkeypatch.delenv("STABLE4_CAP", raising=False)
+    fam = family_custom("id21", 21, [F2Mat.identity(21)])
+    message = "2^21 states exceed the orbit cap 1048576"
+    start = time.process_time()
+    with pytest.raises(CapExceeded, match=f"^{re.escape(message)}$"):
+        classify(fam, F2Vec(21, 1), "topological")
+    assert time.process_time() - start < 1.0
 
 
 def test_topological_spin_classes_match_smooth():

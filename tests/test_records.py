@@ -258,6 +258,14 @@ def test_hash_is_the_field_tuple_hash():
     assert hash(NilFamily(2)) == hash((2,))
 
 
+def test_family_data_stores_its_generators_as_a_tuple():
+    fam = FamilyData("x", 2, [F2Mat.identity(2)])
+    assert fam.out_generators == (F2Mat.identity(2),)
+    assert fam == FamilyData("x", 2, (F2Mat.identity(2),))
+    assert hash(fam) == hash(("x", 2, (F2Mat.identity(2),)))
+    assert FamilyData("x", 2, iter([F2Mat.identity(2)])) == fam
+
+
 # ---------------------------------------------------------------------------
 # Validation messages
 
