@@ -14,8 +14,8 @@ a right factor and kept on B outside its fields, so equality, hash, repr,
 pickle and copy do not see it.  Above d = 8 each row is combined bit by bit
 and no table is built.  `group_closure` multiplies on the right, so only
 its generators carry a table.  It deduplicates products on their `rows`
-tuples, which hash and compare in C, so no `F2Mat.__hash__` or `__eq__`
-runs per product, and it builds the returned set of matrices once, at the
+tuples, which hash and compare in C, so no record hash or equality runs
+per product, and it builds the returned set of matrices once, at the
 end, after dropping the row set.
 
 Enumerations are bounded by caps, so a group or state space too large fails
@@ -74,14 +74,6 @@ class F2Vec(Record):
             raise InputError(f"bits {bits:#x} out of range for dim {dim}")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "bits", bits)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.dim == other.dim and self.bits == other.bits
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.bits))
 
     @classmethod
     def zero(cls, dim: int) -> "F2Vec":
@@ -155,14 +147,6 @@ class F2Mat(Record):
         _set_field(m, "dim", dim)
         _set_field(m, "rows", rows)
         return m
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.dim == other.dim and self.rows == other.rows
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.rows))
 
     @classmethod
     def identity(cls, dim: int) -> "F2Mat":

@@ -4,17 +4,21 @@ A record's fields are the names annotated in its own class body, in order.
 Records compare equal when they are of the same class and their fields
 agree, hash as the tuple of their fields, print as ``Name(field=value, ...)``,
 refuse assignment and deletion, and pickle and copy by calling the class on
-their fields.
+their fields.  No record writes its own ``__eq__`` or ``__hash__``: Record
+gives every subclass both, and ``__reduce__``, reading the fields through one
+C-level ``operator.attrgetter`` per class.
 
 Each subclass writes its own ``__init__``, which checks the arguments and
 then stores the fields past the frozen ``__setattr__``: through
 ``self.__dict__``, which builds fastest, or, in the records made and read in
 bulk (F2Vec, F2Mat, Word and the group families), with
-``object.__setattr__``.  That keeps CPython's compact attribute layout, with
-no dict per instance, so those are smaller and read and hash faster.
+``object.__setattr__``, which keeps CPython's compact attribute layout with
+no dict per instance.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 
 class Record:
@@ -23,17 +27,24 @@ class Record:
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)
+        # The methods close over the getter, as CPython 3.11 does not specialize
+        # reading a class attribute off an instance.  Given one name,
+        # attrgetter returns the bare value, so it is wrapped in a 1-tuple.
+        get = attrgetter(*cls._fields)
+        if len(cls._fields) > 1:
+            values = get
+            cls.__hash__ = lambda self: hash(get(self))
+        else:
+            values = lambda record: (get(record),)
+            cls.__hash__ = lambda self: hash((get(self),))
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return get(self) == get(other)
+            return NotImplemented
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
+        cls.__eq__ = __eq__
+        cls.__reduce__ = lambda self: (self.__class__, values(self))
 
     def __repr__(self) -> str:
         parts = (f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -44,6 +55,3 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return self.__class__, self._values()

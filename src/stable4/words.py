@@ -83,14 +83,6 @@ class Word(Record):
         object.__setattr__(w, "letters", letters)
         return w
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.letters == other.letters
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.letters,))
-
     @property
     def is_identity(self) -> bool:
         return not self.letters
@@ -227,20 +219,13 @@ class GroupFamily:
 
 
 class FreeFamily(GroupFamily, Record):
-    """Free group on named generators; elements are the Words themselves."""
+    """Free group on distinct identifiers; elements are the Words themselves."""
 
     generators: tuple[str, ...]
 
     def __init__(self, generators: tuple[str, ...]) -> None:
+        _check_generator_names(generators)
         object.__setattr__(self, "generators", generators)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.generators == other.generators
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.generators,))
 
     def identity(self) -> Word:
         return Word()
@@ -268,22 +253,18 @@ class FreeFamily(GroupFamily, Record):
 
 
 class ZnFamily(GroupFamily, Record):
-    """Z^n with generators g1..gn; elements are exponent vectors."""
+    """Z^n with generators g1..gn; elements are exponent vectors of length
+    n, so n is at most ``configured_cap()``."""
 
     n: int
 
     def __init__(self, n: int) -> None:
         if n < 1:
             raise DomainError("Zn family needs n >= 1")
+        cap = configured_cap()
+        if n > cap:
+            raise CapExceeded(f"Zn family rank {n} is over the cap {cap}")
         object.__setattr__(self, "n", n)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.n == other.n
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n,))
 
     @property
     def generators(self) -> tuple[str, ...]:
@@ -330,14 +311,6 @@ class NilFamily(GroupFamily, Record):
         if z < 1:
             raise DomainError("Nil family needs z >= 1")
         object.__setattr__(self, "z", z)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.z == other.z
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.z,))
 
     @property
     def generators(self) -> tuple[str, ...]:
@@ -511,7 +484,6 @@ def family_from_json(obj, generators: Sequence[str] | None = None) -> GroupFamil
         if tag == "free":
             if not isinstance(value, list) or not all(isinstance(g, str) for g in value):
                 raise InputError(f'family tag "free" needs a list of names, not {value!r}')
-            _check_generator_names(value)
             return FreeFamily(tuple(value))
     raise InputError(f"unrecognised family tag {obj!r}")
 

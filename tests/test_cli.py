@@ -462,8 +462,15 @@ def test_decide_refuses_odd_almost_spin_tuples(capsys, tmp_path):
     (["model", "--kind", "N", "--family", "nil:1", "--w", "100"], 2,
      "w has dimension 3, the family needs 2"),
     (["classify", "--family", "z3", "--w", "10"], 2, "w has dimension 2, the family needs 3"),
+    (["fox", "--word", "x", "--gen", "x", "--generators", "x,x"], 1,
+     "duplicate generator 'x'"),
+    (["fox", "--word", "1 x", "--gen", "1", "--generators", "1,x"], 1,
+     "bad generator name '1'"),
+    (["fox", "--word", "g1", "--gen", "g1", "--family", "zn:100000000"], 3,
+     "Zn family rank 100000000 is over the cap 1000000"),
 ], ids=["N infinity", "P 1a1", "P arabic-indic digits", "M1 short gamma", "N long w",
-        "classify short w"])
+        "classify short w", "fox duplicate generator", "fox generator 1",
+        "fox huge zn rank"])
 def test_inputs_exit_with_an_error_line(capsys, argv, code, message):
     assert run(capsys, argv) == (code, "", f"error: {message}\n")
 
@@ -681,6 +688,17 @@ def test_env_cap_bounds_fox(capsys, monkeypatch):
     assert "expands 1001 letters of x, over the cap 1000" in err
     code, out, _ = run(capsys, ["fox", "--word", "x^1000", "--gen", "x", "--family", "nil:2"])
     assert code == 0 and len(json.loads(out)["derivative"]) == 1000
+
+
+def test_env_cap_bounds_zn_rank(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("STABLE4_CAP", "10")
+    argv = ["fox", "--word", "g1", "--gen", "g1", "--family", "zn:11"]
+    assert run(capsys, argv) == (3, "", "error: Zn family rank 11 is over the cap 10\n")
+    path = write_json(tmp_path / "f.json", {"epsilon": 0, "family": {"zn": 11},
+                                            "entries": [[{"coeff": 1, "word": "1"}]]})
+    assert run(capsys, ["parity", "--form", path])[0] == 3
+    code, out, _ = run(capsys, ["fox", "--word", "g1", "--gen", "g1", "--family", "zn:10"])
+    assert code == 0 and json.loads(out)["family"] == {"zn": 10}
 
 
 def test_file_named_like_a_family_does_not_shadow_it(capsys, monkeypatch, tmp_path):

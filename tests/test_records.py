@@ -25,7 +25,7 @@ from stable4.classify import (
     family_custom,
     family_data_from_json,
 )
-from stable4.errors import DomainError, InputError
+from stable4.errors import CapExceeded, DomainError, InputError
 from stable4.f2 import F2Mat, F2Vec, QuadraticFormF2
 from stable4.forms import AugmentedForm, Parity, RingMatrix, hyperbolic_matrix
 from stable4.models import HAN1, INFINITY
@@ -249,13 +249,22 @@ def test_defaults():
 
 
 def test_hash_is_the_field_tuple_hash():
-    """Sets and dicts of records iterate in the order they did as dataclasses."""
+    """Sets and dicts of records iterate in the order they did as dataclasses.
+
+    Record gives every record its equality and hash; none writes its own."""
     v = F2Vec(3, 5)
     m = F2Mat(2, (1, 2))
     assert hash(v) == hash((3, 5))
     assert hash(m) == hash((2, (1, 2)))
     assert hash(Word(((0, 1),))) == hash((((0, 1),),))
     assert hash(NilFamily(2)) == hash((2,))
+    assert hash(FreeFamily(("x", "y"))) == hash((("x", "y"),))
+    assert hash(ZnFamily(3)) == hash((3,))
+    entry = ClassEntry("orbit", v, (v,))
+    assert hash(entry) == hash(("orbit", v, (v,)))
+    for cls in CLASSES.values():
+        for method in (cls.__eq__, cls.__hash__, cls.__reduce__):
+            assert method.__qualname__.startswith("Record.__init_subclass__"), cls
 
 
 def test_family_data_stores_its_generators_as_a_tuple():
@@ -289,6 +298,9 @@ VALIDATION = [
     (lambda: _qf((0, 0), 0), DomainError, "bilinear part must be nondegenerate"),
     (lambda: Word(((-1, 2),)), InputError, "negative generator index -1"),
     (lambda: ZnFamily(0), DomainError, "Zn family needs n >= 1"),
+    (lambda: ZnFamily(10**8), CapExceeded, "Zn family rank 100000000 is over the cap 1000000"),
+    (lambda: FreeFamily(("x", "x")), InputError, "duplicate generator 'x'"),
+    (lambda: FreeFamily(("1", "x")), InputError, "bad generator name '1'"),
     (lambda: NilFamily(0), DomainError, "Nil family needs z >= 1"),
     (lambda: Presentation(("a", "a"), ()), InputError, "duplicate generator 'a'"),
     (lambda: Presentation(("a b",), ()), InputError, "bad generator name 'a b'"),
