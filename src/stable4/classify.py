@@ -17,7 +17,8 @@ as the row tuples of its elements; every almost-spin table over the family
 filters the kept closure, checking it against the cap again, and hands
 `f2.orbits` one stabilizer element per vector reached, which have the same
 orbits.  The decision walks one orbit of (w, tau) pairs instead, under the
-`f2.orbit_of` cap, over pair generators also kept per `FamilyData`.
+`f2.orbit_of` cap, over pair generators it builds on each call and keeps
+nowhere.
 
 Which (w, signature, parity, tau) exist in a category -- the strides, the
 w and tau dimensions, the category names -- is stated once, in
@@ -255,16 +256,9 @@ def classify(family: FamilyData, w, category: str) -> ClassificationTable:
     stride = signature_stride(check_w(w, family.d), category)
 
     if w is INFINITY:
-        return ClassificationTable(
-            w=INFINITY,
-            category=category,
-            signature_stride=stride,
-            classes=(ClassEntry("signature-only"),),
-            ks_rule="independent-bit" if category == TOPOLOGICAL else "none",
-            family_name=family.name,
-        )
-
-    if w.is_zero:
+        classes = (ClassEntry("signature-only"),)
+        ks_rule = "independent-bit"
+    elif w.is_zero:
         entries: list[ClassEntry] = []
         odd_count = 0
         for orbit in spin_state_orbits(family):
@@ -278,29 +272,23 @@ def classify(family: FamilyData, w, category: str) -> ClassificationTable:
             raise DomainError(
                 f"expected exactly one odd class, found {odd_count}"
             )
-        return ClassificationTable(
-            w=w,
-            category=category,
-            signature_stride=stride,
-            classes=tuple(entries),
-            ks_rule="sigma/8" if category == TOPOLOGICAL else "none",
-            family_name=family.name,
+        classes = tuple(entries)
+        ks_rule = "sigma/8"
+    else:  # almost spin
+        stab = stabilizer_of_w(family, w)
+        subset = (lambda v: w.dot(v) == 0) if category == SMOOTH else None
+        parts = orbits(family.d, _orbit_witnesses(family.d, stab, subset), subset=subset)
+        classes = tuple(
+            ClassEntry("orbit", representative=orb[0], orbit=tuple(orb))
+            for orb in parts
         )
-
-    # almost spin
-    stab = stabilizer_of_w(family, w)
-    subset = (lambda v: w.dot(v) == 0) if category == SMOOTH else None
-    parts = orbits(family.d, _orbit_witnesses(family.d, stab, subset), subset=subset)
-    entries = tuple(
-        ClassEntry("orbit", representative=orb[0], orbit=tuple(orb))
-        for orb in parts
-    )
+        ks_rule = "sigma/8 + <w,->"
     return ClassificationTable(
         w=w,
         category=category,
         signature_stride=stride,
-        classes=entries,
-        ks_rule="sigma/8 + <w,->" if category == TOPOLOGICAL else "none",
+        classes=classes,
+        ks_rule=ks_rule if category == TOPOLOGICAL else "none",
         family_name=family.name,
     )
 
@@ -405,9 +393,8 @@ def decide_stable_equiv(
     tau in Stab(w) a.tau, Stab(w) being the Out-image elements fixing w.
     By orbit-stabilizer that holds iff (w, b.tau) lies in the orbit of
     (w, a.tau) under the Out-generators acting by (w, tau) -> (rho^-T w,
-    rho tau): one `f2.orbit_of` walk under the orbit cap, with no closure.
-    The pair generators are built once per `FamilyData` and kept on it
-    outside its fields, as `stabilizer_of_w` keeps the closure.
+    rho tau): one `f2.orbit_of` walk under the orbit cap, with no closure,
+    over pair generators built on each call and kept nowhere.
     Odd classes are decided by the signature alone.  Tuples with different
     w-types are never equivalent: w is compared literally, as a fixed
     identification, not up to Out(pi).  For nil:2, (w=100,
@@ -431,13 +418,9 @@ def decide_stable_equiv(
     if a.parity is Parity.ODD:
         return True
     d = family.d  # rho acts as diag(rho^-T, rho): w in bits 0..d-1, tau above
-    try:
-        pair_generators = family._pair_generators
-    except AttributeError:
-        pair_generators = tuple(F2Mat(2 * d, rho.inverse().transpose().rows
-                                      + tuple(row << d for row in rho.rows))
-                                for rho in family.out_generators)
-        object.__setattr__(family, "_pair_generators", pair_generators)
+    pair_generators = [F2Mat(2 * d, rho.inverse().transpose().rows
+                             + tuple(row << d for row in rho.rows))
+                       for rho in family.out_generators]
     reached = orbit_of(F2Vec(2 * d, a.w.bits | a.tau.bits << d), pair_generators)
     return a.w.bits | b.tau.bits << d in reached
 

@@ -508,44 +508,25 @@ def realize_form(
         _check_rank(m0.form.matrix.size + m + n)
         blocks = identity_block(family, m).direct_sum(identity_block(family, n, -1))
         form = AugmentedForm(1, m0.form.matrix.direct_sum(blocks))
-        return HAN1(
-            w=INFINITY,
-            signature=signature,
-            form=form,
-            tau=None,
-            notes=f"M_0 + Id_{m} + (-Id_{n})",
-        )
-
-    n_e8 = signature // 8
-    if w.is_zero:
-        if parity_target is Parity.ODD:
-            base = model_M_sigma(family, 1)
-            label = "M_1"
-        else:
+        tau, notes = None, f"M_0 + Id_{m} + (-Id_{n})"
+    else:
+        if w.is_zero and parity_target is Parity.ODD:
+            base, label = model_M_sigma(family, 1), "M_1"
+        elif w.is_zero:
             gamma = h2_to_hom_bits(family, tau)
             base = model_P(builtin_presentation(family), family, gamma)
             label = f"P(gamma={''.join(map(str, gamma))})"
-        return HAN1(
-            w=w,
-            signature=signature,
-            form=_plus_e8(base, n_e8),
-            tau=base.tau,
-            notes=f"{label} + {n_e8} E8",
-        )
-
-    if tau != F2Vec.zero(d):
-        raise DomainError(
-            "almost-spin realization beyond the signature part is not "
-            "constructed: no explicit matrices exist for the H_2 part"
-        )
-    base = model_N_almost_spin(family, w)
-    return HAN1(
-        w=w,
-        signature=signature,
-        form=_plus_e8(base, n_e8),
-        tau=base.tau,
-        notes=f"N(w={w.to_bits()}) + {n_e8} E8 (signature part only)",
-    )
+        elif tau != F2Vec.zero(d):
+            raise DomainError(
+                "almost-spin realization beyond the signature part is not "
+                "constructed: no explicit matrices exist for the H_2 part"
+            )
+        else:
+            base, label = model_N_almost_spin(family, w), f"N(w={w.to_bits()})"
+        n_e8 = signature // 8
+        form, tau = _plus_e8(base, n_e8), base.tau
+        notes = f"{label} + {n_e8} E8" + ("" if w.is_zero else " (signature part only)")
+    return HAN1(w=w, signature=signature, form=form, tau=tau, notes=notes)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ quotients do it in closed form, without building s_i^e:
 * Nil steps (k, i, j) to (k + e, i, j) for a^e, to (k - z*j*e, i + e, j)
   for x^e, and to (k, i, j + e) for y^e.
 
-Only free words fall back to ``multiply(g, generator_element(i, e))``.
+Only free words fall back to ``multiply(g, generator_element(i, e))``; the
+quotients read ``generator_element(i, e)`` off ``shift(identity, i, e)``.
 
 Every ``Word`` holds a freely reduced tuple of letters with nonzero exponents,
 no two adjacent letters on the same generator, and generator indices >= 0.
@@ -159,7 +160,9 @@ class GroupFamily:
     """Base class fixing the interface of a group with a normal form.
 
     Elements are opaque hashable values; the family supplies identity,
-    multiplication, inversion and the quotient map from free words.
+    multiplication, inversion and the quotient map from free words.  A
+    family defines ``shift`` or ``generator_element``: each default calls
+    the other, so a family defining neither recurses.
     """
 
     generators: tuple[str, ...]
@@ -184,15 +187,17 @@ class GroupFamily:
         raise NotImplementedError
 
     def generator_element(self, index: int, exp: int = 1):
-        raise NotImplementedError
+        """s_index^exp, read off ``shift`` unless a family overrides it."""
+        return self.shift(self.identity(), index, exp)
 
     def shift(self, g, index: int, exp: int):
         """g * s_index^exp; families with a closed form override this."""
         return self.multiply(g, self.generator_element(index, exp))
 
     def sort_key(self, g):
-        """Deterministic total order on elements, used for stable output."""
-        raise NotImplementedError
+        """Deterministic total order on elements, used for stable output;
+        elements that are tuples of ints order as themselves."""
+        return g
 
     def element_word(self, g) -> Word:
         """A canonical word representing g (for printing and JSON)."""
@@ -254,7 +259,8 @@ class FreeFamily(GroupFamily, Record):
 
 class ZnFamily(GroupFamily, Record):
     """Z^n with generators g1..gn; elements are exponent vectors of length
-    n, so n is at most ``configured_cap()``."""
+    n, so n is at most ``configured_cap()``.  The names are built once, in
+    the constructor, and stored outside the fields."""
 
     n: int
 
@@ -265,10 +271,7 @@ class ZnFamily(GroupFamily, Record):
         if n > cap:
             raise CapExceeded(f"Zn family rank {n} is over the cap {cap}")
         object.__setattr__(self, "n", n)
-
-    @property
-    def generators(self) -> tuple[str, ...]:
-        return tuple(f"g{i + 1}" for i in range(self.n))
+        object.__setattr__(self, "generators", tuple(f"g{i + 1}" for i in range(n)))
 
     def identity(self) -> tuple[int, ...]:
         return (0,) * self.n
@@ -279,20 +282,12 @@ class ZnFamily(GroupFamily, Record):
     def invert(self, a):
         return tuple(-x for x in a)
 
-    def generator_element(self, index: int, exp: int = 1):
-        v = [0] * self.n
-        v[index] = exp
-        return tuple(v)
-
     def shift(self, g, index: int, exp: int):
         if not 0 <= index < self.n:
             raise IndexError(f"generator index {index} out of range")
         v = list(g)
         v[index] += exp
         return tuple(v)
-
-    def sort_key(self, g):
-        return g
 
     def element_word(self, g) -> Word:
         return Word(tuple((i, e) for i, e in enumerate(g) if e))
@@ -328,11 +323,6 @@ class NilFamily(GroupFamily, Record):
         k, i, j = a
         return (-k - self.z * i * j, -i, -j)
 
-    def generator_element(self, index: int, exp: int = 1):
-        v = [0, 0, 0]
-        v[index] = exp
-        return tuple(v)
-
     def shift(self, g, index: int, exp: int):
         k, i, j = g
         if index == 0:
@@ -342,9 +332,6 @@ class NilFamily(GroupFamily, Record):
         if index == 2:
             return (k, i, j + exp)
         raise IndexError(f"generator index {index} out of range")
-
-    def sort_key(self, g):
-        return g
 
     def element_word(self, g) -> Word:
         k, i, j = g

@@ -267,6 +267,19 @@ def test_hash_is_the_field_tuple_hash():
             assert method.__qualname__.startswith("Record.__init_subclass__"), cls
 
 
+@pytest.mark.parametrize("n", [1, 3, 200])
+def test_zn_names_are_built_once_outside_the_fields(n):
+    fam = ZnFamily(n)
+    assert fam.generators is fam.generators
+    assert fam.generators == tuple(f"g{i + 1}" for i in range(n))
+    assert ZnFamily._fields == ("n",)
+    assert fam == ZnFamily(n) and fam != ZnFamily(n + 1)
+    assert hash(fam) == hash((n,)) and repr(fam) == f"ZnFamily(n={n})"
+    assert fam.__reduce__() == (ZnFamily, (n,))
+    for clone in (pickle.loads(pickle.dumps(fam)), copy.deepcopy(fam), copy.copy(fam)):
+        assert clone == fam and clone.generators == fam.generators
+
+
 def test_family_data_stores_its_generators_as_a_tuple():
     fam = FamilyData("x", 2, [F2Mat.identity(2)])
     assert fam.out_generators == (F2Mat.identity(2),)

@@ -446,6 +446,23 @@ def test_shift_rejects_an_index_out_of_range(fam, index):
         fam.shift(fam.identity(), index, 1)
 
 
+@pytest.mark.parametrize("fam", [ZnFamily(3), NilFamily(2)])
+@pytest.mark.parametrize("index", [-1, 3, 7])
+def test_generator_element_rejects_an_index_out_of_range(fam, index):
+    with pytest.raises(IndexError, match=f"generator index {index} out of range"):
+        fam.generator_element(index, 2)
+
+
+@pytest.mark.parametrize("exp", [-3, 1, 2])
+def test_generator_element_is_a_unit_vector_power(exp):
+    for index in range(3):
+        unit = tuple(exp if k == index else 0 for k in range(3))
+        assert ZnFamily(3).generator_element(index, exp) == unit
+        assert NilFamily(2).generator_element(index, exp) == unit
+    assert ZnFamily(3).generator_element(1, 2) == (0, 2, 0)
+    assert NilFamily(5).generator_element(1, exp) == (0, exp, 0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(SHIFT_FAMILIES), st.data())
 def test_fox_derivative_matches_the_stepwise_walk(fam, data):
