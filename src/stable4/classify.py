@@ -266,7 +266,7 @@ def classify(family: FamilyData, w, category: str) -> ClassificationTable:
                 odd_count += 1
                 entries.append(ClassEntry("odd"))
             else:
-                phis = tuple(F2Vec(family.d, v.bits >> 1) for v in orbit)
+                phis = tuple(F2Vec._trusted(family.d, v.bits >> 1) for v in orbit)
                 entries.append(ClassEntry("orbit", representative=phis[0], orbit=phis))
         if odd_count != 1:
             raise DomainError(

@@ -3,11 +3,15 @@ forms with the Arf invariant, symplectic bases, matrix-group closure and
 orbit enumeration under generator sets.
 
 Vectors pack coordinate i into bit i of an int; a matrix stores one mask per
-row and acts on column vectors.  Every public constructor checks that a d x d
-matrix has d rows, each a mask below 2^d.  A product of two such matrices
-XORs rows of the right factor, so it stays below 2^d and is built as the
-private `F2Mat._trusted` builds a matrix: the fields are stored without
-running `__init__` and so without that check again.  Up to d = 8
+row and acts on column vectors.  Every public constructor checks that the
+dimension and each mask are ints (not bools), that a vector's mask is below
+2^d, and that a d x d matrix has d rows, each a mask below 2^d; the rows are
+stored as a tuple.  A product of two such matrices XORs rows of the right
+factor, so it stays below 2^d and is built as the private `F2Mat._trusted`
+builds a matrix: a new object whose slots are filled through the slot
+setters bound once below, without running `__init__` and so without that
+check again.  Vectors derived from valid ones (`apply`, `^`, the states
+`orbits` returns) are built the same way by `F2Vec._trusted`.  Up to d = 8
 (PRODUCT_TABLE_DIM) row i of A @ B is one lookup, T_B[A.rows[i]], in the
 table of all 2^d subset XORs of B's rows; T_B is built the first time B is
 a right factor and kept on B outside its fields, so equality, hash, repr,
@@ -35,17 +39,14 @@ from __future__ import annotations
 import os
 from collections.abc import Callable, Sequence
 
-from .errors import CapExceeded, DomainError, InputError
+from .errors import CapExceeded, DomainError, InputError, is_int
 from .records import Record
 
 ORBIT_DIM_CAP = 20
 CLOSURE_CAP = 10**6
 PRODUCT_TABLE_DIM = 8
 
-# Bound once: `F2Mat._trusted` and `F2Mat.__matmul__` build matrices with
-# them, past the frozen `Record.__setattr__`.
 _new_object = object.__new__
-_set_field = object.__setattr__
 
 
 def configured_cap(default: int = CLOSURE_CAP) -> int:
@@ -66,14 +67,27 @@ def configured_cap(default: int = CLOSURE_CAP) -> int:
 class F2Vec(Record):
     """Vector over GF(2); coordinate i lives in bit i."""
 
+    __slots__ = ("dim", "bits")
     dim: int
     bits: int
 
     def __init__(self, dim: int, bits: int) -> None:
+        if not is_int(dim):
+            raise InputError(f"vector dimension {dim!r} is not an integer")
+        if not is_int(bits):
+            raise InputError(f"vector bits {bits!r} are not an integer")
         if dim < 0 or bits < 0 or bits >> dim:
             raise InputError(f"bits {bits:#x} out of range for dim {dim}")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "bits", bits)
+        _set_vec_dim(self, dim)
+        _set_vec_bits(self, bits)
+
+    @classmethod
+    def _trusted(cls, dim: int, bits: int) -> "F2Vec":
+        """A vector whose bits are known to be an int below 2^dim; no checks."""
+        v = _new_object(cls)
+        _set_vec_dim(v, dim)
+        _set_vec_bits(v, bits)
+        return v
 
     @classmethod
     def zero(cls, dim: int) -> "F2Vec":
@@ -113,7 +127,7 @@ class F2Vec(Record):
         if self.dim != other.dim:
             raise DomainError(f"dimension mismatch: vectors of dimension {self.dim} "
                               f"and {other.dim}")
-        return F2Vec(self.dim, self.bits ^ other.bits)
+        return F2Vec._trusted(self.dim, self.bits ^ other.bits)
 
     def dot(self, other: "F2Vec") -> int:
         if self.dim != other.dim:
@@ -126,26 +140,39 @@ class F2Vec(Record):
 
 
 class F2Mat(Record):
-    """Square matrix over GF(2); rows[i] is the bitmask of row i."""
+    """Square matrix over GF(2); rows[i] is the bitmask of row i.
 
+    The `_product_table` slot is not a field: `__matmul__` fills it on a
+    right factor, and equality, hash, repr, pickle and copy do not see it."""
+
+    __slots__ = ("dim", "rows", "_product_table")
     dim: int
     rows: tuple[int, ...]
 
-    def __init__(self, dim: int, rows: tuple[int, ...]) -> None:
+    def __init__(self, dim: int, rows: Sequence[int]) -> None:
+        if not is_int(dim):
+            raise InputError(f"matrix dimension {dim!r} is not an integer")
+        try:
+            rows = tuple(rows)
+        except TypeError:
+            raise InputError(f"matrix rows {rows!r} are not a sequence") from None
         if len(rows) != dim:
             raise InputError(f"matrix of dimension {dim} needs {dim} rows, got {len(rows)}")
-        if any(r >> dim for r in rows):
-            i = next(i for i, r in enumerate(rows) if r >> dim)
-            raise InputError(f"matrix row {i} bits {rows[i]:#x} out of range for dim {dim}")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "rows", rows)
+        for i, r in enumerate(rows):
+            if not is_int(r):
+                raise InputError(f"matrix row {i} is {r!r}, not an integer")
+            if r >> dim:
+                raise InputError(f"matrix row {i} bits {r:#x} out of range for dim {dim}")
+        _set_mat_dim(self, dim)
+        _set_mat_rows(self, rows)
 
     @classmethod
     def _trusted(cls, dim: int, rows: tuple[int, ...]) -> "F2Mat":
-        """A matrix whose rows are known to be d masks below 2^d; no checks."""
+        """A matrix whose rows are known to be a tuple of d masks below 2^d;
+        no checks."""
         m = _new_object(cls)
-        _set_field(m, "dim", dim)
-        _set_field(m, "rows", rows)
+        _set_mat_dim(m, dim)
+        _set_mat_rows(m, rows)
         return m
 
     @classmethod
@@ -176,7 +203,7 @@ class F2Mat(Record):
         return cls(len(masks), tuple(masks))
 
     def to_rows(self) -> list[str]:
-        return [F2Vec(self.dim, r).to_bits() for r in self.rows]
+        return [F2Vec._trusted(self.dim, r).to_bits() for r in self.rows]
 
     def entry(self, i: int, j: int) -> int:
         if not (0 <= i < self.dim and 0 <= j < self.dim):
@@ -191,7 +218,7 @@ class F2Mat(Record):
         bits = 0
         for i, row in enumerate(self.rows):
             bits |= ((row & v.bits).bit_count() & 1) << i
-        return F2Vec(self.dim, bits)
+        return F2Vec._trusted(self.dim, bits)
 
     def __matmul__(self, other: "F2Mat") -> "F2Mat":
         """Row i of the product is the XOR of other.rows[j] over the set bits
@@ -211,10 +238,10 @@ class F2Mat(Record):
             table = other._product_table
         except AttributeError:
             table = _image_table(other.rows)
-            _set_field(other, "_product_table", table)
+            _set_product_table(other, table)
         product = _new_object(F2Mat)
-        _set_field(product, "dim", dim)
-        _set_field(product, "rows", tuple(map(table.__getitem__, self.rows)))
+        _set_mat_dim(product, dim)
+        _set_mat_rows(product, tuple(map(table.__getitem__, self.rows)))
         return product
 
     def combine(self, mask: int) -> int:
@@ -263,6 +290,16 @@ class F2Mat(Record):
 
     def __repr__(self) -> str:
         return f"F2Mat({self.to_rows()!r})"
+
+
+# The slot setters, bound once: the constructors, the `_trusted` builders and
+# `F2Mat.__matmul__` store fields with them, past the frozen
+# `Record.__setattr__`.
+_set_vec_dim = F2Vec.dim.__set__
+_set_vec_bits = F2Vec.bits.__set__
+_set_mat_dim = F2Mat.dim.__set__
+_set_mat_rows = F2Mat.rows.__set__
+_set_product_table = F2Mat._product_table.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -399,19 +436,20 @@ def orbits(
 
     inside = None
     if subset is not None:
-        inside = [subset(F2Vec(d, bits)) for bits in range(1 << d)]
+        inside = [subset(F2Vec._trusted(d, bits)) for bits in range(1 << d)]
     # rank[v] is the bit reversal of v, i.e. the position of v in the
     # coordinate-lexicographic order; being an involution, rank also lists
     # the vectors in that order.
     rank = _image_table([1 << (d - 1 - j) for j in range(d)])
     seen: set[int] = set()
     parts: list[list[F2Vec]] = []
+    vector = F2Vec._trusted  # each state is below 2^d
     for start in rank:
         if start in seen or inside is not None and not inside[start]:
             continue
         orbit = _walk(start, steps, seen, inside, d)
         orbit.sort(key=rank.__getitem__)
-        parts.append([F2Vec(d, bits) for bits in orbit])
+        parts.append([vector(d, bits) for bits in orbit])
     return parts
 
 
@@ -439,7 +477,7 @@ def _orbit_witnesses(
     seen[0] = True  # 0 is fixed: its orbit needs no witness
     witnesses = []
     for start in range(1, 1 << d):
-        if seen[start] or subset is not None and not subset(F2Vec(d, start)):
+        if seen[start] or subset is not None and not subset(F2Vec._trusted(d, start)):
             continue
         seen[start] = True
         for g in group:

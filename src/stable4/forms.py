@@ -242,7 +242,8 @@ def parity(a: AugmentedForm) -> Parity:
 # Integer signatures, exactly
 
 
-def ldlt_signature(rows: Sequence[Sequence[int]] | Sequence[Mapping[int, int]]) -> int:
+def ldlt_signature(rows: Sequence[Sequence[int]] | Sequence[Mapping[int, int]],
+                   *, _trusted: bool = False) -> int:
     """Signature of a symmetric integer matrix by fraction-free elimination.
 
     Row i is either a dense list of n integers or a dict {column: integer}
@@ -258,28 +259,22 @@ def ldlt_signature(rows: Sequence[Sequence[int]] | Sequence[Mapping[int, int]]) 
     elimination; nothing is kept across calls.  A DomainError names the row,
     entry or pair at fault when the input is not square, holds an entry
     that is not an int, or is not symmetric.
+
+    `signature_int` and `augmentation_signature` pass _trusted=True with the
+    rows `RingMatrix._int_rows` has just built: dicts of nonzero ints at int
+    columns, which no one else holds.  Those rows are read and consumed as
+    they are, without the per-entry int check and the copy; the square
+    check (each row's least and greatest column) and the symmetry check
+    stay, since a bare RingMatrix need not be symmetric.
     """
     n = len(rows)
-    sparse = []
-    for i, row in enumerate(rows):
-        if isinstance(row, Mapping):
-            for j, v in row.items():
-                if not (is_int(j) and 0 <= j < n):
-                    raise DomainError(f"matrix must be square: dimension {n}, but row "
-                                      f"{i} has an entry in column {j!r}")
-            items = row.items()
-        else:
-            if len(row) != n:
-                raise DomainError(f"matrix must be square: dimension {n}, but row {i} "
-                                  f"has length {len(row)}")
-            items = enumerate(row)
-        nonzeros = {}
-        for j, v in items:
-            if not is_int(v):
-                raise DomainError(f"matrix entry ({i}, {j}) is {v!r}, not an integer")
-            if v:
-                nonzeros[j] = v
-        sparse.append(nonzeros)
+    if _trusted:
+        for i, row in enumerate(rows):
+            if row and (min(row) < 0 or max(row) >= n):
+                raise _column_error(n, i, next(j for j in row if not 0 <= j < n))
+        sparse = rows
+    else:
+        sparse = _checked_int_rows(rows)
     mismatch = min(((j, i) if j < i else (i, j)
                     for i, row in enumerate(sparse) for j, v in row.items()
                     if sparse[j].get(i) != v), default=None)
@@ -308,6 +303,37 @@ def ldlt_signature(rows: Sequence[Sequence[int]] | Sequence[Mapping[int, int]]) 
             part = signatures[key] = _bareiss_signature({i: sparse[i] for i in component})
         signature += part
     return signature
+
+
+def _column_error(n: int, i: int, j) -> DomainError:
+    return DomainError(f"matrix must be square: dimension {n}, but row {i} has an "
+                       f"entry in column {j!r}")
+
+
+def _checked_int_rows(rows) -> list[dict[int, int]]:
+    """Copies of the rows as dicts of their nonzeros, after checking that
+    they are square and hold only ints."""
+    n = len(rows)
+    sparse = []
+    for i, row in enumerate(rows):
+        if isinstance(row, Mapping):
+            for j, v in row.items():
+                if not (is_int(j) and 0 <= j < n):
+                    raise _column_error(n, i, j)
+            items = row.items()
+        else:
+            if len(row) != n:
+                raise DomainError(f"matrix must be square: dimension {n}, but row {i} "
+                                  f"has length {len(row)}")
+            items = enumerate(row)
+        nonzeros = {}
+        for j, v in items:
+            if not is_int(v):
+                raise DomainError(f"matrix entry ({i}, {j}) is {v!r}, not an integer")
+            if v:
+                nonzeros[j] = v
+        sparse.append(nonzeros)
+    return sparse
 
 
 def _bareiss_signature(rows: dict[int, dict[int, int]]) -> int:
@@ -365,12 +391,12 @@ def _bareiss_signature(rows: dict[int, dict[int, int]]) -> int:
 def signature_int(a: AugmentedForm | RingMatrix) -> int:
     """Signature of an integer form (all entries supported on the identity)."""
     matrix = a.matrix if isinstance(a, AugmentedForm) else a
-    return ldlt_signature(matrix._int_rows(integer=True))
+    return ldlt_signature(matrix._int_rows(integer=True), _trusted=True)
 
 
 def augmentation_signature(a: AugmentedForm) -> int:
     """Signature of the integer shadow obtained by augmenting entrywise."""
-    return ldlt_signature(a.matrix._int_rows(integer=False))
+    return ldlt_signature(a.matrix._int_rows(integer=False), _trusted=True)
 
 
 _E8_CHAIN = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)]

@@ -9,11 +9,15 @@ gives every subclass both, and ``__reduce__``, reading the fields through one
 C-level ``operator.attrgetter`` per class.
 
 Each subclass writes its own ``__init__``, which checks the arguments and
-then stores the fields past the frozen ``__setattr__``: through
-``self.__dict__``, which builds fastest, or, in the records made and read in
-bulk (F2Vec, F2Mat, Word and the group families), with
-``object.__setattr__``, which keeps CPython's compact attribute layout with
-no dict per instance.
+then stores the fields past the frozen ``__setattr__``.  Record itself has
+empty ``__slots__``, so a subclass that declares its own has no instance
+dict.  The records made in bulk, F2Vec, F2Mat and Word, do: a closure
+builds one F2Mat per product and an orbit one F2Vec per state, and their
+private builders store each field through its slot descriptor's
+``__set__``, bound once as a module global, which builds an object faster
+than ``object.__setattr__`` into a per-instance layout.  The other records
+store through ``self.__dict__``, or, in the group families,
+``object.__setattr__``.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from operator import attrgetter
 
 
 class Record:
+    __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs) -> None:

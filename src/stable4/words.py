@@ -25,12 +25,14 @@ quotients do it in closed form, without building s_i^e:
 Only free words fall back to ``multiply(g, generator_element(i, e))``; the
 quotients read ``generator_element(i, e)`` off ``shift(identity, i, e)``.
 
-Every ``Word`` holds a freely reduced tuple of letters with nonzero exponents,
-no two adjacent letters on the same generator, and generator indices >= 0.
-Operations that start from reduced words keep that invariant without
-re-deriving it: a product cancels only at the seam between its factors, and
-an inverse reverses and negates.  Such results are built by the private
-``Word._trusted``, which stores the letters without reducing or checking them.
+Every ``Word`` holds a freely reduced tuple of letters with int, nonzero
+exponents, no two adjacent letters on the same generator, and int generator
+indices >= 0; the constructor checks the letters in the same pass that
+reduces them.  Operations that start from reduced words keep that invariant
+without re-deriving it: a product cancels only at the seam between its
+factors, and an inverse reverses and negates.  Such results are built by the
+private ``Word._trusted``, which fills the ``letters`` slot of a new object
+through the slot setter bound once below, without reducing or checking.
 """
 
 from __future__ import annotations
@@ -46,9 +48,12 @@ Letter = tuple[int, int]  # (generator index, nonzero exponent)
 
 
 def _free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
-    """Cancel adjacent letters with the same generator index."""
+    """Cancel adjacent letters with the same generator index, refusing a
+    letter whose index or exponent is not an int, or whose index is negative."""
     stack: list[list[int]] = []
     for gen, exp in letters:
+        if gen.__class__ is not int or exp.__class__ is not int or gen < 0:
+            _check_letter(gen, exp)
         if exp == 0:
             continue
         if stack and stack[-1][0] == gen:
@@ -60,28 +65,36 @@ def _free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     return tuple((g, e) for g, e in stack)
 
 
+def _check_letter(gen, exp) -> None:
+    """The error for a letter that `_free_reduce`'s exact-int test did not
+    pass; an int subclass other than bool is let through."""
+    if not is_int(gen):
+        raise InputError(f"generator index {gen!r} is not an integer")
+    if not is_int(exp):
+        raise InputError(f"exponent {exp!r} is not an integer")
+    if gen < 0:
+        raise InputError(f"negative generator index {gen}")
+
+
 class Word(Record):
     """A freely reduced word; adjacent letters always have distinct indices.
 
     The constructor reduces, so ``Word(anything)`` is already in normal form.
     Products and inverses of reduced words are built by ``_trusted``, which
-    stores the letters as given, skipping the reduction and the index check.
+    stores the letters as given, skipping the reduction and the checks.
     """
 
+    __slots__ = ("letters",)
     letters: tuple[Letter, ...]
 
     def __init__(self, letters: Iterable[Letter] = ()) -> None:
-        letters = _free_reduce(letters)
-        for gen, _ in letters:
-            if gen < 0:
-                raise InputError(f"negative generator index {gen}")
-        object.__setattr__(self, "letters", letters)
+        _set_letters(self, _free_reduce(letters))
 
     @classmethod
     def _trusted(cls, letters: tuple[Letter, ...]) -> "Word":
-        """Wrap letters that are already reduced, with indices >= 0."""
+        """Wrap letters that are already reduced, with int indices >= 0."""
         w = object.__new__(cls)
-        object.__setattr__(w, "letters", letters)
+        _set_letters(w, letters)
         return w
 
     @property
@@ -110,6 +123,11 @@ class Word(Record):
 
     def inverse(self) -> "Word":
         return Word._trusted(tuple((g, -e) for g, e in reversed(self.letters)))
+
+
+# Bound once: the constructor and `Word._trusted` store the letters with it,
+# past the frozen `Record.__setattr__`.
+_set_letters = Word.letters.__set__
 
 
 def parse_word(text: str, generators: Sequence[str]) -> Word:
@@ -259,8 +277,9 @@ class FreeFamily(GroupFamily, Record):
 
 class ZnFamily(GroupFamily, Record):
     """Z^n with generators g1..gn; elements are exponent vectors of length
-    n, so n is at most ``configured_cap()``.  The names are built once, in
-    the constructor, and stored outside the fields."""
+    n, so n is at most ``configured_cap()``.  The rank is n.  The names are
+    built on their first read and kept outside the fields, so a family that
+    is made, pickled or copied and never named builds none of them."""
 
     n: int
 
@@ -271,7 +290,19 @@ class ZnFamily(GroupFamily, Record):
         if n > cap:
             raise CapExceeded(f"Zn family rank {n} is over the cap {cap}")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "generators", tuple(f"g{i + 1}" for i in range(n)))
+
+    @property
+    def generators(self) -> tuple[str, ...]:
+        try:
+            return self._names
+        except AttributeError:
+            names = tuple(f"g{i + 1}" for i in range(self.n))
+            object.__setattr__(self, "_names", names)
+            return names
+
+    @property
+    def rank(self) -> int:
+        return self.n
 
     def identity(self) -> tuple[int, ...]:
         return (0,) * self.n

@@ -179,6 +179,12 @@ def test_product_table_is_invisible():
     assert pickle.dumps(b) == pickle.dumps(fresh)
     for clone in (pickle.loads(pickle.dumps(b)), copy.deepcopy(b), copy.copy(b)):
         assert clone == fresh and hash(clone) == hash(fresh) and repr(clone) == repr(fresh)
+        assert not hasattr(clone, "_product_table")
+    # The table's slot is written only by the product, never through the record.
+    with pytest.raises(AttributeError, match="cannot assign to field '_product_table'"):
+        b._product_table = None
+    with pytest.raises(AttributeError, match="cannot delete field '_product_table'"):
+        del b._product_table
 
 
 def test_product_dimension_mismatch():

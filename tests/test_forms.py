@@ -335,6 +335,44 @@ def test_signature_messages_name_the_offending_entries():
             ldlt_signature(rows)
 
 
+@st.composite
+def sparse_symmetric_rows(draw):
+    """A random symmetric integer matrix, mostly zeros, as dense rows."""
+    n = draw(st.integers(0, 12))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if draw(st.integers(0, 3)) == 0:
+                rows[i][j] = rows[j][i] = draw(st.integers(-4, 4))
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_symmetric_rows())
+def test_trusted_int_rows_give_the_checked_signature(rows):
+    """The entry `signature_int` and `augmentation_signature` use, which
+    reads the rows `RingMatrix._int_rows` built without re-checking or
+    copying them, agrees with the public, checked one."""
+    expected = ldlt_signature(rows)
+    assert ldlt_signature(sparse_rows(rows), _trusted=True) == expected
+    matrix = RingMatrix.from_int_rows(Z3, rows)
+    assert signature_int(matrix) == expected
+    assert augmentation_signature(AugmentedForm(0, matrix)) == expected
+
+
+def test_trusted_int_rows_keep_the_square_and_symmetry_checks():
+    with pytest.raises(DomainError, match=r"^matrix must be square: dimension 2, but "
+                                          r"row 1 has an entry in column 2$"):
+        ldlt_signature([{0: 1}, {0: 3, 2: 1}], _trusted=True)
+    with pytest.raises(DomainError, match=r"dimension 2, but row 0 has an entry in column -1"):
+        ldlt_signature([{-1: 1}, {}], _trusted=True)
+    # A bare RingMatrix need not be symmetric; signature_int still refuses it.
+    with pytest.raises(DomainError,
+                       match=r"^matrix must be symmetric: entry \(0, 1\) is 1 but "
+                             r"entry \(1, 0\) is 2$"):
+        signature_int(RingMatrix.from_int_rows(Z3, [[0, 1], [2, 0]]))
+
+
 def test_signature_rejects_group_entries():
     m = RingMatrix(Z3, [[grp(G) + grp(Z3.invert(G))]])
     with pytest.raises(DomainError):

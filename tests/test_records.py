@@ -26,7 +26,7 @@ from stable4.classify import (
     family_data_from_json,
 )
 from stable4.errors import CapExceeded, DomainError, InputError
-from stable4.f2 import F2Mat, F2Vec, QuadraticFormF2
+from stable4.f2 import F2Mat, F2Vec, QuadraticFormF2, orbits
 from stable4.forms import AugmentedForm, Parity, RingMatrix, hyperbolic_matrix
 from stable4.models import HAN1, INFINITY
 from stable4.words import FreeFamily, NilFamily, Presentation, Word, ZnFamily
@@ -260,6 +260,10 @@ def test_hash_is_the_field_tuple_hash():
     assert hash(NilFamily(2)) == hash((2,))
     assert hash(FreeFamily(("x", "y"))) == hash((("x", "y"),))
     assert hash(ZnFamily(3)) == hash((3,))
+    # Products are built past the constructors, and hash the same way.
+    product = F2Mat(2, (2, 1)) @ m
+    assert hash(product) == hash((2, product.rows)) == hash(F2Mat(2, (2, 1)))
+    assert hash(Word(((0, 2),)) * Word(((1, 1),))) == hash((((0, 2), (1, 1)),))
     entry = ClassEntry("orbit", v, (v,))
     assert hash(entry) == hash(("orbit", v, (v,)))
     for cls in CLASSES.values():
@@ -270,7 +274,11 @@ def test_hash_is_the_field_tuple_hash():
 @pytest.mark.parametrize("n", [1, 3, 200])
 def test_zn_names_are_built_once_outside_the_fields(n):
     fam = ZnFamily(n)
+    assert fam.rank == n and "_names" not in vars(fam)
     assert fam.generators is fam.generators
+    # Pickles and copies, even of a family whose names were read, build none.
+    for clone in (pickle.loads(pickle.dumps(fam)), copy.deepcopy(fam), copy.copy(fam)):
+        assert "_names" not in vars(clone)
     assert fam.generators == tuple(f"g{i + 1}" for i in range(n))
     assert ZnFamily._fields == ("n",)
     assert fam == ZnFamily(n) and fam != ZnFamily(n + 1)
@@ -278,6 +286,66 @@ def test_zn_names_are_built_once_outside_the_fields(n):
     assert fam.__reduce__() == (ZnFamily, (n,))
     for clone in (pickle.loads(pickle.dumps(fam)), copy.deepcopy(fam), copy.copy(fam)):
         assert clone == fam and clone.generators == fam.generators
+
+
+def test_zn_names_read_back_as_g1_to_gn():
+    fam = ZnFamily(10**5)
+    assert fam.gen_index("g1") == 0 and fam.gen_index("g100000") == 99999
+    assert fam.generators == tuple(f"g{i}" for i in range(1, 10**5 + 1))
+    assert fam.element_str(fam.shift(fam.identity(), 99999, -2)) == "g100000^-2"
+
+
+SLOTTED = {
+    F2Vec: (F2Vec(3, 5), ("dim", "bits")),
+    F2Mat: (F2Mat(2, (1, 3)), ("dim", "rows", "_product_table")),
+    Word: (Word(((0, 2), (1, -1))), ("letters",)),
+}
+
+
+@pytest.mark.parametrize("cls", list(SLOTTED), ids=lambda cls: cls.__name__)
+def test_bulk_records_are_slotted(cls):
+    record, slots = SLOTTED[cls]
+    assert cls.__slots__ == slots
+    assert not hasattr(record, "__dict__")
+    for field in cls._fields:
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    with pytest.raises(AttributeError):
+        object.__setattr__(record, "extra", 1)
+
+
+def test_matrix_rows_are_stored_as_a_tuple():
+    m = F2Mat(2, [1, 2])
+    assert m.rows == (1, 2) and isinstance(m.rows, tuple)
+    assert m == F2Mat(2, (1, 2)) and hash(m) == hash((2, (1, 2)))
+    assert F2Mat(3, iter((1, 2, 4))) == F2Mat.identity(3)
+
+
+def _checked(v):
+    """v rebuilt through the checking constructor."""
+    return F2Vec(v.dim, v.bits)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4).flatmap(
+    lambda d: st.tuples(matrix_args(d), st.integers(0, (1 << d) - 1),
+                        st.integers(0, (1 << d) - 1))))
+def test_trusted_vectors_equal_the_checked_ones(case):
+    (d, rows), x, y = case
+    m, u, v = F2Mat(d, rows), F2Vec(d, x), F2Vec(d, y)
+    derived = [m.apply(u), u ^ v]
+    derived += [w for orbit in orbits(d, [F2Mat.identity(d), m] if m.is_invertible()
+                                      else [F2Mat.identity(d)]) for w in orbit]
+    for w in derived:
+        checked = _checked(w)
+        assert type(w) is F2Vec and w == checked and checked == w
+        assert hash(w) == hash(checked) == hash((w.dim, w.bits))
+        assert repr(w) == repr(checked)
+        assert pickle.dumps(w) == pickle.dumps(checked)
 
 
 def test_family_data_stores_its_generators_as_a_tuple():
@@ -303,6 +371,19 @@ VALIDATION = [
     (lambda: F2Vec(-1, 0), InputError, "bits 0x0 out of range for dim -1"),
     (lambda: F2Mat(2, (1,)), InputError, "matrix of dimension 2 needs 2 rows, got 1"),
     (lambda: F2Mat(2, (1, 4)), InputError, "matrix row 1 bits 0x4 out of range for dim 2"),
+    (lambda: F2Vec(3, 1.0), InputError, "vector bits 1.0 are not an integer"),
+    (lambda: F2Vec(3, True), InputError, "vector bits True are not an integer"),
+    (lambda: F2Vec(True, 1), InputError, "vector dimension True is not an integer"),
+    (lambda: F2Vec("3", 1), InputError, "vector dimension '3' is not an integer"),
+    (lambda: F2Mat("2", (1, 2)), InputError, "matrix dimension '2' is not an integer"),
+    (lambda: F2Mat(2.0, (1, 2)), InputError, "matrix dimension 2.0 is not an integer"),
+    (lambda: F2Mat(2, (1.0, 2)), InputError, "matrix row 0 is 1.0, not an integer"),
+    (lambda: F2Mat(2, (1, True)), InputError, "matrix row 1 is True, not an integer"),
+    (lambda: F2Mat(2, 3), InputError, "matrix rows 3 are not a sequence"),
+    (lambda: Word((("a", 1),)), InputError, "generator index 'a' is not an integer"),
+    (lambda: Word(((True, 1),)), InputError, "generator index True is not an integer"),
+    (lambda: Word(((0, 1.5),)), InputError, "exponent 1.5 is not an integer"),
+    (lambda: Word(((0, 1), (1, False))), InputError, "exponent False is not an integer"),
     (lambda: QuadraticFormF2(standard_symplectic(1), F2Vec(3, 0)), InputError,
      "value vector dimension must match the bilinear form"),
     (lambda: _qf((1, 0), 0), DomainError,
