@@ -95,9 +95,13 @@ class RingElem:
 
     def __add__(self, other: "RingElem") -> "RingElem":
         self._require_same_family(other)
-        data = dict(self._terms)
-        for g, c in other._terms.items():
-            data[g] = data.get(g, 0) + c
+        big, small = self._terms, other._terms
+        if len(big) < len(small):
+            big, small = small, big
+        data = dict(big)
+        get = data.get
+        for g, c in small.items():
+            data[g] = get(g, 0) + c
         return RingElem._from_dict(self.family, data)
 
     def __neg__(self) -> "RingElem":
@@ -111,16 +115,20 @@ class RingElem:
             return RingElem._from_dict(
                 self.family, {g: c * other for g, c in self._terms.items()}
             )
+        # The identity term of the right factor, which every g - 1 and
+        # 1 +- x factor has, takes the left terms as they are, times its
+        # coefficient.  Each other right-hand term d*h goes to the family's
+        # kernel, which adds c*d at g*h for every left term c*g.
         self._require_same_family(other)
         fam = self.family
-        multiply = fam.multiply
-        data: dict = {}
-        get = data.get
-        right = tuple(other._terms.items())
-        for g, c in self._terms.items():
-            for h, d in right:
-                k = multiply(g, h)
-                data[k] = get(k, 0) + c * d
+        one = fam.identity()
+        left, right = self._terms, other._terms
+        d = right.get(one)
+        data = {g: c * d for g, c in left.items()} if d else {}
+        translate = fam.add_right_translates
+        for h, d in right.items():
+            if h != one:
+                translate(data, left, h, d)
         return RingElem._from_dict(fam, data)
 
     def __rmul__(self, other):

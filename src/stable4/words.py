@@ -15,15 +15,21 @@ The word problem is only solved for these built-in families; that is all the
 classification of the example groups needs.
 
 ``GroupFamily.shift(g, i, e)`` is g * s_i^e, the step that walks a prefix
-along a word in ``reduce_word`` and ``fox_derivative``.  The built-in
-quotients do it in closed form, without building s_i^e:
+along a word in ``reduce_word``.  The built-in quotients do it in closed
+form, without building s_i^e:
 
 * Z^n bumps coordinate i by e;
 * Nil steps (k, i, j) to (k + e, i, j) for a^e, to (k - z*j*e, i + e, j)
   for x^e, and to (k, i, j + e) for y^e.
 
-Only free words fall back to ``multiply(g, generator_element(i, e))``; the
-quotients read ``generator_element(i, e)`` off ``shift(identity, i, e)``.
+The quotients read ``generator_element(i, e)`` off ``shift(identity, i, e)``.
+The two hot loops above the word layer are family kernels too:
+``fox_terms`` walks a word once for ``fox_derivative``, and
+``add_right_translates`` adds one right-hand term's share of a group-ring
+product.  Their defaults step with ``shift`` and call ``multiply``, and the
+free family uses them.  Z^n walks one mutable exponent list and builds a
+tuple only for each term it emits; Nil keeps its prefix as three ints and
+writes each term as one tuple; both inline their product law.
 
 Every ``Word`` holds a freely reduced tuple of letters with int, nonzero
 exponents, no two adjacent letters on the same generator, and int generator
@@ -38,7 +44,7 @@ through the slot setter bound once below, without reducing or checking.
 from __future__ import annotations
 
 from operator import add, itemgetter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import CapExceeded, DomainError, InputError, is_int
 from .f2 import configured_cap
@@ -181,6 +187,15 @@ class GroupFamily:
     multiplication, inversion and the quotient map from free words.  A
     family defines ``shift`` or ``generator_element``: each default calls
     the other, so a family defining neither recurses.
+
+    A family with a closed form may also override these kernels; each
+    default is built on ``shift`` and ``multiply`` alone, so it is correct
+    for any family:
+
+    * ``shift(g, index, exp)`` -- g * s_index^exp;
+    * ``fox_terms(letters, gen)`` -- the term dict of a Fox derivative;
+    * ``add_right_translates(data, left, h, d)`` -- one right-hand term's
+      share of a group-ring product.
     """
 
     generators: tuple[str, ...]
@@ -211,6 +226,38 @@ class GroupFamily:
     def shift(self, g, index: int, exp: int):
         """g * s_index^exp; families with a closed form override this."""
         return self.multiply(g, self.generator_element(index, exp))
+
+    def fox_terms(self, letters: Sequence[Letter], gen: int) -> dict:
+        """The terms of D_gen of the word with these letters, as a map from
+        elements to int coefficients that may hold zeros.
+
+        D(g^k) is the sum of the partial prefixes, signed: prefix g^t for
+        0 <= t < k, and -prefix g^-t for 1 <= t <= |k| when k < 0.  The
+        walk steps a prefix with ``shift``, one call per letter and per
+        expanded term.
+        """
+        shift = self.shift
+        terms: dict = {}
+        get = terms.get
+        prefix = self.identity()
+        for idx, exp in letters:
+            if idx == gen:
+                sign = 1 if exp > 0 else -1
+                cursor = prefix if exp > 0 else shift(prefix, idx, -1)
+                for _ in range(abs(exp)):
+                    terms[cursor] = get(cursor, 0) + sign
+                    cursor = shift(cursor, idx, sign)
+            prefix = shift(prefix, idx, exp)
+        return terms
+
+    def add_right_translates(self, data: dict, left: Mapping, h, d: int) -> None:
+        """Add c*d at g*h to data for every term c*g of left: the share of
+        the right-hand term d*h in the product left * right."""
+        multiply = self.multiply
+        get = data.get
+        for g, c in left.items():
+            k = multiply(g, h)
+            data[k] = get(k, 0) + c * d
 
     def sort_key(self, g):
         """Deterministic total order on elements, used for stable output;
@@ -320,6 +367,31 @@ class ZnFamily(GroupFamily, Record):
         v[index] += exp
         return tuple(v)
 
+    def fox_terms(self, letters, gen):
+        # one mutable prefix: a letter bumps one coordinate, and a tuple is
+        # built only for each term emitted
+        v = [0] * self.n
+        terms: dict = {}
+        get = terms.get
+        for idx, exp in letters:
+            if idx == gen:
+                base = v[idx]
+                sign, steps = (1, range(exp)) if exp > 0 else (-1, range(-1, exp - 1, -1))
+                for t in steps:
+                    v[idx] = base + t
+                    g = tuple(v)
+                    terms[g] = get(g, 0) + sign
+                v[idx] = base + exp
+            else:
+                v[idx] += exp
+        return terms
+
+    def add_right_translates(self, data, left, h, d):
+        get = data.get
+        for g, c in left.items():
+            k = tuple(map(add, g, h))
+            data[k] = get(k, 0) + c * d
+
     def element_word(self, g) -> Word:
         return Word(tuple((i, e) for i, e in enumerate(g) if e))
 
@@ -363,6 +435,49 @@ class NilFamily(GroupFamily, Record):
         if index == 2:
             return (k, i, j + exp)
         raise IndexError(f"generator index {index} out of range")
+
+    def fox_terms(self, letters, gen):
+        # the prefix a^k x^i y^j as three ints; the term prefix * gen^t is
+        # (k + t, i, j), (k - z*j*t, i + t, j) or (k, i, j + t)
+        z = self.z
+        terms: dict = {}
+        get = terms.get
+        k = i = j = 0
+        for idx, exp in letters:
+            if idx == gen:
+                sign, steps = (1, range(exp)) if exp > 0 else (-1, range(-1, exp - 1, -1))
+                if idx == 0:
+                    for t in steps:
+                        g = (k + t, i, j)
+                        terms[g] = get(g, 0) + sign
+                elif idx == 1:
+                    zj = z * j
+                    for t in steps:
+                        g = (k - zj * t, i + t, j)
+                        terms[g] = get(g, 0) + sign
+                else:
+                    for t in steps:
+                        g = (k, i, j + t)
+                        terms[g] = get(g, 0) + sign
+            if idx == 0:
+                k += exp
+            elif idx == 1:
+                k -= z * j * exp
+                i += exp
+            elif idx == 2:
+                j += exp
+            else:
+                raise IndexError(f"generator index {idx} out of range")
+        return terms
+
+    def add_right_translates(self, data, left, h, d):
+        # (k1, i1, j1)(k2, i2, j2) = (k1 + k2 - z*j1*i2, i1 + i2, j1 + j2)
+        k2, i2, j2 = h
+        zi = self.z * i2
+        get = data.get
+        for (k1, i1, j1), c in left.items():
+            g = (k1 + k2 - zi * j1, i1 + i2, j1 + j2)
+            data[g] = get(g, 0) + c * d
 
     def element_word(self, g) -> Word:
         k, i, j = g
@@ -427,7 +542,8 @@ def fox_derivative(w: Word, gen: int | str, family: GroupFamily):
     so the sum of those |k| is checked against ``f2.configured_cap()`` first
     and CapExceeded is raised when it is over.
 
-    Returns a groupring.RingElem over the family.
+    The walk itself is the family's ``fox_terms`` kernel.  Returns a
+    groupring.RingElem over the family.
     """
     from .groupring import RingElem  # words is below groupring in the layering
 
@@ -445,21 +561,7 @@ def fox_derivative(w: Word, gen: int | str, family: GroupFamily):
             f"over the cap {cap}"
         )
 
-    shift = family.shift
-    terms: dict = {}
-    get = terms.get
-    prefix = family.identity()
-    for idx, exp in w.letters:
-        if idx == gen:
-            # D(g^k) = sum of the partial prefixes, signed: prefix g^t for
-            # 0 <= t < k, and -prefix g^-t for 1 <= t <= |k| when k < 0
-            sign = 1 if exp > 0 else -1
-            cursor = prefix if exp > 0 else shift(prefix, idx, -1)
-            for _ in range(abs(exp)):
-                terms[cursor] = get(cursor, 0) + sign
-                cursor = shift(cursor, idx, sign)
-        prefix = shift(prefix, idx, exp)
-    return RingElem._from_dict(family, terms)
+    return RingElem._from_dict(family, family.fox_terms(w.letters, gen))
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,23 @@ def one_plus_T_oracle(x: RingElem) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Group ring: the product by one generic multiply per term pair
+
+
+def ring_product_pairwise(x, y) -> RingElem:
+    """x * y, where either factor may be an int scalar, summed over every
+    pair of terms with the family's ``multiply`` and merged by the checked
+    RingElem constructor."""
+    if isinstance(x, int):
+        x = RingElem.integer(y.family, x)
+    if isinstance(y, int):
+        y = RingElem.integer(x.family, y)
+    fam = x.family
+    return RingElem(fam, [(fam.multiply(g, h), c * d)
+                          for g, c in x.items() for h, d in y.items()])
+
+
+# ---------------------------------------------------------------------------
 # Arf: democratic counting, and the standard symplectic pairing
 
 

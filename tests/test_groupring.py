@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_word
-from oracles import one_plus_T_oracle
+from oracles import one_plus_T_oracle, ring_product_pairwise
 from stable4.errors import DomainError, InputError
 from stable4.groupring import (
     RingElem,
@@ -172,6 +173,78 @@ def test_from_dict_owns_its_dict_and_drops_zeros(data):
        st.integers(0, 2))
 def test_fox_results_hold_no_zero_coefficient(fam, letters, gen):
     _assert_normal(fox_derivative(Word(tuple(letters)), gen, fam))
+
+
+# ---------------------------------------------------------------------------
+# the product against one generic multiply per term pair
+
+PRODUCT_FAMILIES = (
+    [ZnFamily(n) for n in range(1, 5)] + [NilFamily(z) for z in range(1, 9)]
+    + [FreeFamily(("x", "y", "z"))]
+)
+PRODUCT_SHAPES = ("small support", "large support", "identity left", "identity right",
+                  "cancelling", "scalar left", "scalar right")
+
+
+def _distinct_elements(rng, fam, count):
+    """count distinct elements of fam, the identity first."""
+    seen = {fam.identity(): None}
+    exps = [e for e in range(-9, 10) if e]
+    while len(seen) < count:
+        letters = [(rng.randrange(fam.rank), rng.choice(exps))
+                   for _ in range(rng.randrange(1, 9))]
+        seen.setdefault(fam.reduce_word(Word(tuple(letters))))
+    return list(seen)
+
+
+@st.composite
+def product_operands(draw):
+    """x and y over one family, either possibly an int scalar.  Small
+    supports of four elements, the identity among them, make the term pairs
+    collide and cancel; large ones hold 60 terms."""
+    fam = draw(st.sampled_from(PRODUCT_FAMILIES))
+    shape = draw(st.sampled_from(PRODUCT_SHAPES))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pool = _distinct_elements(rng, fam, 60 if shape == "large support" else 4)
+
+    def elem():
+        if shape == "large support":
+            return RingElem(fam, [(g, rng.choice((-3, -2, -1, 1, 2, 3))) for g in pool])
+        return RingElem(fam, [(rng.choice(pool), rng.randint(-2, 2))
+                              for _ in range(rng.randrange(7))])
+
+    x, y = elem(), elem()
+    if shape == "identity left":
+        x = RingElem.one(fam)
+    elif shape == "identity right":
+        y = RingElem.one(fam)
+    elif shape == "cancelling":
+        # x (1 + g) = u (1 - g)(1 + g) = u (1 - g^2): the g terms cancel
+        g = RingElem.group(fam, pool[1])
+        x, y = ring_product_pairwise(x, RingElem.one(fam) - g), RingElem.one(fam) + g
+    elif shape == "scalar left":
+        x = rng.randint(-3, 3)
+    elif shape == "scalar right":
+        y = rng.randint(-3, 3)
+    return x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_operands())
+def test_product_matches_one_multiply_per_term_pair(operands):
+    x, y = operands
+    product = x * y
+    assert product == ring_product_pairwise(x, y)
+    _assert_normal(product)
+
+
+def test_sum_keeps_every_term_of_both_operands():
+    small = RingElem(Z3, {G: 2, (0, 1, 0): -1})
+    large = RingElem(Z3, {G: -2, (0, 0, 1): 1, (0, 0, 2): 1})
+    expected = RingElem(Z3, {(0, 1, 0): -1, (0, 0, 1): 1, (0, 0, 2): 1})
+    assert small + large == large + small == expected
+    assert small._terms == {G: 2, (0, 1, 0): -1}
+    assert large._terms == {G: -2, (0, 0, 1): 1, (0, 0, 2): 1}
 
 
 # ---------------------------------------------------------------------------

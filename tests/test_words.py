@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -484,3 +485,31 @@ def test_fox_fundamental_identity_with_closed_form_steps(fam, data):
         total = total + fox_derivative(w, j, fam) * (gj - one)
     assert total == RingElem.group(fam, reduce_word_stepwise(w, fam)) - one
     assert fam.reduce_word(w) == reduce_word_stepwise(w, fam)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form kernels on long words with large exponents
+
+
+def _long_word(rng, rank, syllables, max_exp):
+    """syllables letters with exponents in [-max_exp, max_exp], adjacent
+    letters on distinct generators when the rank allows it."""
+    letters, last = [], None
+    for _ in range(syllables):
+        gen = rng.choice([g for g in range(rank) if g != last] or [0])
+        letters.append((gen, rng.choice([e for e in range(-max_exp, max_exp + 1) if e])))
+        last = gen
+    return Word(tuple(letters))
+
+
+@pytest.mark.parametrize("fam", QUOTIENTS, ids=repr)
+def test_fox_kernels_on_long_words(fam):
+    rng = random.Random(f"fox kernels {fam!r}")
+    w = _long_word(rng, fam.rank, 3000, 50)
+    one = RingElem.one(fam)
+    total = RingElem.zero(fam)
+    for j in range(fam.rank):
+        d = fox_derivative(w, j, fam)
+        assert d == fox_derivative_stepwise(w, j, fam)
+        total = total + d * (RingElem.group(fam, fam.generator_element(j)) - one)
+    assert total == RingElem.group(fam, reduce_word_stepwise(w, fam)) - one
