@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Mapping, Sequence
-from itertools import compress, repeat
-from operator import ne
+from itertools import compress
 
 from .errors import DomainError, InputError, is_int
 from .groupring import (
@@ -429,8 +428,9 @@ def identity_block(family: GroupFamily, size: int, sign: int = 1) -> RingMatrix:
 def form_to_json(a: AugmentedForm):
     """Dense row-major entries.  Every zero entry is one shared empty list:
     n^2 fresh lists would cost more in garbage collection than the rest.
-    The cost is one n^2 list plus the nonzeros, with each distinct group
-    element formatted once."""
+    The cost is one n^2 list plus one step per nonzero, with each distinct
+    entry object formatted once (the k E8 copies of a direct sum share one
+    term list) and each distinct group element formatted once."""
     n = a.matrix.size
     dump = ring_elem_writer(a.family)
     entries: list = [[]] * (n * n)
@@ -448,9 +448,10 @@ def form_to_json(a: AugmentedForm):
 def form_from_json(obj) -> AugmentedForm:
     """Load a form; refuses non-hermitian input.  An empty term list is a
     zero entry and builds no ring element.  The cost is one C-level scan
-    of the n^2 entries for the ones that are not [] plus the terms of
-    those, with each distinct word text parsed and reduced once; the first
-    bad entry in row-major order sets the error."""
+    per row for the entries that are not [], plus one load per distinct
+    one-term entry and the terms of every other entry, with each distinct
+    word text parsed and reduced once; the first bad entry in row-major
+    order sets the error."""
     try:
         epsilon = obj["epsilon"]
         family = family_from_json(obj["family"])
@@ -469,9 +470,20 @@ def form_from_json(obj) -> AugmentedForm:
     elif n * n != len(flat):
         raise InputError(f"form size {n} needs {n * n} entries, got {len(flat)}")
     load = ring_elem_reader(family)
-    rows: tuple[dict, ...] = tuple({} for _ in range(n))
-    for k in compress(range(n * n), map(ne, flat, repeat([]))):
-        x = load(flat[k])
-        if not x.is_zero:
-            rows[k // n][k % n] = x
-    return AugmentedForm(epsilon, RingMatrix._trusted(family, rows))
+    columns = range(n)
+    rows = []
+    for i in columns:
+        row = flat[i * n:i * n + n]
+        nonzero = list(compress(columns, row))
+        if len(nonzero) + row.count([]) != n:
+            # A falsy entry that is not [] is no term list: load the entries
+            # before it, whose errors come first, and then it, which fails.
+            first = next(j for j, x in enumerate(row) if not x and x != [])
+            nonzero = [j for j in nonzero if j < first] + [first]
+        stored = {}
+        for j in nonzero:
+            x = load(row[j])
+            if not x.is_zero:
+                stored[j] = x
+        rows.append(stored)
+    return AugmentedForm(epsilon, RingMatrix._trusted(family, tuple(rows)))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 
 from .errors import DomainError, InputError, is_int
-from .words import GroupFamily, parse_word
+from .words import GroupFamily, _generator_index, _parse_indexed
 
 
 class RingElem:
@@ -224,15 +224,23 @@ def ring_elem_writer(family: GroupFamily):
     """A ``dump(x)`` giving the JSON terms of ring elements of family.
 
     Terms come in the family's canonical element order.  The writer keeps
-    the text of each group element it has formatted, so a form written
-    through one writer formats each distinct element once: the cost is one
-    dict per term plus one ``element_str`` per distinct element.
+    the term list of each entry object it has written, and keeps that
+    object alive so its id stays its own: an entry reached k times, as the
+    k E8 copies a direct sum shares are, is formatted once, and equal
+    entries share one output list.  It also keeps the text of each group
+    element it has formatted, so a form written through one writer costs
+    one dict per term of each distinct entry object plus one
+    ``element_str`` per distinct element.
     """
     element_str = family.element_str
     sort_key = family.sort_key
     texts: dict = {}
+    written: dict = {}
 
     def dump(x: RingElem) -> list:
+        seen = written.get(id(x))
+        if seen is not None:
+            return seen[1]
         terms = x._terms
         items = terms.items()
         if len(terms) > 1:
@@ -243,6 +251,7 @@ def ring_elem_writer(family: GroupFamily):
             if text is None:
                 text = texts[g] = element_str(g)
             out.append({"coeff": c, "word": text})
+        written[id(x)] = (x, out)
         return out
 
     return dump
@@ -253,17 +262,22 @@ def ring_elem_reader(family: GroupFamily):
 
     Every term must be a {"coeff": int, "word": word-string} object (a bool
     is not an int); terms on the same group element merge, and terms that
-    cancel drop out.  The reader keeps the group element of each word text
-    it has parsed, so a form loaded through one reader parses and reduces
-    each distinct word once: the cost is the terms plus one ``parse_word``
-    and ``reduce_word`` per distinct word.  Errors are those of the first
-    bad term.
+    cancel drop out.  The reader keeps the ring element of each one-term
+    entry whose coefficient is an int and whose word is a str (by type, so
+    a bool or float coefficient, equal to an int as a key, still goes
+    through the checks), and equal one-term entries then share one
+    element.  It keeps the group element of each word text it has parsed,
+    against one generator index built per reader.  A form loaded through
+    one reader so costs one load per distinct one-term entry, the terms of
+    every other entry, and one ``parse_word`` and ``reduce_word`` per
+    distinct word.  Errors are those of the first bad term.
     """
-    generators = family.generators
+    index = _generator_index(family.generators)
     reduce_word = family.reduce_word
     elements: dict = {}
+    one_terms: dict = {}
 
-    def load(obj) -> RingElem:
+    def load_terms(obj) -> RingElem:
         if not isinstance(obj, list):
             raise InputError("ring element JSON must be a list of terms")
         data: dict = {}
@@ -279,10 +293,23 @@ def ring_elem_reader(family: GroupFamily):
             try:
                 g = elements[word_text]
             except (KeyError, TypeError):  # new text, or unhashable: parse it
-                g = reduce_word(parse_word(word_text, generators))
+                g = reduce_word(_parse_indexed(word_text, index))
                 elements[word_text] = g
             data[g] = get(g, 0) + coeff
         return RingElem._from_dict(family, data)
+
+    def load(obj) -> RingElem:
+        if type(obj) is list and len(obj) == 1 and type(obj[0]) is dict:
+            item = obj[0]
+            coeff = item.get("coeff")
+            word_text = item.get("word")
+            if type(coeff) is int and type(word_text) is str:
+                key = (coeff, word_text)
+                x = one_terms.get(key)
+                if x is None:
+                    x = one_terms[key] = load_terms(obj)
+                return x
+        return load_terms(obj)
 
     return load
 

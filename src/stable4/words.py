@@ -140,11 +140,21 @@ def parse_word(text: str, generators: Sequence[str]) -> Word:
     """Parse whitespace-separated tokens ``name`` or ``name^k`` into a Word.
 
     ``k`` must be a nonzero integer; the bare token ``1`` denotes the
-    identity.  The result is freely reduced.
+    identity.  The result is freely reduced.  Each call indexes all the
+    generators; a caller parsing many words builds ``_generator_index``
+    once and calls ``_parse_indexed``.
     """
+    return _parse_indexed(text, _generator_index(generators))
+
+
+def _generator_index(generators: Sequence[str]) -> dict[str, int]:
+    return {name: i for i, name in enumerate(generators)}
+
+
+def _parse_indexed(text: str, index: Mapping[str, int]) -> Word:
+    """``parse_word`` against a prebuilt {name: index} map."""
     if not isinstance(text, str):
         raise InputError(f"word {text!r} is not a string")
-    index = {name: i for i, name in enumerate(generators)}
     letters: list[Letter] = []
     for token in text.split():
         if token == "1":

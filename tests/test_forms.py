@@ -23,9 +23,9 @@ from oracles import (
     eigen_free_signature,
     leading_minors_positive,
 )
-from stable4 import forms
+from stable4 import forms, groupring
 from stable4.errors import DomainError, InputError, is_int
-from stable4.f2 import F2Mat
+from stable4.f2 import F2Mat, F2Vec
 from stable4.forms import (
     AugmentedForm,
     Parity,
@@ -43,6 +43,7 @@ from stable4.forms import (
     signature_int,
 )
 from stable4.groupring import RingElem
+from stable4.models import realize_form
 from stable4.words import FreeFamily, NilFamily, Word, ZnFamily, family_to_json, normalize
 
 Z3 = ZnFamily(3)
@@ -761,6 +762,133 @@ def test_pooled_word_forms_load_like_the_dense_oracle(blob):
     text = json.dumps(form_to_json(a))
     assert text == json.dumps(dense_form_to_json(epsilon, family, rows))
     assert json.dumps(form_to_json(form_from_json(json.loads(text)))) == text
+
+
+@st.composite
+def repeated_entry_blobs(draw):
+    """Dense form JSON built mostly from a few one-term entries, each used
+    at many positions: some with coefficient 0 (a zero entry, not stored),
+    some multi-term, and terms that sometimes carry extra keys.  A mirror
+    spells the conjugate through the inverse text; one entry is sometimes
+    changed to break the symmetry."""
+    family = draw(st.sampled_from((Z3, NilFamily(2), FreeFamily(("x", "y")))))
+    token = st.builds(lambda g, e: g if e == 1 else f"{g}^{e}",
+                      st.sampled_from(family.generators), st.sampled_from((-1, 1, 2)))
+    words = draw(st.lists(st.lists(token, max_size=3).map(" ".join), min_size=1,
+                          max_size=3))
+    pairs = [(c, w or "1") for c in draw(st.lists(st.integers(-2, 2), min_size=1,
+                                                     max_size=3)) for w in words]
+
+    def json_terms(terms):
+        out = [{"coeff": c, "word": w} for c, w in terms]
+        for term in out:
+            if draw(st.integers(0, 5)) == 0:
+                term["note"] = "extra"
+        return out
+
+    n = draw(st.integers(1, 8))
+    entries = [[] for _ in range(n * n)]
+    for i in range(n):
+        for j in range(i, n):
+            kind = draw(st.integers(0, 4))
+            if kind == 0:
+                continue
+            terms = [draw(st.sampled_from(pairs))]
+            if kind == 4:
+                terms.append(draw(st.sampled_from(pairs)))
+            mirror = [(c, invert_text(w)) for c, w in reversed(terms)]
+            if i == j:
+                entries[i * n + i] = json_terms(terms + mirror)
+            else:
+                entries[i * n + j], entries[j * n + i] = json_terms(terms), json_terms(mirror)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n * n - 1))
+        entries[k] = json_terms([draw(st.sampled_from(pairs))])
+    return {"epsilon": draw(st.integers(0, 1)), "family": family_to_json(family),
+            "size": n, "entries": entries}
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeated_entry_blobs())
+def test_repeated_entries_load_like_the_dense_oracle(blob):
+    """Equal one-term entries share one loaded element; the form must still
+    be the one the dense oracle builds entry by entry, or fail with the
+    oracle's hermitian error."""
+    epsilon, family, rows = dense_form_from_json(blob)
+    if not dense_is_hermitian(rows):
+        message = dense_hermitian_error(rows)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            form_from_json(blob)
+        return
+    a = form_from_json(blob)
+    assert (a.epsilon, a.family, dense_view(a.matrix)) == (epsilon, family, rows)
+    assert all(not x.is_zero for row in a.matrix._rows for x in row.values())
+
+
+@pytest.mark.parametrize("coeff, shown", [(True, "True"), (1.0, "1.0")])
+def test_a_cached_entry_does_not_admit_an_equal_coefficient_of_another_type(coeff, shown):
+    """(1, "1") is loaded first; True and 1.0 equal 1 and hash alike, and
+    must still be refused."""
+    entries = [one_term("1"), [], [], one_term("1", coeff)]
+    with pytest.raises(InputError, match=f"^coefficient {shown} is not an integer$"):
+        form_from_json(z3_blob(entries))
+
+
+@pytest.mark.parametrize("first, second", [(NOT_A_LIST, BAD_WORD), (BAD_WORD, NOT_A_LIST)])
+def test_the_first_bad_entry_of_a_row_sets_the_error(first, second):
+    """Both bad entries sit in row 1, after a cached entry in row 0."""
+    entries = [one_term("1") if i % 4 == 0 else [] for i in range(9)]
+    entries[4], entries[5] = first[0], second[0]
+    with pytest.raises(InputError, match=f"^{re.escape(first[1])}$"):
+        form_from_json(z3_blob(entries))
+
+
+def test_a_form_load_indexes_the_generators_once(monkeypatch):
+    """Every distinct word is parsed against one generator index per load,
+    not one per word."""
+    calls = []
+    index = groupring._generator_index
+    monkeypatch.setattr(groupring, "_generator_index",
+                        lambda names: calls.append(len(names)) or index(names))
+    n = 5
+    entries = [[] for _ in range(n * n)]
+    for k in range(n):
+        entries[k * n + k] = one_term(f"g{k % 3 + 1}^{k + 1} g{k % 3 + 1}^{-k - 1}", 2)
+    assert form_from_json(z3_blob(entries)).matrix == RingMatrix.from_int_rows(
+        Z3, [[2 if i == j else 0 for j in range(n)] for i in range(n)])
+    assert calls == [3]
+
+
+def assert_written_like_the_dense_oracle(a):
+    dump = lambda blob: json.dumps(blob, indent=2, sort_keys=True)
+    blob = form_to_json(a)
+    text = dump(blob)
+    assert text == dump(dense_form_to_json(a.epsilon, a.family, dense_view(a.matrix)))
+    assert form_from_json(json.loads(text)) == a
+    return blob
+
+
+@pytest.mark.parametrize("family, w", [(Z3, "100"), (NilFamily(2), "010")])
+@pytest.mark.parametrize("copies", [0, 1, -1, 16, -16])
+def test_realized_forms_with_e8_copies_write_like_the_dense_oracle(family, w, copies):
+    h = realize_form(family, F2Vec.from_bits(w), 8 * copies, Parity.EVEN, F2Vec.zero(3))
+    blob = assert_written_like_the_dense_oracle(h.form)
+    if abs(copies) > 1:  # the shared E8 blocks share their term lists
+        n = h.form.matrix.size
+        last, before = n - 8, n - 16
+        assert blob["entries"][last * n + last] is blob["entries"][before * n + before]
+
+
+def test_an_entry_object_at_many_positions_is_written_once():
+    x = grp(G) + grp(Z3.invert(G)) + ring(3)
+    y = grp((1, 2, 0), -2)
+    y_bar = y.conjugate()
+    n = 6
+    rows = tuple({j: (x if i == j else y if i < j else y_bar) for j in range(n)}
+                 for i in range(n))
+    blob = assert_written_like_the_dense_oracle(AugmentedForm(0, RingMatrix._trusted(Z3, rows)))
+    entries = blob["entries"]
+    assert len({id(entries[i * n + j]) for i in range(n) for j in range(n)}) == 3
 
 
 def signature_or_error(compute):
