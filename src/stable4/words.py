@@ -43,7 +43,7 @@ through the slot setter bound once below, without reducing or checking.
 
 from __future__ import annotations
 
-from operator import add, itemgetter
+from operator import add, itemgetter, neg
 from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import CapExceeded, DomainError, InputError, is_int
@@ -305,7 +305,7 @@ class FreeFamily(GroupFamily, Record):
 
     def __init__(self, generators: tuple[str, ...]) -> None:
         _check_generator_names(generators)
-        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "generators", tuple(generators))
 
     def identity(self) -> Word:
         return Word()
@@ -341,6 +341,8 @@ class ZnFamily(GroupFamily, Record):
     n: int
 
     def __init__(self, n: int) -> None:
+        if not is_int(n):
+            raise InputError(f"Zn family rank {n!r} is not an integer")
         if n < 1:
             raise DomainError("Zn family needs n >= 1")
         cap = configured_cap()
@@ -368,7 +370,7 @@ class ZnFamily(GroupFamily, Record):
         return tuple(map(add, a, b))
 
     def invert(self, a):
-        return tuple(-x for x in a)
+        return tuple(map(neg, a))
 
     def shift(self, g, index: int, exp: int):
         if not 0 <= index < self.n:
@@ -416,6 +418,8 @@ class NilFamily(GroupFamily, Record):
     z: int
 
     def __init__(self, z: int) -> None:
+        if not is_int(z):
+            raise InputError(f"Nil family parameter {z!r} is not an integer")
         if z < 1:
             raise DomainError("Nil family needs z >= 1")
         object.__setattr__(self, "z", z)
@@ -511,6 +515,8 @@ def _check_generator_names(names: Sequence[str]) -> None:
     used twice, could not be read back."""
     seen = set()
     for name in names:
+        if not isinstance(name, str):
+            raise InputError(f"generator name {name!r} is not a string")
         if not name.isidentifier():
             raise InputError(f"bad generator name {name!r}")
         if name in seen:
@@ -529,7 +535,7 @@ class Presentation(Record):
         for rel in relators:
             if rel.max_index() >= len(generators):
                 raise InputError("relator references an undeclared generator")
-        self.__dict__.update(generators=generators, relators=relators)
+        self.__dict__.update(generators=tuple(generators), relators=relators)
 
     @property
     def is_square(self) -> bool:

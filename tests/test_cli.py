@@ -3,8 +3,6 @@ import copy
 import io
 import json
 import os
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
@@ -12,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import run_python, write_json
 from stable4 import cli
 from stable4.f2 import f2mat_to_json
 from stable4.groupring import ring_elem_from_json
@@ -30,11 +29,6 @@ def run(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-def write_json(path, payload):
-    path.write_text(json.dumps(payload))
-    return str(path)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +296,8 @@ def test_presentation_rejects_a_malformed_family_tag(capsys, tmp_path, tag):
 def test_presentation_fields_must_be_lists_of_strings(capsys, tmp_path, field, value):
     """A string is not split into one-letter names or relators, and null is
     not read as the name "None"."""
-    pres = {"generators": ["a", "x", "y"], "relators": [], "family": {"nil": 2}}
+    relators = ["x a x^-1 a^-1", "y a y^-1 a^-1", "x y x^-1 y^-1 a^-2"]
+    pres = {"generators": ["a", "x", "y"], "relators": relators, "family": {"nil": 2}}
     path = write_json(tmp_path / "p.json", {**pres, field: value})
     argv = ["model", "--kind", "P", "--family", "nil:2", "--gamma", "000",
             "--presentation", path]
@@ -736,15 +731,16 @@ def test_model_p_with_presentation_file(capsys, tmp_path):
             "family": {"nil": 2},
         },
     )
-    code, out, _ = run(
-        capsys,
-        ["model", "--kind", "P", "--family", "nil:2",
-         "--presentation", pres_path, "--gamma", "100"],
-    )
-    assert code == 0
-    h = han1_from_json(json.loads(out))
-    expected = model_P(builtin_presentation(NilFamily(2)), NilFamily(2), "100")
-    assert h.form == expected.form
+    for gamma in ("100", "000"):
+        code, out, _ = run(
+            capsys,
+            ["model", "--kind", "P", "--family", "nil:2",
+             "--presentation", pres_path, "--gamma", gamma],
+        )
+        assert code == 0
+        h = han1_from_json(json.loads(out))
+        expected = model_P(builtin_presentation(NilFamily(2)), NilFamily(2), gamma)
+        assert h.form == expected.form
 
 
 def test_classify_family_file_supplies_w(capsys, tmp_path):
@@ -1017,12 +1013,7 @@ def test_cli_import_leaves_out_dataclasses_inspect_and_fractions():
         "print(signature_int(e8_block(ZnFamily(3))))\n"
         "print(sorted(m for m in heavy if m in sys.modules))\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src}
-    result = subprocess.run(
-        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True,
-        timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.split("\n")[:3] == ["[]", "8", "[]"]
+    code, out, err, _ = run_python("-S", "-c", script)
+    assert code == 0, err
+    assert out.split("\n")[:3] == ["[]", "8", "[]"]
 

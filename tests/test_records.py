@@ -259,6 +259,9 @@ def test_hash_is_the_field_tuple_hash():
     assert hash(Word(((0, 1),))) == hash((((0, 1),),))
     assert hash(NilFamily(2)) == hash((2,))
     assert hash(FreeFamily(("x", "y"))) == hash((("x", "y"),))
+    # A list of names is stored as a tuple, so the record still hashes.
+    assert hash(FreeFamily(["x", "y"])) == hash((("x", "y"),))
+    assert hash(Presentation(["x"], ())) == hash((("x",), ()))
     assert hash(ZnFamily(3)) == hash((3,))
     # Products are built past the constructors, and hash the same way.
     product = F2Mat(2, (2, 1)) @ m
@@ -393,10 +396,19 @@ VALIDATION = [
     (lambda: Word(((-1, 2),)), InputError, "negative generator index -1"),
     (lambda: ZnFamily(0), DomainError, "Zn family needs n >= 1"),
     (lambda: ZnFamily(10**8), CapExceeded, "Zn family rank 100000000 is over the cap 1000000"),
+    (lambda: ZnFamily(2.5), InputError, "Zn family rank 2.5 is not an integer"),
+    (lambda: ZnFamily(True), InputError, "Zn family rank True is not an integer"),
+    (lambda: ZnFamily("3"), InputError, "Zn family rank '3' is not an integer"),
+    (lambda: ZnFamily(1e8), InputError, "Zn family rank 100000000.0 is not an integer"),
     (lambda: FreeFamily(("x", "x")), InputError, "duplicate generator 'x'"),
     (lambda: FreeFamily(("1", "x")), InputError, "bad generator name '1'"),
+    (lambda: FreeFamily(("x", 3)), InputError, "generator name 3 is not a string"),
     (lambda: NilFamily(0), DomainError, "Nil family needs z >= 1"),
+    (lambda: NilFamily(1.5), InputError, "Nil family parameter 1.5 is not an integer"),
+    (lambda: NilFamily(True), InputError, "Nil family parameter True is not an integer"),
+    (lambda: NilFamily("2"), InputError, "Nil family parameter '2' is not an integer"),
     (lambda: Presentation(("a", "a"), ()), InputError, "duplicate generator 'a'"),
+    (lambda: Presentation((None,), ()), InputError, "generator name None is not a string"),
     (lambda: Presentation(("a b",), ()), InputError, "bad generator name 'a b'"),
     (lambda: Presentation(("a",), (Word(((1, 1),)),)), InputError,
      "relator references an undeclared generator"),
