@@ -231,8 +231,9 @@ def parity(a: AugmentedForm) -> Parity:
     if a.epsilon == 1:
         corner_even = in_image_one_plus_T(restrict_to_Ipi(a))
         return Parity.EVEN if corner_even else Parity.ODD
+    inverses: dict = {}
     for i in range(a.matrix.size):
-        if not in_image_one_plus_T(a.matrix.entry(i, i)):
+        if not in_image_one_plus_T(a.matrix.entry(i, i), _inverses=inverses):
             return Parity.ODD
     return Parity.EVEN
 

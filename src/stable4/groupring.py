@@ -168,7 +168,7 @@ def augmentation(x: RingElem) -> int:
     return sum(x._terms.values())
 
 
-def in_image_one_plus_T(x: RingElem) -> bool:
+def in_image_one_plus_T(x: RingElem, *, _inverses: dict | None = None) -> bool:
     """Decide whether x = p + conj(p) for some p in the group ring.
 
     Closed-form criterion: the coefficients must be symmetric under g -> g^-1
@@ -177,11 +177,18 @@ def in_image_one_plus_T(x: RingElem) -> bool:
     self-inverse g needs p_g = x_g / 2; necessity is immediate from
     (p + conj p)_g = p_g + p_{g^-1}.  Non-symmetric inputs simply return
     False.
+
+    `forms.parity` passes one `_inverses` dict {g: g^-1} for all the
+    diagonal entries of a form, so each distinct element is inverted once.
     """
-    fam = x.family
+    invert = x.family.invert
+    inverses = {} if _inverses is None else _inverses
+    coefficient = x._terms.get
     for g, c in x._terms.items():
-        gi = fam.invert(g)
-        if x.coefficient(gi) != c:
+        gi = inverses.get(g)
+        if gi is None:
+            gi = inverses[g] = invert(g)
+        if coefficient(gi, 0) != c:
             return False
         if g == gi and c % 2:
             return False

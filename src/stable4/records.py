@@ -18,6 +18,15 @@ private builders store each field through its slot descriptor's
 than ``object.__setattr__`` into a per-instance layout.  The other records
 store through ``self.__dict__``, or, in the group families,
 ``object.__setattr__``.
+
+A record that declares a ``_hash`` slot keeps its hash there: the first
+``hash`` computes the field-tuple hash and stores it, later ones return it.
+The value is the same, the slot is no field, so equality, repr, pickles and
+copies ignore it, and no builder fills it.  Only ``Word`` declares it: a
+Fox derivative over a free group keys its terms, and a group-ring sum or
+product its results, by words of up to hundreds of letters, and hashes each
+word several times.  An ``F2Vec`` or ``F2Mat`` is hashed about once, in a
+closure or an orbit, so a stored hash would cost it a miss and save nothing.
 """
 
 from __future__ import annotations
@@ -38,10 +47,25 @@ class Record:
         get = attrgetter(*cls._fields)
         if len(cls._fields) > 1:
             values = get
-            cls.__hash__ = lambda self: hash(get(self))
+            field_hash = lambda self: hash(get(self))
         else:
             values = lambda record: (get(record),)
-            cls.__hash__ = lambda self: hash((get(self),))
+            field_hash = lambda self: hash((get(self),))
+        if "_hash" in cls.__dict__.get("__slots__", ()):
+            set_hash = cls._hash.__set__
+
+            def __hash__(self):
+                # An unset slot raises, so no builder has to fill it.
+                try:
+                    return self._hash
+                except AttributeError:
+                    value = field_hash(self)
+                    set_hash(self, value)
+                    return value
+
+            cls.__hash__ = __hash__
+        else:
+            cls.__hash__ = field_hash
 
         def __eq__(self, other):
             if other.__class__ is self.__class__:

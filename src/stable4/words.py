@@ -88,9 +88,11 @@ class Word(Record):
     The constructor reduces, so ``Word(anything)`` is already in normal form.
     Products and inverses of reduced words are built by ``_trusted``, which
     stores the letters as given, skipping the reduction and the checks.
+    The ``_hash`` slot is no field: the first ``hash`` fills it (see
+    ``records``), so a word keyed in several dicts walks its letters once.
     """
 
-    __slots__ = ("letters",)
+    __slots__ = ("letters", "_hash")
     letters: tuple[Letter, ...]
 
     def __init__(self, letters: Iterable[Letter] = ()) -> None:
@@ -317,9 +319,13 @@ class FreeFamily(GroupFamily, Record):
         return a.inverse()
 
     def generator_element(self, index: int, exp: int = 1) -> Word:
-        if exp and index >= 0:
+        if (index.__class__ is int and 0 <= index < len(self.generators)
+                and exp.__class__ is int and exp):
             return Word._trusted(((index, exp),))
-        return Word(((index, exp),))
+        w = Word(((index, exp),))  # refuses a negative index and any non-int
+        if index >= len(self.generators):
+            raise IndexError(f"generator index {index} out of range")
+        return w
 
     def sort_key(self, g: Word):
         return (g.length(), g.letters)
@@ -565,6 +571,8 @@ def fox_derivative(w: Word, gen: int | str, family: GroupFamily):
 
     if isinstance(gen, str):
         gen = family.gen_index(gen)
+    elif not is_int(gen):
+        raise InputError(f"generator index {gen!r} is not an integer")
     if gen < 0 or gen >= family.rank:
         raise InputError(f"generator index {gen} out of range")
     family._check_arity(w)

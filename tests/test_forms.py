@@ -204,6 +204,28 @@ def test_parity_of_direct_sum_needs_both_even(rng):
         assert (parity(direct_sum(a, b)) == Parity.EVEN) == both_even
 
 
+def test_parity_inverts_each_distinct_diagonal_element_once(monkeypatch):
+    x = grp(G) + grp(Z3.invert(G)) + ring(2)
+    y = grp((0, 1, 0), 2) + grp((0, -1, 0), 2) + ring(4)
+    zero = ring(0)
+    diagonal = [x, x, y, x, y]
+    m = RingMatrix(Z3, [[diagonal[i] if i == j else zero for j in range(5)]
+                        for i in range(5)])
+    form = AugmentedForm(0, m)
+    inverted = []
+    invert = ZnFamily.invert
+
+    def counted(self, g):
+        inverted.append(g)
+        return invert(self, g)
+
+    monkeypatch.setattr(ZnFamily, "invert", counted)
+    assert parity(form) == Parity.EVEN
+    distinct = {g for entry in diagonal for g in entry.support()}
+    assert len(distinct) == 5
+    assert sorted(inverted) == sorted(distinct)
+
+
 # ---------------------------------------------------------------------------
 # signatures
 

@@ -9,6 +9,7 @@ time, memory or exit-code bound on a whole process is added here.
 import json
 import random
 import resource
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from stable4.groupring import ring_elem_from_json
 from stable4.words import NilFamily, parse_word
 
 CLI = ("-m", "stable4.cli")
+PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 
 
 def unit(i, d):
@@ -259,3 +261,24 @@ def test_malformed_stable4_cap_fails_a_fresh_cli_process(argv):
 def test_stable4_cap_bounds_the_z3_orbits_of_a_fresh_cli_process(cap, code):
     got, _, err, _ = run_python(*CLI, "orbits", "--family", "z3", env={"STABLE4_CAP": cap})
     assert got == code, err
+
+
+# ---------------------------------------------------------------------------
+# the benchmark self-test's pins, in the process state the self-test runs in
+
+SELFTEST_PINS = f"""
+import sys
+sys.path.insert(0, {PERFBENCH!r})
+import selftest
+errors = selftest.wrapper_cases() + selftest.constant_errors() + selftest.catalog_errors()
+print("\\n".join(errors))
+"""
+
+
+def test_benchmark_wrapper_pins_hold_in_a_fresh_process():
+    """The traced counts of the self-test's fixed cases, the generator-set
+    orders and the per-layer catalogue, as `perfbench/run.py --self-test`
+    checks them, with its PYTHONHASHSEED."""
+    code, out, err, _ = run_python("-c", SELFTEST_PINS, env={"PYTHONHASHSEED": "0"})
+    assert code == 0, err
+    assert out.strip() == "", out

@@ -29,7 +29,7 @@ from stable4.errors import CapExceeded, DomainError, InputError
 from stable4.f2 import F2Mat, F2Vec, QuadraticFormF2, orbits
 from stable4.forms import AugmentedForm, Parity, RingMatrix, hyperbolic_matrix
 from stable4.models import HAN1, INFINITY
-from stable4.words import FreeFamily, NilFamily, Presentation, Word, ZnFamily
+from stable4.words import FreeFamily, NilFamily, Presentation, Word, ZnFamily, fox_derivative
 
 CLASSES = {
     cls.__name__: cls
@@ -301,7 +301,7 @@ def test_zn_names_read_back_as_g1_to_gn():
 SLOTTED = {
     F2Vec: (F2Vec(3, 5), ("dim", "bits")),
     F2Mat: (F2Mat(2, (1, 3)), ("dim", "rows", "_product_table")),
-    Word: (Word(((0, 2), (1, -1))), ("letters",)),
+    Word: (Word(((0, 2), (1, -1))), ("letters", "_hash")),
 }
 
 
@@ -309,6 +309,7 @@ SLOTTED = {
 def test_bulk_records_are_slotted(cls):
     record, slots = SLOTTED[cls]
     assert cls.__slots__ == slots
+    assert "_hash" not in cls._fields
     assert not hasattr(record, "__dict__")
     for field in cls._fields:
         with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
@@ -319,6 +320,41 @@ def test_bulk_records_are_slotted(cls):
         record.extra = 1
     with pytest.raises(AttributeError):
         object.__setattr__(record, "extra", 1)
+
+
+def test_stored_word_hash_is_invisible():
+    w = Word(((0, 2), (1, -1)))
+    fresh = Word(w.letters)
+    before = (repr(w), w.__reduce__(), pickle.dumps(w))
+    assert not hasattr(w, "_hash")
+    assert hash(w) == hash((w.letters,)) and w._hash == hash(w)
+    assert (repr(w), w.__reduce__(), pickle.dumps(w)) == before
+    assert w == fresh and fresh == w
+    assert hash(w) == hash(fresh) and repr(w) == repr(fresh)
+    assert pickle.dumps(w) == pickle.dumps(fresh)
+    for clone in (pickle.loads(pickle.dumps(w)), copy.deepcopy(w), copy.copy(w)):
+        assert not hasattr(clone, "_hash")
+        assert clone == w and hash(clone) == hash(w) and repr(clone) == repr(w)
+    # The slot is written only by the hash, never through the record.
+    with pytest.raises(AttributeError, match="cannot assign to field '_hash'"):
+        w._hash = 0
+    with pytest.raises(AttributeError, match="cannot delete field '_hash'"):
+        del w._hash
+    assert w._hash == hash((w.letters,))
+    # No other record stores its hash.
+    for cls in CLASSES.values():
+        assert ("_hash" in getattr(cls, "__slots__", ())) == (cls is Word), cls
+
+
+@settings(max_examples=200, deadline=None)
+@given(letters, letters)
+def test_word_hash_is_the_field_tuple_hash_when_stored(a_letters, b_letters):
+    a, b = Word(a_letters), Word(b_letters)
+    built = [a, b, a * b, b * a, a.inverse(), (a * b).inverse(),
+             Word._trusted(a.letters), Word._trusted((a * b).letters)]
+    for w in built:
+        assert hash(w) == hash((w.letters,))
+        assert hash(w) == hash((w.letters,))
 
 
 def test_matrix_rows_are_stored_as_a_tuple():
@@ -368,6 +404,7 @@ def _qf(rows, values):
 
 
 ODD_FORM = AugmentedForm(1, RingMatrix.from_int_rows(Z3, [[1, 1], [1, 0]]))
+NIL2_WORD = Word(((1, 1), (2, 1), (1, -1), (2, -1)))  # the commutator [x, y]
 
 VALIDATION = [
     (lambda: F2Vec(3, 8), InputError, "bits 0x8 out of range for dim 3"),
@@ -387,6 +424,14 @@ VALIDATION = [
     (lambda: Word(((True, 1),)), InputError, "generator index True is not an integer"),
     (lambda: Word(((0, 1.5),)), InputError, "exponent 1.5 is not an integer"),
     (lambda: Word(((0, 1), (1, False))), InputError, "exponent False is not an integer"),
+    (lambda: FreeFamily(("x",)).generator_element(0, 2.0), InputError,
+     "exponent 2.0 is not an integer"),
+    (lambda: fox_derivative(NIL2_WORD, 1.5, NilFamily(2)), InputError,
+     "generator index 1.5 is not an integer"),
+    (lambda: fox_derivative(NIL2_WORD, True, NilFamily(2)), InputError,
+     "generator index True is not an integer"),
+    (lambda: fox_derivative(NIL2_WORD, 1.0, NilFamily(2)), InputError,
+     "generator index 1.0 is not an integer"),
     (lambda: QuadraticFormF2(standard_symplectic(1), F2Vec(3, 0)), InputError,
      "value vector dimension must match the bilinear form"),
     (lambda: _qf((1, 0), 0), DomainError,
@@ -443,8 +488,18 @@ VALIDATION = [
 ]
 
 
-@pytest.mark.parametrize("build, error, message", VALIDATION,
-                         ids=[message for _, _, message in VALIDATION])
+def _case_ids(cases):
+    """Each case's message as its id; a message met again gets its count,
+    so the first case with it keeps the plain message."""
+    seen: dict[str, int] = {}
+    ids = []
+    for _, _, message in cases:
+        seen[message] = seen.get(message, 0) + 1
+        ids.append(message if seen[message] == 1 else f"{message} ({seen[message]})")
+    return ids
+
+
+@pytest.mark.parametrize("build, error, message", VALIDATION, ids=_case_ids(VALIDATION))
 def test_validation_messages(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build()

@@ -440,17 +440,25 @@ def test_shift_is_the_product_with_a_generator_power(pair, data):
     assert fam.shift(g, index, exp) == fam.multiply(g, fam.generator_element(index, exp))
 
 
-@pytest.mark.parametrize("fam", [ZnFamily(3), NilFamily(2)])
+def _out_of_range(fam, index):
+    """The error an index outside 0..rank-1 raises: a free word's letter
+    refuses a negative index as input."""
+    if isinstance(fam, FreeFamily) and index < 0:
+        return pytest.raises(InputError, match=f"^negative generator index {index}$")
+    return pytest.raises(IndexError, match=f"^generator index {index} out of range$")
+
+
+@pytest.mark.parametrize("fam", [ZnFamily(3), NilFamily(2), FREE3])
 @pytest.mark.parametrize("index", [-1, 3, 7])
 def test_shift_rejects_an_index_out_of_range(fam, index):
-    with pytest.raises(IndexError, match=f"generator index {index} out of range"):
+    with _out_of_range(fam, index):
         fam.shift(fam.identity(), index, 1)
 
 
-@pytest.mark.parametrize("fam", [ZnFamily(3), NilFamily(2)])
+@pytest.mark.parametrize("fam", [ZnFamily(3), NilFamily(2), FREE3])
 @pytest.mark.parametrize("index", [-1, 3, 7])
 def test_generator_element_rejects_an_index_out_of_range(fam, index):
-    with pytest.raises(IndexError, match=f"generator index {index} out of range"):
+    with _out_of_range(fam, index):
         fam.generator_element(index, 2)
 
 
