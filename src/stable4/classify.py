@@ -43,7 +43,7 @@ from .f2 import (
     orbit_of,
     orbits,
 )
-from .forms import Parity, parity
+from .forms import Parity
 from .models import (
     HAN1,
     INFINITY,
@@ -54,6 +54,7 @@ from .models import (
     check_invariants,
     check_w,
     normalize_category,
+    parity_and_tau,
     signature_stride,
     w_from_json,
     w_to_json,
@@ -314,7 +315,7 @@ def ks(
     if normalize_category(category) != TOPOLOGICAL:
         raise DomainError("the KS invariant lives in the topological category")
     if w is INFINITY:
-        if free_bit not in (0, 1):
+        if not is_int(free_bit) or free_bit not in (0, 1):
             raise DomainError("totally non-spin KS is an independent bit; supply it")
         return free_bit
     if h2_class is None and not check_w(w).is_zero:
@@ -358,27 +359,15 @@ class InvariantTuple(Record):
 
 
 def invariants_of(h: HAN1, category: str = TOPOLOGICAL) -> InvariantTuple:
-    """Extract the invariant tuple of a model.
+    """Extract the invariant tuple of a model, with the parity and tau of
+    `models.parity_and_tau`, checked in the category.
 
     Even forms without tau provenance come back flagged TAU_UNKNOWN; such
     tuples cannot be fed to decide_stable_equiv.
     """
-    if h.w is INFINITY:
-        tup = InvariantTuple(INFINITY, h.signature, None, None)
-    else:
-        p = parity(h.form)
-        tau = None if p is Parity.ODD else (TAU_UNKNOWN if h.tau is None else h.tau)
-        tup = InvariantTuple(h.w, h.signature, p, tau)
-    _validate_tuple(tup, category, allow_unknown_tau=True)
+    tup = InvariantTuple(h.w, h.signature, *parity_and_tau(h.w, h.form, h.tau))
+    check_invariants(tup.w, tup.signature, tup.parity, tup.tau, category)
     return tup
-
-
-def _validate_tuple(
-    t: InvariantTuple, category: str, allow_unknown_tau: bool = False
-) -> None:
-    check_invariants(t.w, t.signature, t.parity, t.tau, category)
-    if t.tau is TAU_UNKNOWN and not allow_unknown_tau:
-        raise DomainError("tau class unknown; cannot decide equivalence")
 
 
 def decide_stable_equiv(
@@ -402,7 +391,9 @@ def decide_stable_equiv(
     the Out-image.  A w whose dimension is not the family's is refused.
     """
     for label, t in (("a", a), ("b", b)):
-        _validate_tuple(t, category)
+        check_invariants(t.w, t.signature, t.parity, t.tau, category)
+        if t.tau is TAU_UNKNOWN:
+            raise DomainError("tau class unknown; cannot decide equivalence")
         try:
             check_w(t.w, family.d)
         except DomainError as exc:

@@ -95,6 +95,8 @@ class F2Vec(Record):
 
     @classmethod
     def basis(cls, dim: int, i: int) -> "F2Vec":
+        if not is_int(i) or i < 0:
+            raise InputError(f"basis index {i!r} is not a non-negative integer")
         return cls(dim, 1 << i)
 
     @classmethod
@@ -181,8 +183,8 @@ class F2Mat(Record):
 
     @classmethod
     def from_rows(cls, rows: Sequence) -> "F2Mat":
-        """Rows given as bit-strings ("110") or 0/1 sequences, each as long as
-        the number of rows."""
+        """Rows given as bit-strings ("110") or sequences of the ints 0 and 1
+        (not floats or bools), each as long as the number of rows."""
         masks = []
         for index, row in enumerate(rows):
             if not isinstance(row, (str, list, tuple)):
@@ -196,7 +198,7 @@ class F2Mat(Record):
             else:
                 mask = 0
                 for i, v in enumerate(row):
-                    if v not in (0, 1):
+                    if not is_int(v) or v not in (0, 1):
                         raise InputError(f"matrix entry {v!r} is not a bit")
                     mask |= v << i
                 masks.append(mask)
@@ -318,6 +320,10 @@ class QuadraticFormF2(Record):
 
     def __init__(self, bilinear: F2Mat, values: F2Vec) -> None:
         b = bilinear
+        if not isinstance(b, F2Mat):
+            raise InputError(f"bilinear part {b!r} is not an F2 matrix")
+        if not isinstance(values, F2Vec):
+            raise InputError(f"values {values!r} are not an F2 vector")
         if values.dim != b.dim:
             raise InputError("value vector dimension must match the bilinear form")
         if any(b.entry(i, i) for i in range(b.dim)):
@@ -331,9 +337,6 @@ class QuadraticFormF2(Record):
     @property
     def dim(self) -> int:
         return self.bilinear.dim
-
-    def pairing(self, u: F2Vec, v: F2Vec) -> int:
-        return self.bilinear.apply(v).dot(u)
 
     def evaluate(self, v: F2Vec) -> int:
         """q(v), expanded from the basis values and the cross terms."""
@@ -454,7 +457,10 @@ def orbits(
 
 
 def _check_orbit_dim(d: int) -> None:
-    """Refuse a negative d, and 2^d states over the orbit cap."""
+    """Refuse a d that is not an int, a negative d, and 2^d states over the
+    orbit cap."""
+    if not is_int(d):
+        raise InputError(f"orbit dimension {d!r} is not an integer")
     if d < 0:
         raise InputError(f"orbit dimension {d} is negative")
     cap = configured_cap(1 << ORBIT_DIM_CAP)

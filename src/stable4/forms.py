@@ -179,8 +179,12 @@ class AugmentedForm(Record):
     matrix: RingMatrix
 
     def __init__(self, epsilon: int, matrix: RingMatrix) -> None:
+        if not is_int(epsilon):
+            raise InputError(f"form epsilon {epsilon!r} is not an integer")
         if epsilon not in (0, 1):
             raise DomainError("epsilon must be 0 or 1")
+        if not isinstance(matrix, RingMatrix):
+            raise InputError(f"matrix {matrix!r} is not a RingMatrix")
         if matrix.size < epsilon:
             raise DomainError("matrix too small for the Ipi summand")
         if not matrix.is_hermitian():

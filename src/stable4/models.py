@@ -150,6 +150,16 @@ def check_invariants(w, signature: int, parity: Parity | None, tau, category: st
                               "this tuple is only realizable topologically")
 
 
+def parity_and_tau(w, form: AugmentedForm, tau):
+    """The (parity, tau) of a model with w-type w, as check_invariants reads
+    them: (None, tau) for INFINITY; otherwise the parity of the form, with
+    TAU_UNKNOWN for an even form that has no tau."""
+    if w is INFINITY:
+        return None, tau
+    p = parity(form)
+    return p, TAU_UNKNOWN if p is Parity.EVEN and tau is None else tau
+
+
 class HAN1(Record):
     """Hermitian augmented normal 1-type: (family, w, signature, form, tau).
 
@@ -157,9 +167,8 @@ class HAN1(Record):
     totally non-spin.  ``tau`` is present only when the form is even and the
     model provenance pins it down; it is always absent for odd forms.  An
     almost-spin (nonzero w) form is even.  ``check_invariants`` decides what
-    is admissible, in the topological category, with TAU_UNKNOWN for an even
-    form without tau.  The parity is computed at most once, and only when w
-    is nonzero or tau is given.
+    is admissible, in the topological category, reading the parity and tau
+    of ``parity_and_tau``; the parity is computed once unless w is INFINITY.
     """
 
     w: object
@@ -170,14 +179,9 @@ class HAN1(Record):
 
     def __init__(self, w, signature: int, form: AugmentedForm,
                  tau: F2Vec | None = None, notes: str = "") -> None:
-        p, t = None, tau
-        if check_w(w) is not INFINITY:
-            # A spin w without tau passes the rule with either parity (odd,
-            # no tau; or even, TAU_UNKNOWN), so the parity is not needed.
-            p = parity(form) if tau is not None or not w.is_zero else Parity.ODD
-            if p is Parity.EVEN and tau is None:
-                t = TAU_UNKNOWN
-        check_invariants(w, signature, p, t, TOPOLOGICAL)
+        if not isinstance(form, AugmentedForm):
+            raise InputError(f"form {form!r} is not an AugmentedForm")
+        check_invariants(w, signature, *parity_and_tau(check_w(w), form, tau), TOPOLOGICAL)
         self.__dict__.update(w=w, signature=signature, form=form, tau=tau, notes=notes)
 
     @property
@@ -331,7 +335,7 @@ def model_M_sigma(
     only checked: an H_2 vector, zero when sigma = 0.
     """
     d = h2_dimension(family)
-    if sigma not in (0, 1):
+    if not is_int(sigma) or sigma not in (0, 1):
         raise DomainError("sigma must be 0 or 1")
     if gamma is not None and not check_w(gamma, d, "gamma").is_zero and sigma == 0:
         raise DomainError("sigma = 0 only represents the zero bordism class")
@@ -392,44 +396,36 @@ def model_P(
     jac = fox_jacobian(pres, family)  # refuses generators other than the family's
     bits = _gamma_bits(family, gamma)
     _check_homomorphism(pres, bits)
+    tau = hom_bits_to_h2(family, bits)  # refuses a family with no built-in H_2
 
     n = family.rank
-    zero = RingElem.zero(family)
-    size = 2 * n + 2
-    m = [[zero for _ in range(size)] for _ in range(size)]
+    one, zero = RingElem.one(family), RingElem.zero(family)
+    # each 1 - g_j, and each Fox derivative D_k R_i with gamma(g_k) = 1, and
+    # the conjugates of both, built once
+    diff = [one - RingElem.group(family, family.generator_element(j)) for j in range(n)]
+    diff_bar = [x.conjugate() for x in diff]
+    fox = [[jac[i][k] for k in range(n) if bits[k]] for i in range(n)]
+    fox_bar = [[x.conjugate() for x in row] for row in fox]
 
-    # indices after the recorded permutation: 0 = Ipi, 1 = Zpi,
-    # 2..n+1 = first free block (v), n+2..2n+1 = Fox block (w)
-    V = lambda i: 2 + i
-    W = lambda i: 2 + n + i
-
-    one = RingElem.one(family)
-    one_minus_g = [one - RingElem.group(family, family.generator_element(j)) for j in range(n)]
-    m[0][0] = RingElem.integer(family, 2)
-    m[0][1] = m[1][0] = one
+    # rows after the recorded permutation, each holding its nonzeros in
+    # increasing column order: 0 = Ipi, 1 = Zpi, 2..n+1 = first free block
+    # (V), n+2..2n+1 = Fox block (W), whose zero sums are dropped
+    V, W = 2, 2 + n
+    rows = [{0: RingElem.integer(family, 2), 1: one, **{V + j: diff_bar[j] for j in range(n)}},
+            {0: one}]
+    rows += [{0: diff[i], **{V + j: diff[i] * diff_bar[j] for j in range(n)}, W + i: one}
+             for i in range(n)]
     for i in range(n):
-        m[0][V(i)] = one_minus_g[i].conjugate()
-        m[V(i)][0] = one_minus_g[i]
+        row = {V + i: one}
         for j in range(n):
-            m[V(i)][V(j)] = one_minus_g[i] * one_minus_g[j].conjugate()
-        m[V(i)][W(i)] = m[W(i)][V(i)] = one
-    for i in range(n):
-        for j in range(n):
-            total = zero
-            for k in range(n):
-                if bits[k]:
-                    total = total + jac[i][k] * jac[j][k].conjugate()
-            m[W(i)][W(j)] = total
+            total = sum((x * y for x, y in zip(fox[i], fox_bar[j])), zero)
+            if not total.is_zero:
+                row[W + j] = total
+        rows.append(row)
 
-    form = AugmentedForm(1, RingMatrix(family, m))
-    tau = hom_bits_to_h2(family, bits)
-    return HAN1(
-        w=F2Vec.zero(tau.dim),
-        signature=0,
-        form=form,
-        tau=tau,
-        notes=f"P(gamma={''.join(map(str, bits))}) over {family.generators}",
-    )
+    form = AugmentedForm(1, RingMatrix._trusted(family, tuple(rows)))
+    notes = f"P(gamma={''.join(map(str, bits))}) over {family.generators}"
+    return HAN1(w=F2Vec.zero(tau.dim), signature=0, form=form, tau=tau, notes=notes)
 
 
 def model_N_almost_spin(family: GroupFamily, w: F2Vec) -> HAN1:
@@ -546,10 +542,11 @@ def w_from_json(obj):
 
 
 def han1_to_json(h: HAN1):
+    p, _ = parity_and_tau(h.w, h.form, h.tau)
     return {
         "w": w_to_json(h.w),
         "signature": h.signature,
-        "parity": parity(h.form).value if h.w is not INFINITY else None,
+        "parity": None if p is None else p.value,
         "tau": None if h.tau is None else h.tau.to_bits(),
         "form": form_to_json(h.form),
         "notes": h.notes,
@@ -557,22 +554,17 @@ def han1_to_json(h: HAN1):
 
 
 def han1_from_json(obj) -> HAN1:
+    """The HAN1 of a JSON object.  A missing key, or an object that is not
+    a dict, is a bad HAN1; the w, form and tau loaders raise their own
+    errors (a non-hermitian form is a DomainError)."""
     try:
-        w = w_from_json(obj["w"])
-        signature = obj["signature"]
-        tau = obj.get("tau")
-        form = form_from_json(obj["form"])
-    except (KeyError, TypeError, ValueError) as exc:
+        raw_w, signature, raw_form = obj["w"], obj["signature"], obj["form"]
+        tau, notes = obj.get("tau"), obj.get("notes", "")
+    except (KeyError, TypeError) as exc:
         raise InputError(f"bad HAN1 JSON: {exc}") from None
+    w, form = w_from_json(raw_w), form_from_json(raw_form)
     if not is_int(signature):
         raise InputError(f"signature {signature!r} is not an integer")
-    notes = obj.get("notes", "")
     if not isinstance(notes, str):
         raise InputError(f"notes {notes!r} is not a string")
-    return HAN1(
-        w=w,
-        signature=signature,
-        form=form,
-        tau=None if tau is None else F2Vec.from_bits(tau),
-        notes=notes,
-    )
+    return HAN1(w, signature, form, None if tau is None else F2Vec.from_bits(tau), notes)

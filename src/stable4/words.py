@@ -531,14 +531,18 @@ def _check_generator_names(names: Sequence[str]) -> None:
 
 
 class Presentation(Record):
-    """A finite presentation: generator names plus relator words."""
+    """A finite presentation: generator names plus relator words, both
+    stored as tuples, whatever sequences they come in, so the record hashes."""
 
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
 
     def __init__(self, generators: tuple[str, ...], relators: tuple[Word, ...]) -> None:
         _check_generator_names(generators)
-        for rel in relators:
+        relators = tuple(relators)
+        for k, rel in enumerate(relators):
+            if not isinstance(rel, Word):
+                raise InputError(f"relator {k} is {rel!r}, not a Word")
             if rel.max_index() >= len(generators):
                 raise InputError("relator references an undeclared generator")
         self.__dict__.update(generators=tuple(generators), relators=relators)

@@ -13,7 +13,9 @@ from fractions import Fraction
 
 from stable4.errors import DomainError
 from stable4.f2 import F2Mat, F2Vec
+from stable4.forms import AugmentedForm, RingMatrix
 from stable4.groupring import RingElem, augmentation
+from stable4.models import HAN1, fox_jacobian, hom_bits_to_h2
 from stable4.words import family_from_json, family_to_json, parse_word
 
 
@@ -396,6 +398,51 @@ def dense_form_from_json(obj):
     rows = [[dense_terms_from_json(flat[i * n + j], family) for j in range(n)]
             for i in range(n)]
     return int(obj["epsilon"]), family, rows
+
+
+def dense_model_P(pres, family, gamma):
+    """model_P as it was built before its rows were: the (2n+2)^2 grid of
+    zeros filled in, one conjugate per product, and the grid handed to the
+    checked RingMatrix constructor.  gamma is a sequence of 0/1 bits."""
+    jac = fox_jacobian(pres, family)
+    bits = tuple(gamma)
+    n = family.rank
+    zero = RingElem.zero(family)
+    size = 2 * n + 2
+    m = [[zero for _ in range(size)] for _ in range(size)]
+
+    # indices after the recorded permutation: 0 = Ipi, 1 = Zpi,
+    # 2..n+1 = first free block (v), n+2..2n+1 = Fox block (w)
+    V = lambda i: 2 + i
+    W = lambda i: 2 + n + i
+
+    one = RingElem.one(family)
+    one_minus_g = [one - RingElem.group(family, family.generator_element(j)) for j in range(n)]
+    m[0][0] = RingElem.integer(family, 2)
+    m[0][1] = m[1][0] = one
+    for i in range(n):
+        m[0][V(i)] = one_minus_g[i].conjugate()
+        m[V(i)][0] = one_minus_g[i]
+        for j in range(n):
+            m[V(i)][V(j)] = one_minus_g[i] * one_minus_g[j].conjugate()
+        m[V(i)][W(i)] = m[W(i)][V(i)] = one
+    for i in range(n):
+        for j in range(n):
+            total = zero
+            for k in range(n):
+                if bits[k]:
+                    total = total + jac[i][k] * jac[j][k].conjugate()
+            m[W(i)][W(j)] = total
+
+    form = AugmentedForm(1, RingMatrix(family, m))
+    tau = hom_bits_to_h2(family, bits)
+    return HAN1(
+        w=F2Vec.zero(tau.dim),
+        signature=0,
+        form=form,
+        tau=tau,
+        notes=f"P(gamma={''.join(map(str, bits))}) over {family.generators}",
+    )
 
 
 # ---------------------------------------------------------------------------

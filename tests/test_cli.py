@@ -845,6 +845,38 @@ def test_bad_generator_files_and_dimensions_exit_1(capsys, tmp_path, command,
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("entry", [1.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize("command, payload, extra", [
+    ("orbits", "gens", ["--generators", "{file}", "--d", "2"]),
+    ("closure", "gens", ["--generators", "{file}"]),
+    ("arf", "q", ["--q", "{file}"]),
+], ids=["orbits", "closure", "arf"])
+def test_a_matrix_entry_that_is_not_an_int_bit_exits_1(capsys, tmp_path, entry,
+                                                        command, payload, extra):
+    """JSON 1.0 and true are no bits: each loader of an F2 matrix refuses
+    them by name, and none of them reaches the bit arithmetic."""
+    rows = [[entry, 0], [0, 1]] if payload == "gens" else [[0, entry], [1, 0]]
+    blob = [rows] if payload == "gens" else {"bilinear": rows, "values": "00"}
+    path = write_json(tmp_path / "m.json", blob)
+    code, out, err = run(capsys, [command] + [a.format(file=path) for a in extra])
+    assert (code, out, err) == (1, "", f"error: matrix entry {entry!r} is not a bit\n")
+
+
+def test_a_model_file_with_a_non_hermitian_form_exits_2_as_its_form_does(capsys, tmp_path):
+    """`decide` reads a HAN1 file's form with the form loader's own errors,
+    so a non-hermitian form exits 2 there as it does under `parity`."""
+    g1 = [{"coeff": 1, "word": "g1"}]
+    form = {"epsilon": 1, "family": {"zn": 3}, "entries": [[], g1, g1, []]}
+    form_path = write_json(tmp_path / "f.json", form)
+    model = write_json(tmp_path / "m.json", {"w": "000", "signature": 0, "form": form})
+    message = ("error: matrix is not hermitian: entry (0, 1) is g1 but entry (1, 0) "
+               "is g1, not its conjugate\n")
+    for argv in (["parity", "--form", form_path],
+                 ["decide", "--a", model, "--b", model, "--category", "top",
+                  "--family", "z3"]):
+        assert run(capsys, argv) == (2, "", message)
+
+
 # ---------------------------------------------------------------------------
 # fuzz guard: valid argv over mutated JSON files
 

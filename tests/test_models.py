@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_augmentation_rows, dense_integer_rows, dense_view
+from oracles import dense_augmentation_rows, dense_integer_rows, dense_model_P, dense_view
 from stable4.errors import CapExceeded, DomainError, InputError
 from stable4.f2 import F2Vec
 from stable4.forms import (
@@ -35,7 +35,7 @@ from stable4.models import (
     realize_form,
     w_from_json,
 )
-from stable4.words import NilFamily, Presentation, ZnFamily, parse_word
+from stable4.words import FreeFamily, NilFamily, Presentation, ZnFamily, parse_word
 
 Z3 = ZnFamily(3)
 NIL2 = NilFamily(2)
@@ -144,6 +144,49 @@ def test_p_even_and_hermitian_for_all_gamma():
             assert parity(h.form) == Parity.EVEN
             assert h.tau == v
             assert h.signature == 0
+
+
+# nil:2 with its relators written otherwise: [a, x], [a^-1, y] and [y, x] a^2
+NIL2_OTHER = Presentation(NIL2.generators, tuple(
+    parse_word(t, NIL2.generators)
+    for t in ("a x a^-1 x^-1", "a^-1 y a y^-1", "y x y^-1 x^-1 a^2")))
+
+
+def _p_cases():
+    for fam in (Z3, *map(NilFamily, range(1, 9))):
+        for v in all_h2_vectors(fam):
+            yield builtin_presentation(fam), fam, h2_to_hom_bits(fam, v)
+    yield NIL2_OTHER, NIL2, (1, 1, 0)
+
+
+P_CASES = list(_p_cases())
+
+
+@pytest.mark.parametrize("pres, fam, gamma", P_CASES, ids=[
+    f"{fam!r}-{''.join(map(str, gamma))}" + ("-other" if pres is NIL2_OTHER else "")
+    for pres, fam, gamma in P_CASES])
+def test_p_matches_the_dense_construction(pres, fam, gamma):
+    """The rows model_P builds are those of the dense grid, nonzeros only and
+    in increasing column order, with the same tau and the same JSON."""
+    h, dense = model_P(pres, fam, gamma), dense_model_P(pres, fam, gamma)
+    assert h.form.matrix == dense.form.matrix
+    assert [list(row) for row in h.form.matrix._rows] == [
+        sorted(row) for row in dense.form.matrix._rows]
+    assert h.tau == dense.tau
+    assert han1_to_json(h) == han1_to_json(dense)
+
+
+def test_p_refuses_a_family_without_h2_data_before_building_a_form(monkeypatch):
+    import stable4.models as models
+
+    built = []
+    monkeypatch.setattr(models, "AugmentedForm", lambda *args: built.append(args))
+    free = FreeFamily(("x", "y"))
+    pres = Presentation(free.generators, tuple(
+        parse_word(t, free.generators) for t in ("x y x^-1 y^-1", "x^2 y^2")))
+    with pytest.raises(DomainError, match="^no built-in H_2 data for family"):
+        model_P(pres, free, "11")
+    assert built == []
 
 
 def test_p_rejects_non_square_presentation():
@@ -295,7 +338,7 @@ def test_han1_refuses_an_odd_almost_spin_form(tau):
 
 
 @pytest.mark.parametrize("w, tau, calls", [
-    ("000", None, 0), ("000", "000", 1), ("100", None, 1), ("100", "000", 1),
+    ("000", None, 1), ("000", "000", 1), ("100", None, 1), ("100", "000", 1),
     ("infinity", None, 0),
 ])
 def test_han1_computes_the_parity_at_most_once(monkeypatch, w, tau, calls):

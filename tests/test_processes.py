@@ -282,3 +282,27 @@ def test_benchmark_wrapper_pins_hold_in_a_fresh_process():
     code, out, err, _ = run_python("-c", SELFTEST_PINS, env={"PYTHONHASHSEED": "0"})
     assert code == 0, err
     assert out.strip() == "", out
+
+
+SELFTEST_ROUND = f"""
+import sys
+sys.path.insert(0, {PERFBENCH!r})
+import metrics, selftest, workloads
+pinned = metrics.expected()["digests"]
+for name in workloads.WORKLOADS:
+    digest, _, failed = selftest.workload_round(name, sys.argv[1])
+    if failed:
+        print(f"{{name}}: {{failed}} operations failed their checks")
+    if digest != pinned.get(name):
+        print(f"{{name}}: digest {{digest}} differs from the pinned one")
+"""
+
+
+def test_benchmark_round_zero_digests_hold_in_a_fresh_process(tmp_path):
+    """Round 0 of every workload at the default seed reproduces its pinned
+    digest with no failed operation, as `perfbench/run.py --self-test`
+    checks it, with its PYTHONHASHSEED; the run writes only under tmp_path."""
+    code, out, err, _ = run_python("-c", SELFTEST_ROUND, str(tmp_path),
+                                   env={"PYTHONHASHSEED": "0"}, timeout=120)
+    assert code == 0, err
+    assert out.strip() == "", out

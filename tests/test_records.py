@@ -24,11 +24,12 @@ from stable4.classify import (
     InvariantTuple,
     family_custom,
     family_data_from_json,
+    ks,
 )
 from stable4.errors import CapExceeded, DomainError, InputError
 from stable4.f2 import F2Mat, F2Vec, QuadraticFormF2, orbits
 from stable4.forms import AugmentedForm, Parity, RingMatrix, hyperbolic_matrix
-from stable4.models import HAN1, INFINITY
+from stable4.models import HAN1, INFINITY, model_M_sigma
 from stable4.words import FreeFamily, NilFamily, Presentation, Word, ZnFamily, fox_derivative
 
 CLASSES = {
@@ -399,6 +400,14 @@ def test_family_data_stores_its_generators_as_a_tuple():
 # Validation messages
 
 
+def test_presentation_stores_its_relators_as_a_tuple():
+    word = Word(((0, 1), (1, 1)))
+    pres = Presentation(("x", "y"), [word])
+    assert pres.relators == (word,)
+    assert pres == Presentation(("x", "y"), (word,))
+    assert hash(pres) == hash(Presentation(("x", "y"), (word,)))
+
+
 def _qf(rows, values):
     return QuadraticFormF2(F2Mat(len(rows), rows), F2Vec(len(rows), values))
 
@@ -420,6 +429,17 @@ VALIDATION = [
     (lambda: F2Mat(2, (1.0, 2)), InputError, "matrix row 0 is 1.0, not an integer"),
     (lambda: F2Mat(2, (1, True)), InputError, "matrix row 1 is True, not an integer"),
     (lambda: F2Mat(2, 3), InputError, "matrix rows 3 are not a sequence"),
+    (lambda: F2Mat.from_rows([[1.0, 0], [0, 1]]), InputError, "matrix entry 1.0 is not a bit"),
+    (lambda: F2Mat.from_rows([[0, 1], [True, 0]]), InputError,
+     "matrix entry True is not a bit"),
+    (lambda: F2Vec.basis(3, -1), InputError, "basis index -1 is not a non-negative integer"),
+    (lambda: F2Vec.basis(3, 1.0), InputError, "basis index 1.0 is not a non-negative integer"),
+    (lambda: orbits(2.0, []), InputError, "orbit dimension 2.0 is not an integer"),
+    (lambda: orbits(True, []), InputError, "orbit dimension True is not an integer"),
+    (lambda: QuadraticFormF2([[0, 1], [1, 0]], F2Vec(2, 0)), InputError,
+     "bilinear part [[0, 1], [1, 0]] is not an F2 matrix"),
+    (lambda: QuadraticFormF2(standard_symplectic(1), "00"), InputError,
+     "values '00' are not an F2 vector"),
     (lambda: Word((("a", 1),)), InputError, "generator index 'a' is not an integer"),
     (lambda: Word(((True, 1),)), InputError, "generator index True is not an integer"),
     (lambda: Word(((0, 1.5),)), InputError, "exponent 1.5 is not an integer"),
@@ -457,6 +477,10 @@ VALIDATION = [
     (lambda: Presentation(("a b",), ()), InputError, "bad generator name 'a b'"),
     (lambda: Presentation(("a",), (Word(((1, 1),)),)), InputError,
      "relator references an undeclared generator"),
+    (lambda: Presentation(("x", "y"), ("x y",)), InputError, "relator 0 is 'x y', not a Word"),
+    (lambda: AugmentedForm(True, hyperbolic_matrix(Z3)), InputError,
+     "form epsilon True is not an integer"),
+    (lambda: AugmentedForm(1, [[1]]), InputError, "matrix [[1]] is not a RingMatrix"),
     (lambda: AugmentedForm(2, hyperbolic_matrix(Z3)), DomainError,
      "epsilon must be 0 or 1"),
     (lambda: AugmentedForm(1, RingMatrix(Z3, [])), DomainError,
@@ -465,6 +489,10 @@ VALIDATION = [
      DomainError,
      "matrix is not hermitian: entry (0, 1) is 1 but entry (1, 0) is zero, not its conjugate"),
     (lambda: HAN1("0", 0, ODD_FORM), DomainError, "w must be an F2 vector or INFINITY"),
+    (lambda: HAN1(F2Vec(3, 0), 0, "junk"), InputError, "form 'junk' is not an AugmentedForm"),
+    (lambda: model_M_sigma(Z3, True), DomainError, "sigma must be 0 or 1"),
+    (lambda: ks(INFINITY, 3, "top", free_bit=True), DomainError,
+     "totally non-spin KS is an independent bit; supply it"),
     (lambda: HAN1(F2Vec(3, 0), 4, ODD_FORM), DomainError,
      "signature 4 is not divisible by 8, as topological signatures of w-type 000 are"),
     (lambda: HAN1(F2Vec(3, 0), 0, EVEN_FORMS[0], F2Vec(2, 0)), DomainError,
