@@ -1,15 +1,18 @@
 """Classification tables and the pairwise stable-equivalence decision.
 
 The finite part of each table is computed from the group actions on the
-bordism data, not copied from the statements: the spin case runs an orbit
-enumeration of pairs (phi, eps) under
+bordism data, not copied from the statements.  A spin class is a pair
+(phi, eps) up to
 
     m . (phi, eps) = (eps m + phi, eps)      for m in H^1(Bpi;Z/2), and
-    rho . (phi, eps) = (rho phi, eps)        for rho in the Out(pi)-image,
+    rho . (phi, eps) = (rho phi, eps)        for rho in the Out(pi)-image;
 
-and the almost-spin case enumerates orbits of ker<w,-> (smooth) or all of
-H_2 (topological) under the stabilizer of w inside the closure of the
-Out-image.  The signature sits in a separate 16Z / 8Z / Z coordinate.
+the translations join every eps = 1 state into one class, the odd one, and
+fix the eps = 0 states, so the spin case enumerates the Out-orbits on H_2
+and appends the odd class.  The almost-spin case enumerates orbits of
+ker<w,-> (smooth) or all of H_2 (topological) under the stabilizer of w
+inside the closure of the Out-image.  The signature sits in a separate
+16Z / 8Z / Z coordinate.
 The enumerations are bounded by the caps of `f2.orbits` and
 `f2.group_closure`, which read STABLE4_CAP themselves.  That closure is
 computed once per `FamilyData` and kept on the instance outside its fields,
@@ -30,10 +33,11 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .errors import DomainError, InputError, is_int
+from .errors import DomainError, InputError, as_tuple, is_int
 from .f2 import (
     F2Mat,
     F2Vec,
+    _check_orbit_dim,
     _orbit_witnesses,
     closure_cap_exceeded,
     configured_cap,
@@ -83,7 +87,7 @@ class FamilyData(Record):
             raise InputError(f"d {d!r} is not an integer")
         if d < 0:
             raise DomainError(f"d {d} is negative")
-        out_generators = tuple(out_generators)
+        out_generators = as_tuple(out_generators, "out_generators")
         for k, g in enumerate(out_generators):
             if not isinstance(g, F2Mat):
                 raise InputError(f"generator {k} is {g!r}, not an F2 matrix")
@@ -121,33 +125,17 @@ def family_custom(name: str, d: int, generators: Sequence[F2Mat]) -> FamilyData:
 # Action and orbits
 
 
-def spin_generators(family: FamilyData) -> list[F2Mat]:
-    """The automorphism action on spin states, as matrices on F2^(d+1).
-
-    A state (phi, eps) is the vector with eps in coordinate 0 and phi in
-    coordinates 1..d.  The H^1 basis vector e_j acts as the transvection
-    adding eps to coordinate j + 1, i.e. (phi, eps) -> (phi + eps e_j, eps);
-    an Out-generator rho acts as diag(1, rho).  The signature never moves.
-    """
-    d = family.d
-    identity = F2Mat.identity(d + 1).rows
-    gens = [
-        F2Mat(d + 1, tuple(row | (i == j + 1) for i, row in enumerate(identity)))
-        for j in range(d)
-    ]
-    gens += [
-        F2Mat(d + 1, (1,) + tuple(row << 1 for row in rho.rows))
-        for rho in family.out_generators
-    ]
-    return gens
-
-
 def spin_state_orbits(family: FamilyData) -> list[list[F2Vec]]:
-    """Orbits of the (phi, eps) states at signature zero under the full
-    automorphism action, sorted by (eps, phi) within and across orbits.
-    Each state is the F2^(d+1) vector of `spin_generators`: eps in
-    coordinate 0 (bit 0), phi in coordinates 1..d (bits 1..d)."""
-    return orbits(family.d + 1, spin_generators(family))
+    """The Out-orbits on H_2 = F2^d, sorted as `orbits` sorts them: the
+    classes of a spin table other than the odd one.
+
+    An H^1 element m sends the spin state (phi, eps) to (phi + eps m, eps),
+    so the states with eps = 1 form one orbit, the odd class, and on the
+    eps = 0 states only the Out-image moves phi.  The cap still counts all
+    2^(d+1) states (phi, eps), and is checked before anything is built.
+    """
+    _check_orbit_dim(family.d + 1)
+    return orbits(family.d, family.out_generators)
 
 
 def stabilizer_of_w(family: FamilyData, w: F2Vec) -> list[F2Mat]:
@@ -241,17 +229,16 @@ class ClassificationTable(Record):
 def classify(family: FamilyData, w, category: str) -> ClassificationTable:
     """The stable classification table for one normal 1-type.
 
-    Spin tables read the orbits of `spin_state_orbits` off the state bits:
-    an orbit of eps = 0 states is an H_2 orbit of phi, and the eps = 1
-    states (one orbit, checked) are the odd class.  Almost-spin tables list
-    the orbits of Stab(w), which `stabilizer_of_w` filters from the kept
-    closure, on the kernel of evaluation (smooth) or on everything
-    (topological).  `orbits` gets only the orbit witnesses: per orbit, the
-    first element of Stab(w) carrying its least vector to each other
-    vector.  They reach each whole Stab(w)-orbit from its start, so they
-    generate a subgroup with exactly the same orbits, and there are at most
-    2^d - (#orbits) of them.  Totally non-spin tables are signature-only.
-    Strides: 1 for totally non-spin, 16 for smooth spin, 8 otherwise.
+    Spin tables list the Out-orbits on H_2 of `spin_state_orbits`, then
+    the odd class, last.  Almost-spin tables list the orbits of Stab(w),
+    which `stabilizer_of_w` filters from the kept closure, on the kernel of
+    evaluation (smooth) or on everything (topological).  `orbits` gets
+    only the orbit witnesses: per orbit, the first element of Stab(w)
+    carrying its least vector to each other vector.  They reach each whole
+    Stab(w)-orbit from its start, so they generate a subgroup with exactly
+    the same orbits, and there are at most 2^d - (#orbits) of them.
+    Totally non-spin tables are signature-only.  Strides: 1 for totally
+    non-spin, 16 for smooth spin, 8 otherwise.
     """
     category = normalize_category(category)
     stride = signature_stride(check_w(w, family.d), category)
@@ -259,31 +246,19 @@ def classify(family: FamilyData, w, category: str) -> ClassificationTable:
     if w is INFINITY:
         classes = (ClassEntry("signature-only"),)
         ks_rule = "independent-bit"
-    elif w.is_zero:
-        entries: list[ClassEntry] = []
-        odd_count = 0
-        for orbit in spin_state_orbits(family):
-            if orbit[0].bits & 1:  # eps = 1: the odd class
-                odd_count += 1
-                entries.append(ClassEntry("odd"))
-            else:
-                phis = tuple(F2Vec._trusted(family.d, v.bits >> 1) for v in orbit)
-                entries.append(ClassEntry("orbit", representative=phis[0], orbit=phis))
-        if odd_count != 1:
-            raise DomainError(
-                f"expected exactly one odd class, found {odd_count}"
-            )
-        classes = tuple(entries)
-        ks_rule = "sigma/8"
-    else:  # almost spin
-        stab = stabilizer_of_w(family, w)
-        subset = (lambda v: w.dot(v) == 0) if category == SMOOTH else None
-        parts = orbits(family.d, _orbit_witnesses(family.d, stab, subset), subset=subset)
+    else:
+        if w.is_zero:
+            parts = spin_state_orbits(family)
+            odd, ks_rule = (ClassEntry("odd"),), "sigma/8"
+        else:  # almost spin
+            stab = stabilizer_of_w(family, w)
+            subset = (lambda v: w.dot(v) == 0) if category == SMOOTH else None
+            parts = orbits(family.d, _orbit_witnesses(family.d, stab, subset), subset=subset)
+            odd, ks_rule = (), "sigma/8 + <w,->"
         classes = tuple(
             ClassEntry("orbit", representative=orb[0], orbit=tuple(orb))
             for orb in parts
-        )
-        ks_rule = "sigma/8 + <w,->"
+        ) + odd
     return ClassificationTable(
         w=w,
         category=category,

@@ -3,7 +3,9 @@
 The CLI maps these onto its exit codes: InputError -> 1 (usage),
 DomainError -> 2 (mathematically invalid request), CapExceeded -> 3.
 Loaders of JSON input test integers with `is_int`, so that neither a bool
-nor a float nor a string slips through as a number.
+nor a float nor a string slips through as a number, and constructors read
+their sequence arguments through `as_tuple`, so that a number given for one
+is refused as input.
 """
 
 
@@ -23,3 +25,12 @@ class CapExceeded(RuntimeError):
 def is_int(value) -> bool:
     """True for an int that is not a bool (JSON true/false load as bools)."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def as_tuple(value, what: str) -> tuple:
+    """The items of value as a tuple; InputError naming value when it is
+    not iterable, e.g. "relators 3 are not a sequence"."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise InputError(f"{what} {value!r} are not a sequence") from None

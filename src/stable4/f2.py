@@ -39,7 +39,7 @@ from __future__ import annotations
 import os
 from collections.abc import Callable, Sequence
 
-from .errors import CapExceeded, DomainError, InputError, is_int
+from .errors import CapExceeded, DomainError, InputError, as_tuple, is_int
 from .records import Record
 
 ORBIT_DIM_CAP = 20
@@ -154,10 +154,7 @@ class F2Mat(Record):
     def __init__(self, dim: int, rows: Sequence[int]) -> None:
         if not is_int(dim):
             raise InputError(f"matrix dimension {dim!r} is not an integer")
-        try:
-            rows = tuple(rows)
-        except TypeError:
-            raise InputError(f"matrix rows {rows!r} are not a sequence") from None
+        rows = as_tuple(rows, "matrix rows")
         if len(rows) != dim:
             raise InputError(f"matrix of dimension {dim} needs {dim} rows, got {len(rows)}")
         for i, r in enumerate(rows):

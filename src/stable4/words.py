@@ -46,7 +46,7 @@ from __future__ import annotations
 from operator import add, itemgetter, neg
 from collections.abc import Iterable, Mapping, Sequence
 
-from .errors import CapExceeded, DomainError, InputError, is_int
+from .errors import CapExceeded, DomainError, InputError, as_tuple, is_int
 from .f2 import configured_cap
 from .records import Record
 
@@ -306,8 +306,7 @@ class FreeFamily(GroupFamily, Record):
     generators: tuple[str, ...]
 
     def __init__(self, generators: tuple[str, ...]) -> None:
-        _check_generator_names(generators)
-        object.__setattr__(self, "generators", tuple(generators))
+        object.__setattr__(self, "generators", _generator_names(generators))
 
     def identity(self) -> Word:
         return Word()
@@ -515,10 +514,11 @@ def normalize(w: Word, family: GroupFamily):
     return family.reduce_word(w)
 
 
-def _check_generator_names(names: Sequence[str]) -> None:
-    """Generator names are distinct identifiers: parse_word splits a word at
-    whitespace and looks each name up, so a name holding a space, or one
-    used twice, could not be read back."""
+def _generator_names(names: Sequence[str]) -> tuple[str, ...]:
+    """The generator names as a tuple, checked to be distinct identifiers:
+    parse_word splits a word at whitespace and looks each name up, so a
+    name holding a space, or one used twice, could not be read back."""
+    names = as_tuple(names, "generator names")
     seen = set()
     for name in names:
         if not isinstance(name, str):
@@ -528,6 +528,7 @@ def _check_generator_names(names: Sequence[str]) -> None:
         if name in seen:
             raise InputError(f"duplicate generator {name!r}")
         seen.add(name)
+    return names
 
 
 class Presentation(Record):
@@ -538,14 +539,14 @@ class Presentation(Record):
     relators: tuple[Word, ...]
 
     def __init__(self, generators: tuple[str, ...], relators: tuple[Word, ...]) -> None:
-        _check_generator_names(generators)
-        relators = tuple(relators)
+        generators = _generator_names(generators)
+        relators = as_tuple(relators, "relators")
         for k, rel in enumerate(relators):
             if not isinstance(rel, Word):
                 raise InputError(f"relator {k} is {rel!r}, not a Word")
             if rel.max_index() >= len(generators):
                 raise InputError("relator references an undeclared generator")
-        self.__dict__.update(generators=tuple(generators), relators=relators)
+        self.__dict__.update(generators=generators, relators=relators)
 
     @property
     def is_square(self) -> bool:

@@ -11,6 +11,7 @@ import dataclasses
 import itertools
 from fractions import Fraction
 
+from stable4.classify import ClassEntry
 from stable4.errors import DomainError
 from stable4.f2 import F2Mat, F2Vec
 from stable4.forms import AugmentedForm, RingMatrix
@@ -173,6 +174,40 @@ def naive_orbits(d: int, generators, subset=None):
         parts.setdefault(find(v), []).append(v)
     ordered = sorted(sorted(part) for part in parts.values())
     return [[to_vec(v) for v in part] for part in ordered]
+
+
+def spin_state_generators(family) -> list[F2Mat]:
+    """The automorphism action on the spin states (phi, eps) of a family,
+    as matrices on F2^(d+1) written entry by entry: eps is coordinate 0 and
+    phi coordinates 1..d.  The H^1 basis vector e_k is the transvection
+    (phi, eps) -> (phi + eps e_k, eps), adding coordinate 0 to coordinate
+    k + 1; an Out-generator rho is diag(1, rho)."""
+    n = family.d + 1
+
+    def matrix(entry):
+        return F2Mat.from_rows([[entry(i, j) for j in range(n)] for i in range(n)])
+
+    generators = [matrix(lambda i, j, k=k: int(i == j or (i, j) == (k + 1, 0)))
+                  for k in range(family.d)]
+    generators += [matrix(lambda i, j, rho=rho: int(i == j) if 0 in (i, j)
+                          else rho.entry(i - 1, j - 1))
+                   for rho in family.out_generators]
+    return generators
+
+
+def spin_state_table_oracle(family) -> list[ClassEntry]:
+    """The classes of a spin table, read off the `naive_orbits` of the
+    `spin_state_generators` on F2^(d+1), in that order: an orbit of eps = 0
+    states is the orbit of their phis, an orbit of eps = 1 states is an odd
+    class."""
+    classes = []
+    for orbit in naive_orbits(family.d + 1, spin_state_generators(family)):
+        if orbit[0].bit(0):
+            classes.append(ClassEntry("odd"))
+        else:
+            phis = tuple(F2Vec(family.d, v.bits >> 1) for v in orbit)
+            classes.append(ClassEntry("orbit", representative=phis[0], orbit=phis))
+    return classes
 
 
 def stabilizer_orbits(closure, w: F2Vec, smooth: bool):

@@ -13,11 +13,14 @@ from oracles import (
     fixed_point_closure,
     hand_gl3_generators,
     hand_nil_generators,
+    naive_orbits,
     nil_word_matrix,
+    spin_state_generators,
+    spin_state_table_oracle,
     stabilizer_orbits,
 )
 from stable4.errors import CapExceeded, DomainError, InputError
-from stable4.f2 import F2Mat, F2Vec, _orbit_witnesses, group_closure
+from stable4.f2 import F2Mat, F2Vec, _orbit_witnesses, group_closure, orbits
 from stable4.forms import Parity
 from stable4.classify import (
     TAU_UNKNOWN,
@@ -34,7 +37,6 @@ from stable4.classify import (
     invariant_tuple_to_json,
     invariants_of,
     ks,
-    spin_generators,
     spin_state_orbits,
     stabilizer_of_w,
     table_to_json,
@@ -186,7 +188,7 @@ def test_builtin_family_refuses_other_rings():
 
 
 # ---------------------------------------------------------------------------
-# the action
+# the action on spin states, as the oracle builds it
 
 
 def spin_state(eps, phi):
@@ -197,7 +199,7 @@ def spin_state(eps, phi):
 def test_act_spin_eps_zero_fixes_phi():
     fam = family_z3()
     c = spin_state(0, F2Vec.from_bits("101"))
-    for m in spin_generators(fam)[: fam.d]:  # the H^1 basis vectors
+    for m in spin_state_generators(fam)[: fam.d]:  # the H^1 basis vectors
         assert m.apply(c) == c
 
 
@@ -206,18 +208,18 @@ def test_act_spin_eps_one_translates():
     phi = F2Vec.from_bits("110")
     out = spin_state(1, phi)
     for j in (0, 1):
-        out = spin_generators(fam)[j].apply(out)
+        out = spin_state_generators(fam)[j].apply(out)
     assert out == spin_state(1, F2Vec.zero(3))
 
 
 def test_act_spin_identity_matrix_fixes():
     fam = family_custom("id", 3, [F2Mat.identity(3)])
-    assert spin_generators(fam)[-1] == F2Mat.identity(4)
+    assert spin_state_generators(fam)[-1] == F2Mat.identity(4)
 
 
 def test_act_spin_out_element():
     fam = family_z3()
-    lift = spin_generators(fam)[fam.d]  # swaps the first two phi coordinates
+    lift = spin_state_generators(fam)[fam.d]  # swaps the first two phi coordinates
     for eps in (0, 1):
         c = spin_state(eps, F2Vec.from_bits("100"))
         assert lift.apply(c) == spin_state(eps, F2Vec.from_bits("010"))
@@ -226,23 +228,49 @@ def test_act_spin_out_element():
 def test_act_spin_dimension_mismatch():
     fam = family_nil(3)
     with pytest.raises(DomainError):
-        spin_generators(fam)[0].apply(spin_state(0, F2Vec.zero(3)))
+        spin_state_generators(fam)[0].apply(spin_state(0, F2Vec.zero(3)))
 
 
 @pytest.mark.parametrize("fam", [family_z3(), family_nil(2), family_nil(3)],
                          ids=lambda f: f.name)
 def test_spin_state_orbits_are_vectors_with_eps_in_bit_0(fam):
-    """The states are F2^(d+1) vectors; the eps = 1 states are one orbit, and
-    the eps = 0 orbits carry the phi orbits of the classify table."""
+    """spin_state_orbits are the Out-orbits on H_2, the orbit entries of the
+    classify table; in the oracle's action on F2^(d+1), eps in bit 0, the
+    eps = 1 states are one orbit and the eps = 0 orbits carry these phis."""
     parts = spin_state_orbits(fam)
-    assert all(v.dim == fam.d + 1 for orbit in parts for v in orbit)
-    odd = [orbit for orbit in parts if orbit[0].bits & 1]
-    assert [sorted(v.bits for v in orbit) for orbit in odd] == [
-        list(range(1, 2 << fam.d, 2))]
+    assert parts == orbits(fam.d, fam.out_generators)
     table = classify(fam, spin_w(fam), "smooth")
     assert [e.orbit for e in table.classes if e.kind == "orbit"] == [
-        tuple(F2Vec(fam.d, v.bits >> 1) for v in orbit)
-        for orbit in parts if not orbit[0].bits & 1]
+        tuple(orbit) for orbit in parts]
+    states = naive_orbits(fam.d + 1, spin_state_generators(fam))
+    odd = [orbit for orbit in states if orbit[0].bit(0)]
+    assert [sorted(v.bits for v in orbit) for orbit in odd] == [
+        list(range(1, 2 << fam.d, 2))]
+    assert [[F2Vec(fam.d, v.bits >> 1) for v in orbit]
+            for orbit in states if not orbit[0].bit(0)] == parts
+
+
+def _random_family(rng, d, k):
+    """A family of k random invertible F2^d generators."""
+    gens = []
+    while len(gens) < k:
+        m = F2Mat(d, tuple(rng.randrange(1 << d) for _ in range(d)))
+        if m.is_invertible():
+            gens.append(m)
+    return family_custom("random", d, gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(0, 7), k=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+       category=st.sampled_from(["smooth", "topological"]))
+def test_spin_tables_match_the_state_action_oracle(d, k, seed, category):
+    """Every spin table against the classes the oracle reads off the
+    orbits of the full (phi, eps) action, in order; one odd class, last."""
+    fam = _random_family(random.Random(seed), d, k)
+    classes = list(classify(fam, F2Vec.zero(d), category).classes)
+    assert classes == spin_state_table_oracle(fam)
+    assert [e.kind for e in classes].count("odd") == 1
+    assert classes[-1].kind == "odd"
 
 
 def test_spin_tables_honour_the_cap(monkeypatch):
@@ -680,14 +708,9 @@ def test_decide_matches_closure_and_filter(d, k, seed):
     """decide, for every tau_b, against tau_b in {rho tau_a : rho^T w = w}
     over the fixed-point closure, on groups small enough for that oracle."""
     rng = random.Random(seed)
-    gens = []
-    while len(gens) < k:
-        m = F2Mat(d, tuple(rng.randrange(1 << d) for _ in range(d)))
-        if m.is_invertible():
-            gens.append(m)
-    closure = fixed_point_closure(gens, cap=64)
+    fam = _random_family(rng, d, k)
+    closure = fixed_point_closure(fam.out_generators, cap=64)
     assume(closure is not None)
-    fam = family_custom("random", d, gens)
     w, tau_a = F2Vec(d, rng.randrange(1 << d)), F2Vec(d, rng.randrange(1 << d))
     reached = {rho.apply(tau_a).bits for rho in closure if rho.transpose().apply(w) == w}
     a = InvariantTuple(w, 0, Parity.EVEN, tau_a)
@@ -832,14 +855,9 @@ def test_almost_spin_tables_match_closure_and_filter(d, k, seed):
     """Every almost-spin table against the orbits of {rho : rho^T w = w}
     over the fixed-point closure, on groups small enough for that oracle."""
     rng = random.Random(seed)
-    gens = []
-    while len(gens) < k:
-        m = F2Mat(d, tuple(rng.randrange(1 << d) for _ in range(d)))
-        if m.is_invertible():
-            gens.append(m)
-    closure = fixed_point_closure(gens, cap=64)
+    fam = _random_family(rng, d, k)
+    closure = fixed_point_closure(fam.out_generators, cap=64)
     assume(closure is not None)
-    fam = family_custom("random", d, gens)
     for bits in range(1, 1 << d):
         w = F2Vec(d, bits)
         for category in ("smooth", "topological"):

@@ -171,6 +171,20 @@ def test_d21_identity_family_refuses_at_the_orbit_cap_within_3_s(tmp_path):
     assert wall <= 3.0, f"took {wall:.2f} s to refuse; the orbit cap is checked first"
 
 
+def test_d20_identity_spin_table_refuses_at_the_orbit_cap_within_3_s(tmp_path):
+    # The cap counts the 2^21 spin states (phi, eps), though the table
+    # walks only the 2^20 phi.
+    d = 20
+    identity = [unit(i, d) for i in range(d)]
+    path = write_json(tmp_path / "f.json",
+                      {"name": "id20", "d": d, "out_generators": [identity]})
+    code, _, err, wall = run_python(
+        *CLI, "classify", "--family", path, "--w", "0" * d,
+        "--category", "smooth", timeout=10)
+    assert code == 3 and "error: 2^21 states exceed the orbit cap 1048576" in err.splitlines(), err
+    assert wall <= 3.0, f"took {wall:.2f} s to refuse; the orbit cap is checked first"
+
+
 # The pair (w, tau) = (1000, 1000) has an orbit of 15 * 8 = 120 pairs.
 @pytest.mark.parametrize("cap, code, out, err_line", [
     ("120", 0, "EQUIVALENT\n", None),

@@ -513,6 +513,11 @@ VALIDATION = [
      "generator 0 is (7, 14, 4, 2), not an F2 matrix"),
     (lambda: ClassificationTable(INFINITY, "smooth", 1, (), "none"), DomainError,
      "a classification table cannot be empty"),
+    (lambda: FamilyData("f", 2, 3), InputError, "out_generators 3 are not a sequence"),
+    (lambda: Presentation(("x",), 3), InputError, "relators 3 are not a sequence"),
+    (lambda: Presentation(("x",), None), InputError, "relators None are not a sequence"),
+    (lambda: Presentation(3, ()), InputError, "generator names 3 are not a sequence"),
+    (lambda: FreeFamily(3), InputError, "generator names 3 are not a sequence"),
 ]
 
 
