@@ -41,7 +41,12 @@ class RingElem:
 
         The result takes ownership of ``data``: every caller passes a dict
         it has just built and does not touch again, so it is kept as is, and
-        copied only when it holds a zero to drop.
+        copied only when it holds a zero to drop.  The callers that can
+        still hand it zeros are ``__add__`` (sums that cancel), ``__mul__``
+        by the int 0 or through a family's default ``add_right_translates``
+        (the free family's), ``fox_derivative`` through the default or the
+        Z^n ``fox_terms``, and the JSON reader (terms that cancel); the nil
+        Fox walk and the nil and Z^n translates delete each zero sum.
         """
         x = cls.__new__(cls)
         x.family = family

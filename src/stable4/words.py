@@ -15,21 +15,27 @@ The word problem is only solved for these built-in families; that is all the
 classification of the example groups needs.
 
 ``GroupFamily.shift(g, i, e)`` is g * s_i^e, the step that walks a prefix
-along a word in ``reduce_word``.  The built-in quotients do it in closed
-form, without building s_i^e:
+along a word.  The built-in quotients do it in closed form, without
+building s_i^e:
 
 * Z^n bumps coordinate i by e;
 * Nil steps (k, i, j) to (k + e, i, j) for a^e, to (k - z*j*e, i + e, j)
   for x^e, and to (k, i, j + e) for y^e.
 
 The quotients read ``generator_element(i, e)`` off ``shift(identity, i, e)``.
-The two hot loops above the word layer are family kernels too:
+The three hot loops over words and group-ring terms are family kernels:
+``evaluate`` spells a word's letters as an element for ``reduce_word``,
 ``fox_terms`` walks a word once for ``fox_derivative``, and
 ``add_right_translates`` adds one right-hand term's share of a group-ring
-product.  Their defaults step with ``shift`` and call ``multiply``, and the
-free family uses them.  Z^n walks one mutable exponent list and builds a
-tuple only for each term it emits; Nil keeps its prefix as three ints and
-writes each term as one tuple; both inline their product law.
+product.  Their defaults step with ``shift`` and call ``multiply``; the
+free family uses them, and they may leave a term whose sum is 0 for
+``RingElem._from_dict`` to drop.  Z^n walks one mutable exponent list and
+builds a tuple only for each element it emits; Nil keeps its prefix as
+three ints, runs one Fox loop per differentiated generator, and writes each
+term as one tuple; both inline their product law.  Nil's ``fox_terms`` and
+both families' ``add_right_translates`` delete a term as soon as its sum
+reaches 0, so on zero-free input the dict they hand on holds no zero and is
+kept as it is.
 
 Every ``Word`` holds a freely reduced tuple of letters with int, nonzero
 exponents, no two adjacent letters on the same generator, and int generator
@@ -205,6 +211,7 @@ class GroupFamily:
     for any family:
 
     * ``shift(g, index, exp)`` -- g * s_index^exp;
+    * ``evaluate(letters)`` -- the element the letters spell;
     * ``fox_terms(letters, gen)`` -- the term dict of a Fox derivative;
     * ``add_right_translates(data, left, h, d)`` -- one right-hand term's
       share of a group-ring product.
@@ -232,7 +239,13 @@ class GroupFamily:
         raise NotImplementedError
 
     def generator_element(self, index: int, exp: int = 1):
-        """s_index^exp, read off ``shift`` unless a family overrides it."""
+        """s_index^exp, read off ``shift`` unless a family overrides it.
+        An index or exponent that is not an int (a bool or a float) is
+        refused as input; ``shift`` itself checks neither."""
+        if not is_int(index):
+            raise InputError(f"generator index {index!r} is not an integer")
+        if not is_int(exp):
+            raise InputError(f"exponent {exp!r} is not an integer")
         return self.shift(self.identity(), index, exp)
 
     def shift(self, g, index: int, exp: int):
@@ -262,9 +275,18 @@ class GroupFamily:
             prefix = shift(prefix, idx, exp)
         return terms
 
+    def evaluate(self, letters: Sequence[Letter]):
+        """The element these letters spell, one ``shift`` per letter."""
+        out = self.identity()
+        shift = self.shift
+        for gen, exp in letters:
+            out = shift(out, gen, exp)
+        return out
+
     def add_right_translates(self, data: dict, left: Mapping, h, d: int) -> None:
         """Add c*d at g*h to data for every term c*g of left: the share of
-        the right-hand term d*h in the product left * right."""
+        the right-hand term d*h in the product left * right.  This default
+        keeps a sum that reaches 0 in data."""
         multiply = self.multiply
         get = data.get
         for g, c in left.items():
@@ -288,13 +310,11 @@ class GroupFamily:
             )
 
     def reduce_word(self, w: Word):
-        """Quotient map: evaluate a free word in this group."""
+        """Quotient map: evaluate a free word in this group.  The quotient
+        families override ``evaluate``, not this, so that a wrapper on
+        ``GroupFamily.reduce_word`` sees each of their calls."""
         self._check_arity(w)
-        out = self.identity()
-        shift = self.shift
-        for gen, exp in w.letters:
-            out = shift(out, gen, exp)
-        return out
+        return self.evaluate(w.letters)
 
     def element_str(self, g) -> str:
         return word_to_str(self.element_word(g), self.generators)
@@ -403,11 +423,22 @@ class ZnFamily(GroupFamily, Record):
                 v[idx] += exp
         return terms
 
+    def evaluate(self, letters):
+        v = [0] * self.n
+        for idx, exp in letters:
+            v[idx] += exp
+        return tuple(v)
+
     def add_right_translates(self, data, left, h, d):
+        # a sum that reaches 0 is deleted, so zero-free data stays so
         get = data.get
         for g, c in left.items():
             k = tuple(map(add, g, h))
-            data[k] = get(k, 0) + c * d
+            c = get(k, 0) + c * d
+            if c:
+                data[k] = c
+            else:
+                del data[k]
 
     def element_word(self, g) -> Word:
         return Word(tuple((i, e) for i, e in enumerate(g) if e))
@@ -455,48 +486,104 @@ class NilFamily(GroupFamily, Record):
             return (k, i, j + exp)
         raise IndexError(f"generator index {index} out of range")
 
-    def fox_terms(self, letters, gen):
-        # the prefix a^k x^i y^j as three ints; the term prefix * gen^t is
-        # (k + t, i, j), (k - z*j*t, i + t, j) or (k, i, j + t)
-        z = self.z
-        terms: dict = {}
-        get = terms.get
-        k = i = j = 0
+    def evaluate(self, letters):
+        # a^k x^i y^j as three ints; the a's that x-letters pick up past
+        # the y's are summed as c and scaled by z once
+        k = c = i = j = 0
         for idx, exp in letters:
-            if idx == gen:
-                sign, steps = (1, range(exp)) if exp > 0 else (-1, range(-1, exp - 1, -1))
-                if idx == 0:
-                    for t in steps:
-                        g = (k + t, i, j)
-                        terms[g] = get(g, 0) + sign
-                elif idx == 1:
-                    zj = z * j
-                    for t in steps:
-                        g = (k - zj * t, i + t, j)
-                        terms[g] = get(g, 0) + sign
-                else:
-                    for t in steps:
-                        g = (k, i, j + t)
-                        terms[g] = get(g, 0) + sign
             if idx == 0:
                 k += exp
             elif idx == 1:
-                k -= z * j * exp
+                c += j * exp
                 i += exp
             elif idx == 2:
                 j += exp
             else:
                 raise IndexError(f"generator index {idx} out of range")
+        return (k - self.z * c, i, j)
+
+    def fox_terms(self, letters, gen):
+        # One loop per differentiated generator, each carrying the prefix
+        # a^k x^i y^j as three ints.  The terms prefix * gen^t of a letter
+        # of gen are (k + t, i, j), (k - z*j*t, i + t, j) or (k, i, j + t);
+        # a term whose sum reaches 0 is deleted at once.
+        z = self.z
+        terms: dict = {}
+        get = terms.get
+        k = i = j = 0
+        if gen == 0:
+            for idx, exp in letters:
+                if idx == 0:
+                    sign = 1 if exp > 0 else -1
+                    for t in range(k, k + exp) if exp > 0 else range(k - 1, k + exp - 1, -1):
+                        g = (t, i, j)
+                        c = get(g, 0) + sign
+                        if c:
+                            terms[g] = c
+                        else:
+                            del terms[g]
+                    k += exp
+                elif idx == 1:
+                    k -= z * j * exp
+                    i += exp
+                elif idx == 2:
+                    j += exp
+                else:
+                    raise IndexError(f"generator index {idx} out of range")
+        elif gen == 1:
+            for idx, exp in letters:
+                if idx == 1:
+                    zj = z * j
+                    sign = 1 if exp > 0 else -1
+                    for t in range(exp) if exp > 0 else range(-1, exp - 1, -1):
+                        g = (k - zj * t, i + t, j)
+                        c = get(g, 0) + sign
+                        if c:
+                            terms[g] = c
+                        else:
+                            del terms[g]
+                    k -= zj * exp
+                    i += exp
+                elif idx == 0:
+                    k += exp
+                elif idx == 2:
+                    j += exp
+                else:
+                    raise IndexError(f"generator index {idx} out of range")
+        elif gen == 2:
+            for idx, exp in letters:
+                if idx == 2:
+                    sign = 1 if exp > 0 else -1
+                    for t in range(j, j + exp) if exp > 0 else range(j - 1, j + exp - 1, -1):
+                        g = (k, i, t)
+                        c = get(g, 0) + sign
+                        if c:
+                            terms[g] = c
+                        else:
+                            del terms[g]
+                    j += exp
+                elif idx == 0:
+                    k += exp
+                elif idx == 1:
+                    k -= z * j * exp
+                    i += exp
+                else:
+                    raise IndexError(f"generator index {idx} out of range")
         return terms
 
     def add_right_translates(self, data, left, h, d):
-        # (k1, i1, j1)(k2, i2, j2) = (k1 + k2 - z*j1*i2, i1 + i2, j1 + j2)
+        # (k1, i1, j1)(k2, i2, j2) = (k1 + k2 - z*j1*i2, i1 + i2, j1 + j2);
+        # a sum that reaches 0 is deleted, so zero-free data stays so
         k2, i2, j2 = h
         zi = self.z * i2
         get = data.get
         for (k1, i1, j1), c in left.items():
             g = (k1 + k2 - zi * j1, i1 + i2, j1 + j2)
-            data[g] = get(g, 0) + c * d
+            c = get(g, 0) + c * d
+            if c:
+                data[g] = c
+            else:
+                del data[g]
 
     def element_word(self, g) -> Word:
         k, i, j = g
@@ -518,6 +605,8 @@ def _generator_names(names: Sequence[str]) -> tuple[str, ...]:
     """The generator names as a tuple, checked to be distinct identifiers:
     parse_word splits a word at whitespace and looks each name up, so a
     name holding a space, or one used twice, could not be read back."""
+    if isinstance(names, str):
+        raise InputError(f"generator names {names!r} are one string, not a sequence of names")
     names = as_tuple(names, "generator names")
     seen = set()
     for name in names:

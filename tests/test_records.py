@@ -518,6 +518,18 @@ VALIDATION = [
     (lambda: Presentation(("x",), None), InputError, "relators None are not a sequence"),
     (lambda: Presentation(3, ()), InputError, "generator names 3 are not a sequence"),
     (lambda: FreeFamily(3), InputError, "generator names 3 are not a sequence"),
+    (lambda: FreeFamily("xy"), InputError,
+     "generator names 'xy' are one string, not a sequence of names"),
+    (lambda: Presentation("xy", ()), InputError,
+     "generator names 'xy' are one string, not a sequence of names"),
+    (lambda: NilFamily(2).generator_element(1, 1.5), InputError,
+     "exponent 1.5 is not an integer"),
+    (lambda: NilFamily(2).generator_element(1.0, 1), InputError,
+     "generator index 1.0 is not an integer"),
+    (lambda: ZnFamily(3).generator_element(True, 1), InputError,
+     "generator index True is not an integer"),
+    (lambda: ZnFamily(3).generator_element(0, False), InputError,
+     "exponent False is not an integer"),
 ]
 
 

@@ -16,6 +16,7 @@ from stable4.errors import CapExceeded, DomainError, InputError
 from stable4.groupring import RingElem
 from stable4.words import (
     FreeFamily,
+    GroupFamily,
     NilFamily,
     Presentation,
     Word,
@@ -521,3 +522,59 @@ def test_fox_kernels_on_long_words(fam):
         assert d == fox_derivative_stepwise(w, j, fam)
         total = total + d * (RingElem.group(fam, fam.generator_element(j)) - one)
     assert total == RingElem.group(fam, reduce_word_stepwise(w, fam)) - one
+    assert fam.reduce_word(w) == reduce_word_stepwise(w, fam)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form kernels against the defaults built on shift and multiply
+
+KERNEL_FAMILIES = [NilFamily(z) for z in range(1, 9)] + [ZnFamily(n) for n in range(1, 6)]
+
+
+def _elements(fam):
+    return st.tuples(*[st.integers(-2, 2)] * len(fam.identity()))
+
+
+def _without_zeros(terms):
+    return {g: c for g, c in terms.items() if c}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(KERNEL_FAMILIES), st.data())
+def test_closed_form_kernels_match_the_defaults(fam, data):
+    letters = tuple(data.draw(_letters(fam.rank, 5, 300)))
+    gen = data.draw(st.integers(0, fam.rank - 1))
+    terms = fam.fox_terms(letters, gen)
+    default = GroupFamily.fox_terms(fam, letters, gen)
+    if isinstance(fam, NilFamily):
+        assert 0 not in terms.values()
+        assert terms == _without_zeros(default)
+    else:  # the Z^n Fox walk keeps its zeros, as the default does
+        assert terms == default
+    assert fam.evaluate(letters) == reduce_word_stepwise(Word(letters), fam)
+    assert fam.evaluate(letters) == GroupFamily.evaluate(fam, letters)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(KERNEL_FAMILIES), st.data())
+def test_closed_form_translates_keep_data_zero_free(fam, data):
+    coeffs = st.integers(-3, 3).filter(bool)
+    left = data.draw(st.dictionaries(_elements(fam), coeffs, max_size=30))
+    h = data.draw(_elements(fam))
+    d = data.draw(coeffs)
+    start = data.draw(st.dictionaries(_elements(fam), coeffs, max_size=30))
+    # make some translates cancel a term already in data
+    for g in data.draw(st.sets(st.sampled_from(sorted(left)))) if left else ():
+        start[fam.multiply(g, h)] = -left[g] * d
+    got, default = dict(start), dict(start)
+    fam.add_right_translates(got, left, h, d)
+    GroupFamily.add_right_translates(fam, default, left, h, d)
+    assert 0 not in got.values()
+    assert got == _without_zeros(default)
+
+
+def test_quotients_reduce_words_through_the_one_traced_function():
+    # perfbench/tracer.py wraps reduce_word on GroupFamily and FreeFamily
+    # only: an override on a quotient would drop its calls from that span
+    assert NilFamily.reduce_word is GroupFamily.reduce_word
+    assert ZnFamily.reduce_word is GroupFamily.reduce_word
