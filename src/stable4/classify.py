@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .errors import DomainError, InputError, as_tuple, is_int
+from .errors import DomainError, InputError, as_int, as_tuple, is_int
 from .f2 import (
     F2Mat,
     F2Vec,
@@ -83,8 +83,7 @@ class FamilyData(Record):
     def __init__(self, name: str, d: int, out_generators: Sequence[F2Mat]) -> None:
         if not isinstance(name, str):
             raise InputError(f"family name {name!r} is not a string")
-        if not is_int(d):
-            raise InputError(f"d {d!r} is not an integer")
+        as_int(d, "d")
         if d < 0:
             raise DomainError(f"d {d} is negative")
         out_generators = as_tuple(out_generators, "out_generators")
@@ -465,8 +464,7 @@ def invariant_tuple_from_json(obj) -> InvariantTuple:
         tau_raw = obj.get("tau")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad invariant tuple JSON: {exc}") from None
-    if not is_int(signature):
-        raise InputError(f"signature {signature!r} is not an integer")
+    as_int(signature, "signature")
     if parity_raw is None:
         par = None
     else:

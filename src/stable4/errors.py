@@ -3,9 +3,9 @@
 The CLI maps these onto its exit codes: InputError -> 1 (usage),
 DomainError -> 2 (mathematically invalid request), CapExceeded -> 3.
 Loaders of JSON input test integers with `is_int`, so that neither a bool
-nor a float nor a string slips through as a number, and constructors read
-their sequence arguments through `as_tuple`, so that a number given for one
-is refused as input.
+nor a float nor a string slips through as a number; `as_int` refuses such a
+value as input.  Constructors read their sequence arguments through
+`as_tuple`, so that a number given for one is refused as input.
 """
 
 
@@ -25,6 +25,14 @@ class CapExceeded(RuntimeError):
 def is_int(value) -> bool:
     """True for an int that is not a bool (JSON true/false load as bools)."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def as_int(value, what: str) -> int:
+    """value itself when it is an int and not a bool; InputError naming
+    value otherwise, e.g. "signature 1.5 is not an integer"."""
+    if not is_int(value):
+        raise InputError(f"{what} {value!r} is not an integer")
+    return value
 
 
 def as_tuple(value, what: str) -> tuple:

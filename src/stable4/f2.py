@@ -39,7 +39,7 @@ from __future__ import annotations
 import os
 from collections.abc import Callable, Sequence
 
-from .errors import CapExceeded, DomainError, InputError, as_tuple, is_int
+from .errors import CapExceeded, DomainError, InputError, as_int, as_tuple, is_int
 from .records import Record
 
 ORBIT_DIM_CAP = 20
@@ -72,8 +72,7 @@ class F2Vec(Record):
     bits: int
 
     def __init__(self, dim: int, bits: int) -> None:
-        if not is_int(dim):
-            raise InputError(f"vector dimension {dim!r} is not an integer")
+        as_int(dim, "vector dimension")
         if not is_int(bits):
             raise InputError(f"vector bits {bits!r} are not an integer")
         if dim < 0 or bits < 0 or bits >> dim:
@@ -152,8 +151,7 @@ class F2Mat(Record):
     rows: tuple[int, ...]
 
     def __init__(self, dim: int, rows: Sequence[int]) -> None:
-        if not is_int(dim):
-            raise InputError(f"matrix dimension {dim!r} is not an integer")
+        as_int(dim, "matrix dimension")
         rows = as_tuple(rows, "matrix rows")
         if len(rows) != dim:
             raise InputError(f"matrix of dimension {dim} needs {dim} rows, got {len(rows)}")
@@ -456,8 +454,7 @@ def orbits(
 def _check_orbit_dim(d: int) -> None:
     """Refuse a d that is not an int, a negative d, and 2^d states over the
     orbit cap."""
-    if not is_int(d):
-        raise InputError(f"orbit dimension {d!r} is not an integer")
+    as_int(d, "orbit dimension")
     if d < 0:
         raise InputError(f"orbit dimension {d} is negative")
     cap = configured_cap(1 << ORBIT_DIM_CAP)

@@ -19,7 +19,7 @@ import enum
 from collections.abc import Mapping, Sequence
 from itertools import compress
 
-from .errors import DomainError, InputError, is_int
+from .errors import DomainError, InputError, as_int, is_int
 from .groupring import (
     RingElem,
     augmentation,
@@ -179,8 +179,7 @@ class AugmentedForm(Record):
     matrix: RingMatrix
 
     def __init__(self, epsilon: int, matrix: RingMatrix) -> None:
-        if not is_int(epsilon):
-            raise InputError(f"form epsilon {epsilon!r} is not an integer")
+        as_int(epsilon, "form epsilon")
         if epsilon not in (0, 1):
             raise DomainError("epsilon must be 0 or 1")
         if not isinstance(matrix, RingMatrix):
@@ -463,8 +462,7 @@ def form_from_json(obj) -> AugmentedForm:
         flat = list(obj["entries"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad form JSON: {exc}") from None
-    if not is_int(epsilon):
-        raise InputError(f"form epsilon {epsilon!r} is not an integer")
+    as_int(epsilon, "form epsilon")
     n = obj.get("size")
     if n is None:
         n = int(round(len(flat) ** 0.5))

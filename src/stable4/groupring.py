@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-from .errors import DomainError, InputError, is_int
+from .errors import DomainError, InputError, as_int, is_int
 from .words import GroupFamily, _generator_index, _parse_indexed
 
 
@@ -27,7 +27,7 @@ class RingElem:
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for g, c in items:
-                if not isinstance(c, int):
+                if not is_int(c):
                     raise DomainError(f"coefficient {c!r} is not an integer")
                 if c:
                     data[g] = data.get(g, 0) + c
@@ -99,6 +99,8 @@ class RingElem:
             )
 
     def __add__(self, other: "RingElem") -> "RingElem":
+        if not isinstance(other, RingElem):
+            return NotImplemented
         self._require_same_family(other)
         big, small = self._terms, other._terms
         if len(big) < len(small):
@@ -113,13 +115,19 @@ class RingElem:
         return RingElem._from_dict(self.family, {g: -c for g, c in self._terms.items()})
 
     def __sub__(self, other: "RingElem") -> "RingElem":
+        if not isinstance(other, RingElem):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
+            if not is_int(other):  # a bool is no coefficient
+                raise DomainError(f"coefficient {other!r} is not an integer")
             return RingElem._from_dict(
                 self.family, {g: c * other for g, c in self._terms.items()}
             )
+        if not isinstance(other, RingElem):
+            return NotImplemented
         # The identity term of the right factor, which every g - 1 and
         # 1 +- x factor has, takes the left terms as they are, times its
         # coefficient.  Each other right-hand term d*h goes to the family's
@@ -300,8 +308,7 @@ def ring_elem_reader(family: GroupFamily):
                 word_text = item["word"]
             except (KeyError, TypeError) as exc:
                 raise InputError(f"bad ring element term: {exc}") from None
-            if not is_int(coeff):
-                raise InputError(f"coefficient {coeff!r} is not an integer")
+            as_int(coeff, "coefficient")
             try:
                 g = elements[word_text]
             except (KeyError, TypeError):  # new text, or unhashable: parse it

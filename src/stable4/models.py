@@ -31,7 +31,7 @@ import enum
 import functools
 from collections.abc import Sequence
 
-from .errors import CapExceeded, DomainError, InputError, is_int
+from .errors import CapExceeded, DomainError, InputError, as_int, is_int
 from .f2 import F2Mat, F2Vec, configured_cap
 from .forms import (
     AugmentedForm,
@@ -120,8 +120,7 @@ def check_invariants(w, signature: int, parity: Parity | None, tau, category: st
     signature that is not an int (a bool is not one) and a parity that is
     neither None nor a Parity raise InputError.
     """
-    if not is_int(signature):
-        raise InputError(f"signature {signature!r} is not an integer")
+    as_int(signature, "signature")
     if parity is not None and not isinstance(parity, Parity):
         raise InputError(f"parity {parity!r} is not a Parity or None")
     category = normalize_category(category)
@@ -242,13 +241,12 @@ class BuiltinFamily(Record):
 
 def _image_of(ring: GroupFamily, word: Word, image: Sequence[Word]):
     """Where the automorphism with these generator images sends the word."""
-    out = ring.identity()
+    letters: list = []
     for gen, exp in word.letters:
         piece, k = (image[gen] if exp > 0 else image[gen].inverse()).letters, abs(exp)
         # (g^e)^k is the one letter g^(ek), however large k is
-        for g, e in ((piece[0][0], piece[0][1] * k),) if len(piece) == 1 else piece * k:
-            out = ring.shift(out, g, e)
-    return out
+        letters.extend(((piece[0][0], piece[0][1] * k),) if len(piece) == 1 else piece * k)
+    return ring.evaluate(letters)
 
 
 _Z3_RELATORS = ("g1 g2 g1^-1 g2^-1", "g1 g3 g1^-1 g3^-1", "g2 g3 g2^-1 g3^-1")
@@ -563,8 +561,7 @@ def han1_from_json(obj) -> HAN1:
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad HAN1 JSON: {exc}") from None
     w, form = w_from_json(raw_w), form_from_json(raw_form)
-    if not is_int(signature):
-        raise InputError(f"signature {signature!r} is not an integer")
+    as_int(signature, "signature")
     if not isinstance(notes, str):
         raise InputError(f"notes {notes!r} is not a string")
     return HAN1(w, signature, form, None if tau is None else F2Vec.from_bits(tau), notes)

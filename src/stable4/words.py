@@ -14,21 +14,14 @@ Group elements are kept in canonical normal forms per *family*:
 The word problem is only solved for these built-in families; that is all the
 classification of the example groups needs.
 
-``GroupFamily.shift(g, i, e)`` is g * s_i^e, the step that walks a prefix
-along a word.  The built-in quotients do it in closed form, without
-building s_i^e:
-
-* Z^n bumps coordinate i by e;
-* Nil steps (k, i, j) to (k + e, i, j) for a^e, to (k - z*j*e, i + e, j)
-  for x^e, and to (k, i, j + e) for y^e.
-
-The quotients read ``generator_element(i, e)`` off ``shift(identity, i, e)``.
-The three hot loops over words and group-ring terms are family kernels:
-``evaluate`` spells a word's letters as an element for ``reduce_word``,
+A family states its law once: a quotient in ``evaluate``, the element a
+word's letters spell, and the free family in ``generator_element``; each
+default reads one off the other.  The three hot loops over words and
+group-ring terms are family kernels: ``evaluate`` for ``reduce_word``,
 ``fox_terms`` walks a word once for ``fox_derivative``, and
 ``add_right_translates`` adds one right-hand term's share of a group-ring
-product.  Their defaults step with ``shift`` and call ``multiply``; the
-free family uses them, and they may leave a term whose sum is 0 for
+product.  Their defaults step with ``multiply`` by ``generator_element``;
+the free family uses them, and they may leave a term whose sum is 0 for
 ``RingElem._from_dict`` to drop.  Z^n walks one mutable exponent list and
 builds a tuple only for each element it emits; Nil keeps its prefix as
 three ints, runs one Fox loop per differentiated generator, and writes each
@@ -52,7 +45,7 @@ from __future__ import annotations
 from operator import add, itemgetter, neg
 from collections.abc import Iterable, Mapping, Sequence
 
-from .errors import CapExceeded, DomainError, InputError, as_tuple, is_int
+from .errors import CapExceeded, DomainError, InputError, as_int, as_tuple, is_int
 from .f2 import configured_cap
 from .records import Record
 
@@ -80,10 +73,8 @@ def _free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
 def _check_letter(gen, exp) -> None:
     """The error for a letter that `_free_reduce`'s exact-int test did not
     pass; an int subclass other than bool is let through."""
-    if not is_int(gen):
-        raise InputError(f"generator index {gen!r} is not an integer")
-    if not is_int(exp):
-        raise InputError(f"exponent {exp!r} is not an integer")
+    as_int(gen, "generator index")
+    as_int(exp, "exponent")
     if gen < 0:
         raise InputError(f"negative generator index {gen}")
 
@@ -203,14 +194,13 @@ class GroupFamily:
 
     Elements are opaque hashable values; the family supplies identity,
     multiplication, inversion and the quotient map from free words.  A
-    family defines ``shift`` or ``generator_element``: each default calls
-    the other, so a family defining neither recurses.
+    family defines ``evaluate`` or ``generator_element``: each default
+    calls the other, so a family defining neither recurses.
 
     A family with a closed form may also override these kernels; each
-    default is built on ``shift`` and ``multiply`` alone, so it is correct
-    for any family:
+    default is built on ``generator_element`` and ``multiply`` alone, so it
+    is correct for any family:
 
-    * ``shift(g, index, exp)`` -- g * s_index^exp;
     * ``evaluate(letters)`` -- the element the letters spell;
     * ``fox_terms(letters, gen)`` -- the term dict of a Fox derivative;
     * ``add_right_translates(data, left, h, d)`` -- one right-hand term's
@@ -239,18 +229,15 @@ class GroupFamily:
         raise NotImplementedError
 
     def generator_element(self, index: int, exp: int = 1):
-        """s_index^exp, read off ``shift`` unless a family overrides it.
-        An index or exponent that is not an int (a bool or a float) is
-        refused as input; ``shift`` itself checks neither."""
-        if not is_int(index):
-            raise InputError(f"generator index {index!r} is not an integer")
-        if not is_int(exp):
-            raise InputError(f"exponent {exp!r} is not an integer")
-        return self.shift(self.identity(), index, exp)
-
-    def shift(self, g, index: int, exp: int):
-        """g * s_index^exp; families with a closed form override this."""
-        return self.multiply(g, self.generator_element(index, exp))
+        """s_index^exp, the element ``evaluate`` spells from one letter,
+        unless a family overrides it.  An index or exponent that is not an
+        int (a bool or a float) is refused as input, and an index outside
+        0..rank-1 raises IndexError."""
+        as_int(index, "generator index")
+        as_int(exp, "exponent")
+        if not 0 <= index < self.rank:
+            raise IndexError(f"generator index {index} out of range")
+        return self.evaluate(((index, exp),))
 
     def fox_terms(self, letters: Sequence[Letter], gen: int) -> dict:
         """The terms of D_gen of the word with these letters, as a map from
@@ -258,29 +245,31 @@ class GroupFamily:
 
         D(g^k) is the sum of the partial prefixes, signed: prefix g^t for
         0 <= t < k, and -prefix g^-t for 1 <= t <= |k| when k < 0.  The
-        walk steps a prefix with ``shift``, one call per letter and per
-        expanded term.
+        walk steps a prefix by multiplying it with ``generator_element``,
+        one product per letter and per expanded term.
         """
-        shift = self.shift
+        multiply, step = self.multiply, self.generator_element
         terms: dict = {}
         get = terms.get
         prefix = self.identity()
         for idx, exp in letters:
             if idx == gen:
                 sign = 1 if exp > 0 else -1
-                cursor = prefix if exp > 0 else shift(prefix, idx, -1)
+                unit = step(idx, sign)
+                cursor = prefix if exp > 0 else multiply(prefix, unit)
                 for _ in range(abs(exp)):
                     terms[cursor] = get(cursor, 0) + sign
-                    cursor = shift(cursor, idx, sign)
-            prefix = shift(prefix, idx, exp)
+                    cursor = multiply(cursor, unit)
+            prefix = multiply(prefix, step(idx, exp))
         return terms
 
     def evaluate(self, letters: Sequence[Letter]):
-        """The element these letters spell, one ``shift`` per letter."""
+        """The element these letters spell, one ``multiply`` by
+        ``generator_element`` per letter."""
+        multiply, step = self.multiply, self.generator_element
         out = self.identity()
-        shift = self.shift
         for gen, exp in letters:
-            out = shift(out, gen, exp)
+            out = multiply(out, step(gen, exp))
         return out
 
     def add_right_translates(self, data: dict, left: Mapping, h, d: int) -> None:
@@ -366,8 +355,7 @@ class ZnFamily(GroupFamily, Record):
     n: int
 
     def __init__(self, n: int) -> None:
-        if not is_int(n):
-            raise InputError(f"Zn family rank {n!r} is not an integer")
+        as_int(n, "Zn family rank")
         if n < 1:
             raise DomainError("Zn family needs n >= 1")
         cap = configured_cap()
@@ -396,13 +384,6 @@ class ZnFamily(GroupFamily, Record):
 
     def invert(self, a):
         return tuple(map(neg, a))
-
-    def shift(self, g, index: int, exp: int):
-        if not 0 <= index < self.n:
-            raise IndexError(f"generator index {index} out of range")
-        v = list(g)
-        v[index] += exp
-        return tuple(v)
 
     def fox_terms(self, letters, gen):
         # one mutable prefix: a letter bumps one coordinate, and a tuple is
@@ -454,8 +435,7 @@ class NilFamily(GroupFamily, Record):
     z: int
 
     def __init__(self, z: int) -> None:
-        if not is_int(z):
-            raise InputError(f"Nil family parameter {z!r} is not an integer")
+        as_int(z, "Nil family parameter")
         if z < 1:
             raise DomainError("Nil family needs z >= 1")
         object.__setattr__(self, "z", z)
@@ -475,16 +455,6 @@ class NilFamily(GroupFamily, Record):
     def invert(self, a):
         k, i, j = a
         return (-k - self.z * i * j, -i, -j)
-
-    def shift(self, g, index: int, exp: int):
-        k, i, j = g
-        if index == 0:
-            return (k + exp, i, j)
-        if index == 1:
-            return (k - self.z * j * exp, i + exp, j)
-        if index == 2:
-            return (k, i, j + exp)
-        raise IndexError(f"generator index {index} out of range")
 
     def evaluate(self, letters):
         # a^k x^i y^j as three ints; the a's that x-letters pick up past
@@ -665,8 +635,8 @@ def fox_derivative(w: Word, gen: int | str, family: GroupFamily):
 
     if isinstance(gen, str):
         gen = family.gen_index(gen)
-    elif not is_int(gen):
-        raise InputError(f"generator index {gen!r} is not an integer")
+    else:
+        as_int(gen, "generator index")
     if gen < 0 or gen >= family.rank:
         raise InputError(f"generator index {gen} out of range")
     family._check_arity(w)

@@ -560,9 +560,9 @@ def hand_nil_generators(z: int) -> tuple[F2Mat, ...]:
 # ---------------------------------------------------------------------------
 # Fox calculus: one generic multiply per letter and per unit of exponent
 #
-# The prefix walk that fox_derivative and reduce_word used before they
-# stepped through GroupFamily.shift.  The loop body is kept as it was; the
-# result goes through the checked RingElem constructor.
+# The prefix walk that fox_derivative and reduce_word used before the
+# families had kernels: one generic multiply by a generator power per step.
+# The result goes through the checked RingElem constructor.
 
 
 def fox_derivative_stepwise(w, gen: int, family) -> RingElem:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import random_word
 from oracles import (
     fixed_point_closure,
     hand_gl3_generators,
@@ -17,6 +18,7 @@ from oracles import (
     nil_word_matrix,
     spin_state_generators,
     spin_state_table_oracle,
+    reduce_word_stepwise,
     stabilizer_orbits,
 )
 from stable4.errors import CapExceeded, DomainError, InputError
@@ -45,6 +47,7 @@ from stable4.classify import (
 from stable4.models import (
     INFINITY,
     BuiltinFamily,
+    _image_of,
     builtin_family,
     builtin_presentation,
     h2_to_hom_bits,
@@ -154,6 +157,21 @@ def test_z3_images_satisfy_the_relators():
             for g, e in _substituted(rel, image).letters:
                 sums[g] += e
             assert sums == [0, 0, 0]
+
+
+@pytest.mark.parametrize("ring", [b[0] for b in BUILTIN], ids=BUILTIN_IDS)
+def test_image_of_is_the_stepwise_value_of_the_substituted_word(ring):
+    # the relators go to the identity; generator powers (the one-letter
+    # (g^e)^k case among them) and random words land elsewhere
+    record = builtin_family(ring)
+    rng = random.Random(f"image of {ring!r}")
+    words = list(record.presentation.relators)
+    words += [Word(((g, e),)) for g in range(ring.rank) for e in (-7, -1, 1, 5)]
+    words += [random_word(rng, ring.rank, 12) for _ in range(20)]
+    for image in record.images:
+        for w in words:
+            expected = reduce_word_stepwise(_substituted(w, image), ring)
+            assert _image_of(ring, w, image) == expected
 
 
 def test_an_image_that_breaks_a_relator_is_refused():

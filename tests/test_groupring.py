@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 import re
 
@@ -73,6 +74,19 @@ def test_scalar_multiplication():
     x = RingElem(Z3, {G: 2})
     assert 3 * x == RingElem(Z3, {G: 6})
     assert x * -1 == -x
+
+
+@pytest.mark.parametrize("op, other", [
+    (operator.add, 1), (operator.add, 2.5), (operator.add, "a"), (operator.add, None),
+    (operator.sub, 1), (operator.sub, 2.5), (operator.sub, "a"), (operator.sub, None),
+    (operator.mul, 2.5), (operator.mul, "a"), (operator.mul, None), (operator.mul, [1]),
+], ids=lambda v: v.__name__ if callable(v) else repr(v))
+def test_arithmetic_with_a_foreign_operand_is_a_type_error(op, other):
+    x = RingElem(Z3, {G: 2})
+    with pytest.raises(TypeError):
+        op(x, other)
+    with pytest.raises(TypeError):
+        op(other, x)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from stable4.classify import (
 from stable4.errors import CapExceeded, DomainError, InputError
 from stable4.f2 import F2Mat, F2Vec, QuadraticFormF2, orbits
 from stable4.forms import AugmentedForm, Parity, RingMatrix, hyperbolic_matrix
+from stable4.groupring import RingElem
 from stable4.models import HAN1, INFINITY, model_M_sigma
 from stable4.words import FreeFamily, NilFamily, Presentation, Word, ZnFamily, fox_derivative
 
@@ -296,7 +297,7 @@ def test_zn_names_read_back_as_g1_to_gn():
     fam = ZnFamily(10**5)
     assert fam.gen_index("g1") == 0 and fam.gen_index("g100000") == 99999
     assert fam.generators == tuple(f"g{i}" for i in range(1, 10**5 + 1))
-    assert fam.element_str(fam.shift(fam.identity(), 99999, -2)) == "g100000^-2"
+    assert fam.element_str(fam.generator_element(99999, -2)) == "g100000^-2"
 
 
 SLOTTED = {
@@ -530,6 +531,11 @@ VALIDATION = [
      "generator index True is not an integer"),
     (lambda: ZnFamily(3).generator_element(0, False), InputError,
      "exponent False is not an integer"),
+    (lambda: RingElem.integer(Z3, True), DomainError, "coefficient True is not an integer"),
+    (lambda: RingMatrix.from_int_rows(Z3, [[True]]), DomainError,
+     "coefficient True is not an integer"),
+    (lambda: RingElem.one(Z3) * True, DomainError, "coefficient True is not an integer"),
+    (lambda: False * RingElem.one(Z3), DomainError, "coefficient False is not an integer"),
 ]
 
 

@@ -408,37 +408,17 @@ def test_fox_fundamental_identity_in_quotients(rng):
 
 
 # ---------------------------------------------------------------------------
-# closed-form steps: shift and the prefix walks built on it
+# generator powers and the prefix walks built on them
 
-SHIFT_FAMILIES = (
+WALK_FAMILIES = (
     [ZnFamily(n) for n in range(1, 5)] + [NilFamily(z) for z in range(1, 9)] + [FREE3]
 )
-QUOTIENTS = [f for f in SHIFT_FAMILIES if not isinstance(f, FreeFamily)]
+QUOTIENTS = [f for f in WALK_FAMILIES if not isinstance(f, FreeFamily)]
 
 
 def _letters(rank, max_exp, max_size):
     exps = st.integers(-max_exp, max_exp).filter(bool)
     return st.lists(st.tuples(st.integers(0, rank - 1), exps), max_size=max_size)
-
-
-@st.composite
-def family_elements(draw):
-    fam = draw(st.sampled_from(SHIFT_FAMILIES))
-    if isinstance(fam, FreeFamily):
-        g = Word(tuple(draw(_letters(fam.rank, 3, 6))))
-    else:
-        g = tuple(draw(st.lists(st.integers(-40, 40), min_size=len(fam.identity()),
-                                max_size=len(fam.identity()))))
-    return fam, g
-
-
-@settings(max_examples=300, deadline=None)
-@given(family_elements(), st.data())
-def test_shift_is_the_product_with_a_generator_power(pair, data):
-    fam, g = pair
-    index = data.draw(st.integers(0, fam.rank - 1))
-    exp = data.draw(st.integers(-50, 50))
-    assert fam.shift(g, index, exp) == fam.multiply(g, fam.generator_element(index, exp))
 
 
 def _out_of_range(fam, index):
@@ -447,13 +427,6 @@ def _out_of_range(fam, index):
     if isinstance(fam, FreeFamily) and index < 0:
         return pytest.raises(InputError, match=f"^negative generator index {index}$")
     return pytest.raises(IndexError, match=f"^generator index {index} out of range$")
-
-
-@pytest.mark.parametrize("fam", [ZnFamily(3), NilFamily(2), FREE3])
-@pytest.mark.parametrize("index", [-1, 3, 7])
-def test_shift_rejects_an_index_out_of_range(fam, index):
-    with _out_of_range(fam, index):
-        fam.shift(fam.identity(), index, 1)
 
 
 @pytest.mark.parametrize("fam", [ZnFamily(3), NilFamily(2), FREE3])
@@ -474,7 +447,7 @@ def test_generator_element_is_a_unit_vector_power(exp):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(SHIFT_FAMILIES), st.data())
+@given(st.sampled_from(WALK_FAMILIES), st.data())
 def test_fox_derivative_matches_the_stepwise_walk(fam, data):
     w = Word(tuple(data.draw(_letters(fam.rank, 9, 12))))
     gen = data.draw(st.integers(0, fam.rank - 1))
@@ -526,7 +499,8 @@ def test_fox_kernels_on_long_words(fam):
 
 
 # ---------------------------------------------------------------------------
-# the closed-form kernels against the defaults built on shift and multiply
+# the closed-form kernels against the defaults built on generator_element
+# and multiply
 
 KERNEL_FAMILIES = [NilFamily(z) for z in range(1, 9)] + [ZnFamily(n) for n in range(1, 6)]
 
@@ -578,3 +552,107 @@ def test_quotients_reduce_words_through_the_one_traced_function():
     # only: an override on a quotient would drop its calls from that span
     assert NilFamily.reduce_word is GroupFamily.reduce_word
     assert ZnFamily.reduce_word is GroupFamily.reduce_word
+
+
+# ---------------------------------------------------------------------------
+# a family outside the built-ins: S_3, stating its law in one hook
+
+
+class S3ByEvaluate(GroupFamily):
+    """S_3 generated by s = (0 1) and t = (0 1 2); an element is the tuple of
+    images of 0, 1, 2, and a * b sends i to a[b[i]].  It defines only
+    identity, multiply, invert, evaluate and element_word."""
+
+    generators = ("s", "t")
+    PERMUTATIONS = ((1, 0, 2), (1, 2, 0))
+    ORDERS = (2, 3)
+
+    def identity(self):
+        return (0, 1, 2)
+
+    def multiply(self, a, b):
+        return tuple(a[i] for i in b)
+
+    def invert(self, a):
+        out = [0, 0, 0]
+        for i, ai in enumerate(a):
+            out[ai] = i
+        return tuple(out)
+
+    def evaluate(self, letters):
+        # composes image lists directly, one generator step at a time
+        out = [0, 1, 2]
+        for gen, exp in letters:
+            p = self.PERMUTATIONS[gen]
+            for _ in range(exp % self.ORDERS[gen]):
+                out = [out[i] for i in p]
+        return tuple(out)
+
+    def element_word(self, g):
+        for a in range(2):
+            for b in range(3):
+                if self.evaluate(((0, a), (1, b))) == g:
+                    return Word(((0, a), (1, b)))
+        raise AssertionError(f"{g} is not in S_3")
+
+
+class S3ByGenerators(S3ByEvaluate):
+    """The same group stating its law in generator_element instead."""
+
+    evaluate = GroupFamily.evaluate
+
+    def generator_element(self, index, exp=1):
+        if not 0 <= index < 2:
+            raise IndexError(f"generator index {index} out of range")
+        g = p = self.PERMUTATIONS[index]
+        if exp < 0:
+            g = p = self.invert(p)
+        for _ in range(abs(exp) - 1):
+            g = self.multiply(g, p)
+        return g if exp else self.identity()
+
+
+S3_FAMILIES = [S3ByEvaluate(), S3ByGenerators()]
+
+
+def _power(fam, perm, exp):
+    """perm^exp by repeated products with perm or its inverse."""
+    step = perm if exp > 0 else fam.invert(perm)
+    out = fam.identity()
+    for _ in range(abs(exp)):
+        out = fam.multiply(out, step)
+    return out
+
+
+@pytest.mark.parametrize("fam", S3_FAMILIES, ids=type)
+def test_s3_generator_powers(fam):
+    for index, perm in enumerate(fam.PERMUTATIONS):
+        for exp in range(-7, 8):
+            assert fam.generator_element(index, exp) == _power(fam, perm, exp)
+    s, t = fam.generator_element(0), fam.generator_element(1)
+    assert (fam.multiply(s, t), fam.multiply(t, s)) == ((0, 2, 1), (2, 1, 0))
+    for index in (-1, 2):
+        with pytest.raises(IndexError, match=f"^generator index {index} out of range$"):
+            fam.generator_element(index)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(-7, 7).filter(bool)), max_size=20))
+def test_s3_walks_agree_with_the_stepwise_oracles(letters):
+    w = Word(tuple(letters))
+    results = []
+    for fam in S3_FAMILIES:
+        g = fam.reduce_word(w)
+        assert g == reduce_word_stepwise(w, fam)
+        assert fam.reduce_word(fam.element_word(g)) == g
+        one = RingElem.one(fam)
+        total = RingElem.zero(fam)
+        derivatives = []
+        for j in range(fam.rank):
+            d = fox_derivative(w, j, fam)
+            assert d == fox_derivative_stepwise(w, j, fam)
+            total = total + d * (RingElem.group(fam, fam.generator_element(j)) - one)
+            derivatives.append(d.items())
+        assert total == RingElem.group(fam, g) - one
+        results.append((g, derivatives))
+    assert results[0] == results[1]
