@@ -5,7 +5,9 @@ DomainError -> 2 (mathematically invalid request), CapExceeded -> 3.
 Loaders of JSON input test integers with `is_int`, so that neither a bool
 nor a float nor a string slips through as a number; `as_int` refuses such a
 value as input.  Constructors read their sequence arguments through
-`as_tuple`, so that a number given for one is refused as input.
+`as_tuple`, so that a number given for one is refused as input.  Loops
+that unpack pairs call `check_pairs` only once they have failed, so that
+the pairs are read once on the way that succeeds.
 """
 
 
@@ -42,3 +44,16 @@ def as_tuple(value, what: str) -> tuple:
         return tuple(value)
     except TypeError:
         raise InputError(f"{what} {value!r} are not a sequence") from None
+
+
+def check_pairs(value, what: str, item: str) -> None:
+    """Refuse value as input when it is not iterable or holds an item that
+    is not a pair, naming value or the item, e.g. "word letters 5 are not a
+    sequence" or "letter (0,) is not a pair".  For the error path of a loop
+    over value that unpacked pairs and failed: value is read again, so an
+    iterator is checked only past the point where the loop stopped."""
+    for x in as_tuple(value, what):
+        try:
+            _, _ = x
+        except (TypeError, ValueError):
+            raise InputError(f"{item} {x!r} is not a pair") from None

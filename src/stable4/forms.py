@@ -19,7 +19,7 @@ import enum
 from collections.abc import Mapping, Sequence
 from itertools import compress
 
-from .errors import DomainError, InputError, as_int, is_int
+from .errors import DomainError, InputError, as_int, as_tuple, is_int
 from .groupring import (
     RingElem,
     augmentation,
@@ -50,7 +50,8 @@ class RingMatrix:
     __slots__ = ("family", "_rows", "_zero")
 
     def __init__(self, family: GroupFamily, entries: Sequence[Sequence[RingElem]]):
-        dense = [tuple(row) for row in entries]
+        dense = [as_tuple(row, f"matrix row {i} entries")
+                 for i, row in enumerate(as_tuple(entries, "matrix rows"))]
         n = len(dense)
         rows = []
         for row in dense:
@@ -78,6 +79,8 @@ class RingMatrix:
 
     @classmethod
     def from_int_rows(cls, family: GroupFamily, rows: Sequence[Sequence[int]]):
+        rows = [as_tuple(row, f"matrix row {i} entries")
+                for i, row in enumerate(as_tuple(rows, "matrix rows"))]
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise DomainError("matrix must be square")
@@ -194,18 +197,28 @@ class AugmentedForm(Record):
                               f"not its conjugate")
         self.__dict__.update(epsilon=epsilon, matrix=matrix)
 
+    @classmethod
+    def _trusted(cls, epsilon: int, matrix: RingMatrix) -> "AugmentedForm":
+        """A form from a hermitian matrix of size >= epsilon, epsilon 0 or 1;
+        no checks.  Only block sums of checked forms and hermitian blocks
+        come through here: a block sum of hermitian matrices is hermitian."""
+        a = cls.__new__(cls)
+        a.__dict__.update(epsilon=epsilon, matrix=matrix)
+        return a
+
     @property
     def family(self) -> GroupFamily:
         return self.matrix.family
 
 
 def direct_sum(a: AugmentedForm, b: AugmentedForm) -> AugmentedForm:
-    """Block sum; the operand carrying the Ipi summand ends up leading."""
+    """Block sum; the operand carrying the Ipi summand ends up leading.
+    Both operands are hermitian, so the sum is not checked again."""
     if a.epsilon and b.epsilon:
         raise DomainError("at most one Ipi summand per form")
     if b.epsilon:
         a, b = b, a
-    return AugmentedForm(a.epsilon, a.matrix.direct_sum(b.matrix))
+    return AugmentedForm._trusted(a.epsilon, a.matrix.direct_sum(b.matrix))
 
 
 def hyperbolic_matrix(family: GroupFamily) -> RingMatrix:
@@ -261,7 +274,8 @@ def ldlt_signature(rows: Sequence[Sequence[int]] | Sequence[Mapping[int, int]],
     without elimination, so a sum of k E8 blocks costs one 8 x 8
     elimination; nothing is kept across calls.  A DomainError names the row,
     entry or pair at fault when the input is not square, holds an entry
-    that is not an int, or is not symmetric.
+    that is not an int, or is not symmetric; an InputError names the rows,
+    or the row, that cannot be iterated.
 
     `signature_int` and `augmentation_signature` pass _trusted=True with the
     rows `RingMatrix._int_rows` has just built: dicts of nonzero ints at int
@@ -270,14 +284,15 @@ def ldlt_signature(rows: Sequence[Sequence[int]] | Sequence[Mapping[int, int]],
     check (each row's least and greatest column) and the symmetry check
     stay, since a bare RingMatrix need not be symmetric.
     """
-    n = len(rows)
     if _trusted:
+        n = len(rows)
         for i, row in enumerate(rows):
             if row and (min(row) < 0 or max(row) >= n):
                 raise _column_error(n, i, next(j for j in row if not 0 <= j < n))
         sparse = rows
     else:
         sparse = _checked_int_rows(rows)
+        n = len(sparse)
     mismatch = min(((j, i) if j < i else (i, j)
                     for i, row in enumerate(sparse) for j, v in row.items()
                     if sparse[j].get(i) != v), default=None)
@@ -315,7 +330,9 @@ def _column_error(n: int, i: int, j) -> DomainError:
 
 def _checked_int_rows(rows) -> list[dict[int, int]]:
     """Copies of the rows as dicts of their nonzeros, after checking that
-    they are square and hold only ints."""
+    they are square and hold only ints; rows, or a row that is no mapping,
+    that cannot be iterated are refused as input."""
+    rows = as_tuple(rows, "matrix rows")
     n = len(rows)
     sparse = []
     for i, row in enumerate(rows):
@@ -325,6 +342,7 @@ def _checked_int_rows(rows) -> list[dict[int, int]]:
                     raise _column_error(n, i, j)
             items = row.items()
         else:
+            row = as_tuple(row, f"matrix row {i} entries")
             if len(row) != n:
                 raise DomainError(f"matrix must be square: dimension {n}, but row {i} "
                                   f"has length {len(row)}")
@@ -420,6 +438,10 @@ def e8_block(family: GroupFamily) -> RingMatrix:
 
 
 def identity_block(family: GroupFamily, size: int, sign: int = 1) -> RingMatrix:
+    """sign times the size x size identity; a size that is not a
+    non-negative int is refused as input."""
+    if not is_int(size) or size < 0:
+        raise InputError(f"identity block size {size!r} is not a non-negative integer")
     return RingMatrix._trusted(family, tuple(
         {i: RingElem.integer(family, sign)} if sign else {} for i in range(size)
     ))

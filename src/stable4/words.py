@@ -45,7 +45,7 @@ from __future__ import annotations
 from operator import add, itemgetter, neg
 from collections.abc import Iterable, Mapping, Sequence
 
-from .errors import CapExceeded, DomainError, InputError, as_int, as_tuple, is_int
+from .errors import CapExceeded, DomainError, InputError, as_int, as_tuple, check_pairs, is_int
 from .f2 import configured_cap
 from .records import Record
 
@@ -53,20 +53,27 @@ Letter = tuple[int, int]  # (generator index, nonzero exponent)
 
 
 def _free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
-    """Cancel adjacent letters with the same generator index, refusing a
-    letter whose index or exponent is not an int, or whose index is negative."""
+    """Cancel adjacent letters with the same generator index, refusing
+    letters that are not an iterable of pairs, and a letter whose index or
+    exponent is not an int, or whose index is negative."""
     stack: list[list[int]] = []
-    for gen, exp in letters:
-        if gen.__class__ is not int or exp.__class__ is not int or gen < 0:
-            _check_letter(gen, exp)
-        if exp == 0:
-            continue
-        if stack and stack[-1][0] == gen:
-            stack[-1][1] += exp
-            if stack[-1][1] == 0:
-                stack.pop()
-        else:
-            stack.append([gen, exp])
+    try:
+        for gen, exp in letters:
+            if gen.__class__ is not int or exp.__class__ is not int or gen < 0:
+                _check_letter(gen, exp)
+            if exp == 0:
+                continue
+            if stack and stack[-1][0] == gen:
+                stack[-1][1] += exp
+                if stack[-1][1] == 0:
+                    stack.pop()
+            else:
+                stack.append([gen, exp])
+    except InputError:
+        raise
+    except (TypeError, ValueError):
+        check_pairs(letters, "word letters", "letter")
+        raise
     return tuple((g, e) for g, e in stack)
 
 

@@ -136,6 +136,23 @@ def test_direct_sum_rejects_two_ideals():
         direct_sum(a, a)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([Z3, NilFamily(2)]), st.integers(0, 2**32 - 1),
+       st.lists(st.integers(0, 4), min_size=2, max_size=4), st.integers(-1, 3))
+def test_direct_sums_of_checked_forms_are_hermitian_unchecked(fam, seed, sizes, ideal):
+    """direct_sum no longer checks the sum; the sum of checked forms, one
+    of them on Ipi + free (index ideal, none when -1), is hermitian, and
+    the checked constructor takes it as it is."""
+    rng = random.Random(seed)
+    parts = [random_hermitian_form(rng, fam, size + (k == ideal), int(k == ideal))
+             for k, size in enumerate(sizes)]
+    total = functools.reduce(direct_sum, parts)
+    assert total.matrix._asymmetry() is None
+    assert AugmentedForm(total.epsilon, total.matrix) == total
+    assert total.epsilon == int(0 <= ideal < len(parts))
+    assert total.matrix.size == sum(p.matrix.size for p in parts)
+
+
 def stabilize(a, k):
     """a plus k hyperbolic planes: what summing k copies of S^2 x S^2 does."""
     empty = RingMatrix.from_int_rows(a.family, [])

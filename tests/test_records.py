@@ -28,7 +28,14 @@ from stable4.classify import (
 )
 from stable4.errors import CapExceeded, DomainError, InputError
 from stable4.f2 import F2Mat, F2Vec, QuadraticFormF2, orbits
-from stable4.forms import AugmentedForm, Parity, RingMatrix, hyperbolic_matrix
+from stable4.forms import (
+    AugmentedForm,
+    Parity,
+    RingMatrix,
+    hyperbolic_matrix,
+    identity_block,
+    ldlt_signature,
+)
 from stable4.groupring import RingElem
 from stable4.models import HAN1, INFINITY, model_M_sigma
 from stable4.words import FreeFamily, NilFamily, Presentation, Word, ZnFamily, fox_derivative
@@ -536,6 +543,19 @@ VALIDATION = [
      "coefficient True is not an integer"),
     (lambda: RingElem.one(Z3) * True, DomainError, "coefficient True is not an integer"),
     (lambda: False * RingElem.one(Z3), DomainError, "coefficient False is not an integer"),
+    (lambda: RingMatrix(Z3, 5), InputError, "matrix rows 5 are not a sequence"),
+    (lambda: RingMatrix(Z3, [5]), InputError, "matrix row 0 entries 5 are not a sequence"),
+    (lambda: RingMatrix.from_int_rows(Z3, 3), InputError, "matrix rows 3 are not a sequence"),
+    (lambda: ldlt_signature(5), InputError, "matrix rows 5 are not a sequence"),
+    (lambda: ldlt_signature([5]), InputError, "matrix row 0 entries 5 are not a sequence"),
+    (lambda: identity_block(Z3, 2.5), InputError,
+     "identity block size 2.5 is not a non-negative integer"),
+    (lambda: identity_block(Z3, -1), InputError,
+     "identity block size -1 is not a non-negative integer"),
+    (lambda: Word(5), InputError, "word letters 5 are not a sequence"),
+    (lambda: Word([(0,)]), InputError, "letter (0,) is not a pair"),
+    (lambda: RingElem(Z3, 5), InputError, "ring element terms 5 are not a sequence"),
+    (lambda: RingElem(Z3, [(1,)]), InputError, "term (1,) is not a pair"),
 ]
 
 
