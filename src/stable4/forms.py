@@ -423,28 +423,34 @@ def augmentation_signature(a: AugmentedForm) -> int:
 _E8_CHAIN = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)]
 
 
-def e8_block(family: GroupFamily) -> RingMatrix:
-    """The rank-8 even unimodular positive definite form, E8.
+def e8_block(family: GroupFamily, sign: int = 1) -> RingMatrix:
+    """sign times the rank-8 even unimodular positive definite form, E8;
+    sign 1 or -1.
 
     Cartan-matrix convention: 2 on the diagonal, -1 on the edges of the E8
     diagram (a chain of seven nodes with the eighth attached to the fifth).
+    The diagonal entries are one ring element and the edge entries another,
+    so a form writer formats two entries per block.
     """
-    rows = [[0] * 8 for _ in range(8)]
-    for i in range(8):
-        rows[i][i] = 2
+    if not is_int(sign) or sign not in (1, -1):
+        raise DomainError("E8 sign must be 1 or -1")
+    diagonal = RingElem.integer(family, 2 * sign)
+    edge = RingElem.integer(family, -sign)
+    rows = [{i: diagonal} for i in range(8)]
     for i, j in _E8_CHAIN:
-        rows[i][j] = rows[j][i] = -1
-    return RingMatrix.from_int_rows(family, rows)
+        rows[i][j] = rows[j][i] = edge
+    return RingMatrix._trusted(family, tuple(dict(sorted(row.items())) for row in rows))
 
 
 def identity_block(family: GroupFamily, size: int, sign: int = 1) -> RingMatrix:
-    """sign times the size x size identity; a size that is not a
-    non-negative int is refused as input."""
+    """sign times the size x size identity, its diagonal one ring element;
+    a size that is not a non-negative int is refused as input."""
     if not is_int(size) or size < 0:
         raise InputError(f"identity block size {size!r} is not a non-negative integer")
-    return RingMatrix._trusted(family, tuple(
-        {i: RingElem.integer(family, sign)} if sign else {} for i in range(size)
-    ))
+    if not sign or not size:
+        return RingMatrix._trusted(family, ({},) * size)
+    one = RingElem.integer(family, sign)
+    return RingMatrix._trusted(family, tuple({i: one} for i in range(size)))
 
 
 # ---------------------------------------------------------------------------

@@ -200,12 +200,6 @@ class BuiltinFamily(Record):
     (every homomorphism pi -> Z/2 kills the others).  Each of ``images`` is
     an automorphism, given by the generators' image words; the constructor
     checks that it sends every relator to the identity.
-
-    Outside the fields, so equality, hash, repr, pickles and copies do not
-    see them, the record keeps the blocks ``realize_form`` assembles:
-    ``_e8``, the pair (E8, -E8), built with the record, and ``_p_models``,
-    the P(gamma) model ``model_P`` finished over ``presentation`` for each
-    gamma bit tuple, filled on first use (at most 2^d <= 8 of them).
     """
 
     name: str
@@ -224,9 +218,6 @@ class BuiltinFamily(Record):
                     )
         self.__dict__.update(name=name, ring=ring, presentation=presentation,
                              coords=coords, images=images)
-        e8 = e8_block(ring)
-        object.__setattr__(self, "_e8", (e8, e8.negate()))
-        object.__setattr__(self, "_p_models", {})
 
     def out_generators(self) -> tuple[F2Mat, ...]:
         """The automorphisms pulled back to H_2, less the identity and repeats.
@@ -317,14 +308,10 @@ def builtin_presentation(family: GroupFamily) -> Presentation:
     return builtin_family(family).presentation
 
 
-def _check_generators(pres: Presentation, family: GroupFamily) -> None:
-    if tuple(pres.generators) != family.generators:
-        raise DomainError("presentation generators do not match the family")
-
-
 def fox_jacobian(pres: Presentation, family: GroupFamily) -> list[list[RingElem]]:
     """Matrix of Fox derivatives D_k R_i (rows: relators, columns: gens)."""
-    _check_generators(pres, family)
+    if tuple(pres.generators) != family.generators:
+        raise DomainError("presentation generators do not match the family")
     return [
         [fox_derivative(rel, k, family) for k in range(family.rank)]
         for rel in pres.relators
@@ -398,33 +385,17 @@ def model_P(
 
     The corner 2 = 1 + conj(1) makes the form even for every gamma, and the
     class of the model in H_2(Bpi;Z/2) is gamma itself.
-
-    Over the family's built-in presentation the finished model is kept on
-    its ``BuiltinFamily`` record, per gamma bit tuple, and later calls
-    return it after the same checks; any other presentation is built on
-    each call.  A call that raises keeps nothing.
     """
     if not pres.is_square:
         raise DomainError(
             f"need a square presentation, got {len(pres.generators)} "
             f"generators and {len(pres.relators)} relators"
         )
-    _check_generators(pres, family)
+    jac = fox_jacobian(pres, family)  # refuses generators other than the family's
     bits = _gamma_bits(family, gamma)
     _check_homomorphism(pres, bits)
     tau = hom_bits_to_h2(family, bits)  # refuses a family with no built-in H_2
-    record = builtin_family(family)
-    kept = record._p_models if pres == record.presentation else {}
-    model = kept.get(bits)
-    if model is None:
-        model = kept[bits] = _build_P(pres, family, bits, tau)
-    return model
 
-
-def _build_P(pres: Presentation, family: GroupFamily, bits: tuple[int, ...],
-             tau: F2Vec) -> HAN1:
-    """The model_P of checked arguments, built from the Fox Jacobian."""
-    jac = fox_jacobian(pres, family)
     n = family.rank
     one, zero = RingElem.one(family), RingElem.zero(family)
     # each 1 - g_j, and each Fox derivative D_k R_i with gamma(g_k) = 1, and
@@ -471,14 +442,13 @@ def model_N_almost_spin(family: GroupFamily, w: F2Vec) -> HAN1:
     )
 
 
-def _plus_e8(base: HAN1, count: int, record: BuiltinFamily) -> AugmentedForm:
-    """The base form plus count copies of E8 (negated when count < 0), the
-    block kept on the family's record; a sum of hermitian blocks, so it is
-    not checked again."""
+def _plus_e8(base: HAN1, count: int) -> AugmentedForm:
+    """The base form plus count copies of E8 (negated when count < 0); a
+    sum of hermitian blocks, so it is not checked again."""
     matrix = base.form.matrix
     _check_rank(matrix.size + 8 * abs(count))
     if count:
-        block = record._e8[count < 0]
+        block = e8_block(base.family, -1 if count < 0 else 1)
         stack = functools.reduce(RingMatrix.direct_sum, [block] * abs(count))
         matrix = matrix.direct_sum(stack)
     return AugmentedForm._trusted(1, matrix)
@@ -518,12 +488,10 @@ def realize_form(
     computed before any matrix is built, and a target whose rank^2 entries
     exceed the cap (STABLE4_CAP, default 10^6) raises CapExceeded.
 
-    The P(gamma) models and the E8 blocks come from the family's
-    ``BuiltinFamily`` record, where they are built once; the base model
-    is checked when it is built, and its block sums are not checked again.
+    Each base model checks its form when it is built; the block sums made
+    from it are hermitian and are not checked again.
     """
-    record = builtin_family(family)
-    d = len(record.coords)
+    d = h2_dimension(family)
     if check_w(w, d) is not INFINITY and not w.is_zero:
         parity_target = Parity.EVEN if parity_target is None else parity_target
         tau = F2Vec.zero(d) if tau is None else tau
@@ -542,7 +510,7 @@ def realize_form(
             base, label = model_M_sigma(family, 1), "M_1"
         elif w.is_zero:
             gamma = h2_to_hom_bits(family, tau)
-            base = model_P(record.presentation, family, gamma)
+            base = model_P(builtin_presentation(family), family, gamma)
             label = f"P(gamma={''.join(map(str, gamma))})"
         elif tau != F2Vec.zero(d):
             raise DomainError(
@@ -552,7 +520,7 @@ def realize_form(
         else:
             base, label = model_N_almost_spin(family, w), f"N(w={w.to_bits()})"
         n_e8 = signature // 8
-        form, tau = _plus_e8(base, n_e8, record), base.tau
+        form, tau = _plus_e8(base, n_e8), base.tau
         notes = f"{label} + {n_e8} E8" + ("" if w.is_zero else " (signature part only)")
     return HAN1(w=w, signature=signature, form=form, tau=tau, notes=notes)
 

@@ -1045,3 +1045,28 @@ def test_identity_blocks_match_their_integer_rows():
         assert identity_block(Z3, 3, sign) == RingMatrix.from_int_rows(Z3, rows)
         assert identity_block(Z3, 3, sign) == RingMatrix(
             Z3, [[RingElem.integer(Z3, v) for v in row] for row in rows])
+        block = identity_block(Z3, 3, sign)
+        assert len({id(x) for row in block._rows for x in row.values()}) == (sign != 0)
+
+
+E8_CARTAN = [
+    [2, -1, 0, 0, 0, 0, 0, 0],
+    [-1, 2, -1, 0, 0, 0, 0, 0],
+    [0, -1, 2, -1, 0, 0, 0, 0],
+    [0, 0, -1, 2, -1, 0, 0, 0],
+    [0, 0, 0, -1, 2, -1, 0, -1],
+    [0, 0, 0, 0, -1, 2, -1, 0],
+    [0, 0, 0, 0, 0, -1, 2, 0],
+    [0, 0, 0, 0, -1, 0, 0, 2],
+]
+
+
+@pytest.mark.parametrize("fam", [Z3, NilFamily(3)], ids=repr)
+def test_e8_blocks_match_their_integer_rows_and_share_two_entries(fam):
+    for sign in (1, -1):
+        block = e8_block(fam, sign)
+        expected = RingMatrix.from_int_rows(fam, [[sign * v for v in row] for row in E8_CARTAN])
+        assert block == expected and block.family == fam
+        assert [list(row) for row in block._rows] == [list(row) for row in expected._rows]
+        assert len({id(x) for row in block._rows for x in row.values()}) == 2
+    assert e8_block(fam, -1) == e8_block(fam).negate()

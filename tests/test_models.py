@@ -1,5 +1,3 @@
-import copy
-import pickle
 import re
 
 import pytest
@@ -14,7 +12,6 @@ from stable4.forms import (
     Parity,
     RingMatrix,
     augmentation_signature,
-    e8_block,
     hyperbolic_matrix,
     parity,
     restrict_to_Ipi,
@@ -24,7 +21,6 @@ from stable4.models import (
     HAN1,
     INFINITY,
     TAU_UNKNOWN,
-    builtin_family,
     builtin_presentation,
     check_invariants,
     fox_jacobian,
@@ -237,107 +233,7 @@ def test_fox_jacobian_shape():
 
 
 # ---------------------------------------------------------------------------
-# The blocks kept on a built-in family's record
-
-
-@pytest.fixture
-def fresh_records():
-    """Built-in family records made anew, so that nothing is kept yet."""
-    builtin_family.cache_clear()
-    yield
-    builtin_family.cache_clear()
-
-
-@pytest.mark.parametrize("fam", [Z3, *map(NilFamily, range(1, 9))], ids=repr)
-def test_p_first_and_kept_models_match_the_dense_construction(fresh_records, fam):
-    pres = builtin_presentation(fam)
-    for v in all_h2_vectors(fam):
-        gamma = h2_to_hom_bits(fam, v)
-        dense = dense_model_P(pres, fam, gamma)
-        first = model_P(pres, fam, gamma)
-        again = model_P(pres, fam, "".join(map(str, gamma)))
-        assert first == dense and again == dense
-        assert again is first
-    assert len(builtin_family(fam)._p_models) == 1 << h2_dimension(fam)
-
-
-def _count_jacobians(monkeypatch):
-    import stable4.models as models
-
-    built = []
-    jacobian = models.fox_jacobian
-    monkeypatch.setattr(models, "fox_jacobian",
-                        lambda pres, family: built.append(family) or jacobian(pres, family))
-    return built
-
-
-def test_p_builds_the_fox_jacobian_once_per_family_and_gamma(fresh_records, monkeypatch):
-    built = _count_jacobians(monkeypatch)
-    tau = F2Vec.from_bits("011")
-    for fam in (NIL2, NilFamily(2)):  # equal families share one record
-        for _ in range(3):
-            model_P(builtin_presentation(fam), fam, h2_to_hom_bits(fam, tau))
-            realize_form(fam, F2Vec.zero(3), -16, Parity.EVEN, tau)
-    assert built == [NIL2]
-    for v in all_h2_vectors(Z3):
-        realize_form(Z3, F2Vec.zero(3), 16, Parity.EVEN, v)
-        realize_form(Z3, F2Vec.zero(3), 32, Parity.EVEN, v)
-    assert built == [NIL2] + [Z3] * 8
-
-
-def test_p_keeps_nothing_over_another_presentation(fresh_records, monkeypatch):
-    built = _count_jacobians(monkeypatch)
-    first, again = model_P(NIL2_OTHER, NIL2, (1, 1, 0)), model_P(NIL2_OTHER, NIL2, (1, 1, 0))
-    assert first == again and first is not again
-    assert len(built) == 2
-    assert builtin_family(NIL2)._p_models == {}
-
-
-def test_p_refusals_keep_nothing(fresh_records, monkeypatch):
-    import stable4.models as models
-
-    pres = builtin_presentation(NIL3)
-    renamed = Presentation(("b", "x", "y"), pres.relators)
-    non_square = Presentation(pres.generators, pres.relators[:2])
-    for call, error in [
-        (lambda: model_P(non_square, NIL3, "000"), DomainError),
-        (lambda: model_P(renamed, NIL3, "000"), DomainError),
-        (lambda: model_P(pres, NIL3, "01"), InputError),
-        (lambda: model_P(pres, NIL3, "100"), DomainError),
-    ]:
-        with pytest.raises(error):
-            call()
-    monkeypatch.setattr(models, "AugmentedForm", _refuse)
-    with pytest.raises(DomainError, match="^refused$"):
-        model_P(pres, NIL3, "011")
-    assert builtin_family(NIL3)._p_models == {}
-    monkeypatch.undo()
-    assert model_P(pres, NIL3, "011").form.matrix.is_hermitian()
-    assert list(builtin_family(NIL3)._p_models) == [(0, 1, 1)]
-
-
-def _refuse(*args):
-    raise DomainError("refused")
-
-
-def test_realize_reads_e8_from_the_record(fresh_records, monkeypatch):
-    import stable4.models as models
-
-    record = builtin_family(NIL2)
-    assert record._e8 == (e8_block(NIL2), e8_block(NIL2).negate())
-    monkeypatch.setattr(models, "e8_block", _refuse)
-    for sigma in (16, -16):
-        h = realize_form(NIL2, F2Vec.zero(3), sigma, Parity.ODD)
-        assert h.form.matrix.entry(2, 2) is record._e8[sigma < 0].entry(0, 0)
-
-
-def test_kept_blocks_are_no_fields():
-    record = builtin_family(Z3)
-    model_P(builtin_presentation(Z3), Z3, "110")
-    assert record._p_models
-    assert copy.copy(record) == record and pickle.loads(pickle.dumps(record)) == record
-    assert "_e8" not in repr(record) and "_p_models" not in repr(record)
-    assert pickle.loads(pickle.dumps(record))._p_models == {}
+# Block sums that realize_form does not check again
 
 
 @st.composite

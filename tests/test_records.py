@@ -32,6 +32,7 @@ from stable4.forms import (
     AugmentedForm,
     Parity,
     RingMatrix,
+    e8_block,
     hyperbolic_matrix,
     identity_block,
     ldlt_signature,
@@ -552,6 +553,8 @@ VALIDATION = [
      "identity block size 2.5 is not a non-negative integer"),
     (lambda: identity_block(Z3, -1), InputError,
      "identity block size -1 is not a non-negative integer"),
+    (lambda: e8_block(Z3, 0), DomainError, "E8 sign must be 1 or -1"),
+    (lambda: e8_block(Z3, True), DomainError, "E8 sign must be 1 or -1"),
     (lambda: Word(5), InputError, "word letters 5 are not a sequence"),
     (lambda: Word([(0,)]), InputError, "letter (0,) is not a pair"),
     (lambda: RingElem(Z3, 5), InputError, "ring element terms 5 are not a sequence"),
