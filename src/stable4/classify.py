@@ -17,11 +17,12 @@ The enumerations are bounded by the caps of `f2.orbits` and
 `f2.group_closure`, which read STABLE4_CAP themselves.  That closure is
 computed once per `FamilyData` and kept on the instance outside its fields,
 as the row tuples of its elements; every almost-spin table over the family
-filters the kept closure, checking it against the cap again, and hands
-`f2.orbits` one stabilizer element per vector reached, which have the same
-orbits.  The decision walks one orbit of (w, tau) pairs instead, under the
-`f2.orbit_of` cap, over pair generators it builds on each call and keeps
-nowhere.
+filters the kept closure in one pass, checking it against the cap again,
+and hands `f2.orbits` one stabilizer element per vector reached, which have
+the same orbits; the pass that picks them stops once every vector of the
+domain is reached (when smooth, only over more than 2^d elements).  The decision walks one orbit of (w, tau) pairs
+instead, under the `f2.orbit_of` cap, over pair generators it builds on
+each call and keeps nowhere.
 
 Which (w, signature, parity, tau) exist in a category -- the strides, the
 w and tau dimensions, the category names -- is stated once, in
@@ -39,6 +40,7 @@ from .f2 import (
     F2Vec,
     _check_orbit_dim,
     _orbit_witnesses,
+    _trusted_matrices,
     closure_cap_exceeded,
     configured_cap,
     f2mat_from_json,
@@ -143,13 +145,15 @@ def stabilizer_of_w(family: FamilyData, w: F2Vec) -> list[F2Mat]:
 
     w is the coefficient vector of the evaluation functional on H_2, so the
     condition on a matrix rho is rho^T w = w: the XOR of the rows of rho
-    picked by the bits of w is w again.  The closure of the Out-generators
-    comes from `group_closure` once per family and is kept on the family,
-    as its elements' row tuples, outside its fields, so equality, hash,
-    repr, pickle and copy do not see it.  A kept closure is checked against
-    the cap again on every call, with the message `group_closure` raises; a
-    closure that raised is not kept.  A matrix is built only for each
-    element kept.
+    picked by the bits of w is w again.  For a w of one or two bits that is
+    one comparison per element, rows[j] == w or rows[a] ^ rows[b] == w, in
+    one comprehension; other w XOR their rows in a loop.  The closure of
+    the Out-generators comes from `group_closure` once per family and is
+    kept on the family, as its elements' row tuples, outside its fields,
+    so equality, hash, repr, pickle and copy do not see it.  A kept closure
+    is checked against the cap again on every call, with the message
+    `group_closure` raises; a closure that raised is not kept.  A matrix is built only for each
+    element kept, all of them by one `f2._trusted_matrices` call.
     """
     if check_w(w, family.d) is INFINITY:
         raise DomainError("a totally non-spin w has no stabilizer to compute")
@@ -165,14 +169,21 @@ def stabilizer_of_w(family: FamilyData, w: F2Vec) -> list[F2Mat]:
         if len(closure) > cap:
             raise closure_cap_exceeded(len(family.out_generators), d, cap)
     picked = [j for j in range(d) if bits >> j & 1]
-    stab = []
-    for rows in closure:
-        acc = 0
-        for j in picked:
-            acc ^= rows[j]
-        if acc == bits:
-            stab.append(F2Mat._trusted(d, rows))
-    return stab
+    if len(picked) == 1:
+        [j] = picked
+        kept = [rows for rows in closure if rows[j] == bits]
+    elif len(picked) == 2:
+        a, b = picked
+        kept = [rows for rows in closure if rows[a] ^ rows[b] == bits]
+    else:
+        kept = []
+        for rows in closure:
+            acc = 0
+            for j in picked:
+                acc ^= rows[j]
+            if acc == bits:
+                kept.append(rows)
+    return _trusted_matrices(d, kept)
 
 
 class ClassEntry(Record):
@@ -235,7 +246,10 @@ def classify(family: FamilyData, w, category: str) -> ClassificationTable:
     only the orbit witnesses: per orbit, the first element of Stab(w)
     carrying its least vector to each other vector.  They reach each whole
     Stab(w)-orbit from its start, so they generate a subgroup with exactly
-    the same orbits, and there are at most 2^d - (#orbits) of them.
+    the same orbits, and there are at most 2^d - (#orbits) of them.  The
+    witness pass stops once it has reached every vector of the domain,
+    which Stab(w) maps into itself, so the elements it skips would add no
+    witness (when smooth, only if Stab(w) has more than 2^d elements).
     Totally non-spin tables are signature-only.  Strides: 1 for totally
     non-spin, 16 for smooth spin, 8 otherwise.
     """
@@ -251,7 +265,10 @@ def classify(family: FamilyData, w, category: str) -> ClassificationTable:
             odd, ks_rule = (ClassEntry("odd"),), "sigma/8"
         else:  # almost spin
             stab = stabilizer_of_w(family, w)
-            subset = (lambda v: w.dot(v) == 0) if category == SMOOTH else None
+            subset = None
+            if category == SMOOTH:
+                bits = w.bits
+                subset = lambda v: not (v.bits & bits).bit_count() & 1  # <w, v> == 0
             parts = orbits(family.d, _orbit_witnesses(family.d, stab, subset), subset=subset)
             odd, ks_rule = (), "sigma/8 + <w,->"
         classes = tuple(

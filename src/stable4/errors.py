@@ -6,8 +6,10 @@ Loaders of JSON input test integers with `is_int`, so that neither a bool
 nor a float nor a string slips through as a number; `as_int` refuses such a
 value as input.  Constructors read their sequence arguments through
 `as_tuple`, so that a number given for one is refused as input.  Loops
-that unpack pairs call `check_pairs` only once they have failed, so that
-the pairs are read once on the way that succeeds.
+that unpack pairs read them into a tuple first and call `check_pairs` on
+that tuple only once they have failed, so that the pairs are checked once
+on the way that succeeds, and all of them, one-shot iterators included,
+on the way that fails.
 """
 
 
@@ -50,8 +52,8 @@ def check_pairs(value, what: str, item: str) -> None:
     """Refuse value as input when it is not iterable or holds an item that
     is not a pair, naming value or the item, e.g. "word letters 5 are not a
     sequence" or "letter (0,) is not a pair".  For the error path of a loop
-    over value that unpacked pairs and failed: value is read again, so an
-    iterator is checked only past the point where the loop stopped."""
+    over value that unpacked pairs and failed: value is read again, so it
+    should be the tuple the loop read, not a one-shot iterator."""
     for x in as_tuple(value, what):
         try:
             _, _ = x

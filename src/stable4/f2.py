@@ -10,17 +10,19 @@ stored as a tuple.  A product of two such matrices XORs rows of the right
 factor, so it stays below 2^d and is built as the private `F2Mat._trusted`
 builds a matrix: a new object whose slots are filled through the slot
 setters bound once below, without running `__init__` and so without that
-check again.  Vectors derived from valid ones (`apply`, `^`, the states
-`orbits` returns) are built the same way by `F2Vec._trusted`.  Up to d = 8
+check again; `_trusted_matrices` builds a list of them in one call.
+Vectors derived from valid ones (`apply`, `^`, the states `orbits`
+returns) are built the same way by `F2Vec._trusted`.  Up to d = 8
 (PRODUCT_TABLE_DIM) row i of A @ B is one lookup, T_B[A.rows[i]], in the
 table of all 2^d subset XORs of B's rows; T_B is built the first time B is
-a right factor and kept on B outside its fields, so equality, hash, repr,
-pickle and copy do not see it.  Above d = 8 each row is combined bit by bit
-and no table is built.  `group_closure` multiplies on the right, so only
-its generators carry a table.  It deduplicates products on their `rows`
-tuples, which hash and compare in C, so no record hash or equality runs
-per product, and it builds the returned set of matrices once, at the
-end, after dropping the row set.
+a right factor and its bound `__getitem__` is kept on B outside its fields,
+so equality, hash, repr, pickle and copy do not see it, and a product maps
+it over A's rows with no lookup on the table.  Above d = 8 each row is
+combined bit by bit and no table is built.  `group_closure` multiplies on
+the right, so only its generators carry a table.  It deduplicates
+products on their `rows` tuples, which hash and compare in C, so no
+record hash or equality runs per product, and it builds the returned set
+of matrices once, at the end, after dropping the row set.
 
 Enumerations are bounded by caps, so a group or state space too large fails
 at once.  `configured_cap` is the one reader of the STABLE4_CAP environment
@@ -32,6 +34,10 @@ Orbits are searched on int states.  `orbits` first tabulates each
 generator on all 2^d vectors (k * 2^d entries for k generators), which
 also decides its invertibility; `orbit_of` steps each state through the
 generator's columns, builds no table, and counts its states to the cap.
+`_orbit_witnesses` applies a fully listed group to one start vector at a
+time, each image bit read from the parity table `_PARITY`, and stops once
+every vector of its domain has been reached (over a subset, only when the
+group has more than 2^d elements).
 """
 
 from __future__ import annotations
@@ -45,6 +51,8 @@ from .records import Record
 ORBIT_DIM_CAP = 20
 CLOSURE_CAP = 10**6
 PRODUCT_TABLE_DIM = 8
+# _PARITY[x] = popcount(x) & 1 for every mask x of up to 8 bits
+_PARITY = [x.bit_count() & 1 for x in range(1 << 8)]
 
 _new_object = object.__new__
 
@@ -144,7 +152,8 @@ class F2Mat(Record):
     """Square matrix over GF(2); rows[i] is the bitmask of row i.
 
     The `_product_table` slot is not a field: `__matmul__` fills it on a
-    right factor, and equality, hash, repr, pickle and copy do not see it."""
+    right factor with the lookup of its product table, and equality, hash,
+    repr, pickle and copy do not see it."""
 
     __slots__ = ("dim", "rows", "_product_table")
     dim: int
@@ -223,8 +232,10 @@ class F2Mat(Record):
 
         Up to dimension PRODUCT_TABLE_DIM that XOR is looked up in the table
         of all 2^d subset XORs of other's rows, built the first time other
-        is a right factor and kept on it outside the fields.  The product
-        is built here, as `_trusted` builds one, to save that call."""
+        is a right factor.  The table's bound `__getitem__` is kept on other
+        outside the fields, so a product maps it over self's rows with no
+        attribute lookup on the table.  The product is built here, as
+        `_trusted` builds one, to save that call."""
         dim = self.dim
         if dim != other.dim:
             raise DomainError(f"dimension mismatch: product of matrices of dimension "
@@ -232,13 +243,13 @@ class F2Mat(Record):
         if dim > PRODUCT_TABLE_DIM:
             return F2Mat._trusted(dim, tuple(map(other.combine, self.rows)))
         try:
-            table = other._product_table
+            lookup = other._product_table
         except AttributeError:
-            table = _image_table(other.rows)
-            _set_product_table(other, table)
+            lookup = _image_table(other.rows).__getitem__
+            _set_product_table(other, lookup)
         product = _new_object(F2Mat)
         _set_mat_dim(product, dim)
-        _set_mat_rows(product, tuple(map(table.__getitem__, self.rows)))
+        _set_mat_rows(product, tuple(map(lookup, self.rows)))
         return product
 
     def combine(self, mask: int) -> int:
@@ -289,14 +300,26 @@ class F2Mat(Record):
         return f"F2Mat({self.to_rows()!r})"
 
 
-# The slot setters, bound once: the constructors, the `_trusted` builders and
-# `F2Mat.__matmul__` store fields with them, past the frozen
-# `Record.__setattr__`.
+# The slot setters, bound once: the constructors, the `_trusted` builders,
+# `_trusted_matrices` and `F2Mat.__matmul__` store fields with them, past the
+# frozen `Record.__setattr__`.
 _set_vec_dim = F2Vec.dim.__set__
 _set_vec_bits = F2Vec.bits.__set__
 _set_mat_dim = F2Mat.dim.__set__
 _set_mat_rows = F2Mat.rows.__set__
 _set_product_table = F2Mat._product_table.__set__
+
+
+def _trusted_matrices(dim: int, row_tuples: Sequence[tuple[int, ...]]) -> list[F2Mat]:
+    """`F2Mat._trusted(dim, rows)` for each of the row tuples, in order,
+    with the slot setters called inline."""
+    matrices = []
+    for rows in row_tuples:
+        m = _new_object(F2Mat)
+        _set_mat_dim(m, dim)
+        _set_mat_rows(m, rows)
+        matrices.append(m)
+    return matrices
 
 
 # ---------------------------------------------------------------------------
@@ -471,22 +494,57 @@ def _orbit_witnesses(
     of the) 2^d vectors: after the orbit cap check, each orbit starts at
     its least vector v, and of the elements applied to v the first to
     reach each new vector is kept.  They carry v across all of G v, so
-    they generate a subgroup with the same orbits; |G v| - 1 are kept."""
+    they generate a subgroup with the same orbits; |G v| - 1 are kept.
+
+    Bit i of g v is the parity of rows[i] & v, read from `_PARITY` (up to
+    d = 8; above, from such a table of the 2^d masks built per call), so an
+    image costs d lookups and no popcount, and nothing is built per start.
+    The pass stops as soon as it has seen every nonzero vector of the
+    domain: the elements it skips reach no new vector there, so for a
+    subset that G maps into itself (as Stab(w) maps ker<w,->) the list is
+    the one a full pass keeps.  Knowing when the subset is all seen takes
+    one subset call per vector up front, which a G of at most 2^d elements
+    does not repay: such a pass asks the subset at each start instead, as
+    a full pass does, and does not stop early.  A vector reached outside
+    the subset turns the stop off, so the full pass's list, leaking witness
+    included, goes to `orbits`, which refuses it; a subset that G leaves
+    only through elements past the stop is not seen here."""
     _check_orbit_dim(d)
-    seen = [False] * (1 << d)
+    size = 1 << d
+    # left counts the nonzero vectors of the domain not yet seen
+    if subset is None:
+        inside, left = None, size - 1
+    elif len(group) > size:
+        inside = [subset(F2Vec._trusted(d, x)) for x in range(size)]
+        left = inside.count(True) - inside[0]
+    else:
+        inside, left = None, -1  # asked at each start; never 0
+    seen = [False] * size
     seen[0] = True  # 0 is fixed: its orbit needs no witness
+    parity = _PARITY if d <= 8 else [x.bit_count() & 1 for x in range(size)]
     witnesses = []
-    for start in range(1, 1 << d):
-        if seen[start] or subset is not None and not subset(F2Vec._trusted(d, start)):
+    for start in range(1, size):
+        if seen[start]:
+            continue
+        if inside is not None:
+            if not inside[start]:
+                continue
+        elif subset is not None and not subset(F2Vec._trusted(d, start)):
             continue
         seen[start] = True
+        left -= 1
         for g in group:
             image = 0
             for i, row in enumerate(g.rows):
-                image |= ((row & start).bit_count() & 1) << i
+                image |= parity[row & start] << i
             if not seen[image]:
                 seen[image] = True
                 witnesses.append(g)
+                if inside is not None and not inside[image]:
+                    left = -1  # the subset is not closed: never stop
+                left -= 1
+                if not left:
+                    return witnesses
     return witnesses
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-from .errors import DomainError, InputError, as_int, check_pairs, is_int
+from .errors import DomainError, InputError, as_int, as_tuple, check_pairs, is_int
 from .words import GroupFamily, _generator_index, _parse_indexed
 
 
@@ -22,21 +22,28 @@ class RingElem:
     __slots__ = ("family", "_terms")
 
     def __init__(self, family: GroupFamily, terms: Mapping | Iterable | None = None):
-        """terms are a mapping or an iterable of (group element, int) pairs;
-        terms that are not an iterable of pairs are refused as input."""
+        """terms are a mapping or an iterable of (group element, int) pairs,
+        read once; terms that are not an iterable of pairs, and a group
+        element that is not hashable, are refused as input."""
         self.family = family
         data: dict = {}
         if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
+            items = (terms.items() if isinstance(terms, Mapping)
+                     else as_tuple(terms, "ring element terms"))
             try:
                 for g, c in items:
                     if not is_int(c):
                         raise DomainError(f"coefficient {c!r} is not an integer")
                     if c:
-                        data[g] = data.get(g, 0) + c
-                        if not data[g]:
+                        try:
+                            c += data.get(g, 0)
+                        except TypeError:
+                            raise InputError(f"group element {g!r} is not hashable") from None
+                        if c:
+                            data[g] = c
+                        else:
                             del data[g]
-            except DomainError:
+            except (DomainError, InputError):
                 raise
             except (TypeError, ValueError):
                 check_pairs(items, "ring element terms", "term")

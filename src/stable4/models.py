@@ -52,6 +52,7 @@ from .words import (
     Presentation,
     Word,
     ZnFamily,
+    check_fox_derivative,
     fox_derivative,
     parse_word,
     word_to_str,
@@ -310,12 +311,22 @@ def builtin_presentation(family: GroupFamily) -> Presentation:
 
 def fox_jacobian(pres: Presentation, family: GroupFamily) -> list[list[RingElem]]:
     """Matrix of Fox derivatives D_k R_i (rows: relators, columns: gens)."""
-    if tuple(pres.generators) != family.generators:
-        raise DomainError("presentation generators do not match the family")
+    _check_fox_jacobian(pres, family)
     return [
         [fox_derivative(rel, k, family) for k in range(family.rank)]
         for rel in pres.relators
     ]
+
+
+def _check_fox_jacobian(pres: Presentation, family: GroupFamily) -> None:
+    """Every refusal of `fox_jacobian(pres, family)`, in its order: the
+    generators must be the family's, then each (relator, generator) pair
+    is checked as `fox_derivative` checks it, expanding nothing."""
+    if tuple(pres.generators) != family.generators:
+        raise DomainError("presentation generators do not match the family")
+    for rel in pres.relators:
+        for k in range(family.rank):
+            check_fox_derivative(rel, k, family)
 
 
 # ---------------------------------------------------------------------------
@@ -391,18 +402,21 @@ def model_P(
             f"need a square presentation, got {len(pres.generators)} "
             f"generators and {len(pres.relators)} relators"
         )
-    jac = fox_jacobian(pres, family)  # refuses generators other than the family's
+    # refuses generators other than the family's, and any Fox derivative
+    # over the cap, whether or not gamma uses its column
+    _check_fox_jacobian(pres, family)
     bits = _gamma_bits(family, gamma)
     _check_homomorphism(pres, bits)
     tau = hom_bits_to_h2(family, bits)  # refuses a family with no built-in H_2
 
     n = family.rank
     one, zero = RingElem.one(family), RingElem.zero(family)
-    # each 1 - g_j, and each Fox derivative D_k R_i with gamma(g_k) = 1, and
-    # the conjugates of both, built once
+    # each 1 - g_j, and each Fox derivative D_k R_i with gamma(g_k) = 1 (the
+    # only columns the Fox block reads), and the conjugates of both, built once
     diff = [one - RingElem.group(family, family.generator_element(j)) for j in range(n)]
     diff_bar = [x.conjugate() for x in diff]
-    fox = [[jac[i][k] for k in range(n) if bits[k]] for i in range(n)]
+    fox = [[fox_derivative(rel, k, family) for k in range(n) if bits[k]]
+           for rel in pres.relators]
     fox_bar = [[x.conjugate() for x in row] for row in fox]
 
     # rows after the recorded permutation, each holding its nonzeros in

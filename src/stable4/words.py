@@ -55,7 +55,9 @@ Letter = tuple[int, int]  # (generator index, nonzero exponent)
 def _free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     """Cancel adjacent letters with the same generator index, refusing
     letters that are not an iterable of pairs, and a letter whose index or
-    exponent is not an int, or whose index is negative."""
+    exponent is not an int, or whose index is negative.  The letters are
+    read once, into a tuple, so a refusal sees all of a one-shot iterator."""
+    letters = as_tuple(letters, "word letters")
     stack: list[list[int]] = []
     try:
         for gen, exp in letters:
@@ -631,15 +633,24 @@ def fox_derivative(w: Word, gen: int | str, family: GroupFamily):
     normal form, i.e. this is the composite Z F_n -> Z pi when the family is
     not free.
 
-    Each letter g^k of the differentiated generator expands into |k| terms,
-    so the sum of those |k| is checked against ``f2.configured_cap()`` first
-    and CapExceeded is raised when it is over.
-
-    The walk itself is the family's ``fox_terms`` kernel.  Returns a
-    groupring.RingElem over the family.
+    The arguments and the expansion are first checked by
+    ``check_fox_derivative``.  The walk itself is the family's ``fox_terms``
+    kernel.  Returns a groupring.RingElem over the family.
     """
     from .groupring import RingElem  # words is below groupring in the layering
 
+    gen = check_fox_derivative(w, gen, family)
+    return RingElem._from_dict(family, family.fox_terms(w.letters, gen))
+
+
+def check_fox_derivative(w: Word, gen: int | str, family: GroupFamily) -> int:
+    """Every refusal of ``fox_derivative(w, gen, family)``, in its order,
+    without expanding anything; returns gen as an index.
+
+    Each letter g^k of the differentiated generator expands into |k| terms,
+    so the sum of those |k| is checked against ``f2.configured_cap()``, read
+    on each call, and CapExceeded is raised when it is over.
+    """
     if isinstance(gen, str):
         gen = family.gen_index(gen)
     else:
@@ -655,8 +666,7 @@ def fox_derivative(w: Word, gen: int | str, family: GroupFamily):
             f"the Fox derivative in {name} expands {expanded} letters of {name}, "
             f"over the cap {cap}"
         )
-
-    return RingElem._from_dict(family, family.fox_terms(w.letters, gen))
+    return gen
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,44 @@ def stabilizer_orbits(closure, w: F2Vec, smooth: bool):
     return [[F2Vec(d, sum(c << i for i, c in enumerate(v))) for v in part] for part in parts]
 
 
+def stabilizer_rows_loop(closure_rows, w: F2Vec) -> list[F2Mat]:
+    """Stab(w) as `classify.stabilizer_of_w` filtered it with one row loop
+    per element: the matrices of the row tuples whose rows picked by the
+    bits of w XOR to w, in the order of the list."""
+    d, bits = w.dim, w.bits
+    picked = [j for j in range(d) if bits >> j & 1]
+    stab = []
+    for rows in closure_rows:
+        acc = 0
+        for j in picked:
+            acc ^= rows[j]
+        if acc == bits:
+            stab.append(F2Mat._trusted(d, rows))
+    return stab
+
+
+def orbit_witnesses_full_pass(d: int, group, subset=None) -> list[F2Mat]:
+    """The witnesses `f2._orbit_witnesses` picked with one popcount per row
+    and no early stop (less its orbit cap check): each orbit starts at its
+    least vector v, every element of the list is applied to v, and the
+    first to reach each new vector is kept."""
+    seen = [False] * (1 << d)
+    seen[0] = True  # 0 is fixed: its orbit needs no witness
+    witnesses = []
+    for start in range(1, 1 << d):
+        if seen[start] or subset is not None and not subset(F2Vec._trusted(d, start)):
+            continue
+        seen[start] = True
+        for g in group:
+            image = 0
+            for i, row in enumerate(g.rows):
+                image |= ((row & start).bit_count() & 1) << i
+            if not seen[image]:
+                seen[image] = True
+                witnesses.append(g)
+    return witnesses
+
+
 # ---------------------------------------------------------------------------
 # Integer symmetric matrices
 

@@ -16,10 +16,12 @@ from oracles import (
     hand_nil_generators,
     naive_orbits,
     nil_word_matrix,
+    orbit_witnesses_full_pass,
     spin_state_generators,
     spin_state_table_oracle,
     reduce_word_stepwise,
     stabilizer_orbits,
+    stabilizer_rows_loop,
 )
 from stable4.errors import CapExceeded, DomainError, InputError
 from stable4.f2 import F2Mat, F2Vec, _orbit_witnesses, group_closure, orbits
@@ -904,6 +906,53 @@ def test_orbit_witnesses_fix_w_and_reach_each_vector_once(fam):
             table = classify(fam, w, category)
             reached = sum(len(entry.orbit) for entry in table.classes)
             assert len(witnesses) == reached - len(table.classes)
+
+
+def _small_group_family(rng, d, k):
+    """k random generators of a group small enough to list: any invertible
+    matrices up to d = 3 (inside GL_3(F2), 168 elements), else conjugates
+    g P g^-1 of permutation matrices by one random invertible g (at most
+    6! elements)."""
+    if d <= 3:
+        return _random_family(rng, d, k)
+    g = _random_family(rng, d, 1).out_generators[0]
+    g_inverse = g.inverse()
+    generators = []
+    for _ in range(k):
+        perm = rng.sample(range(d), d)
+        generators.append(g @ F2Mat(d, tuple(1 << p for p in perm)) @ g_inverse)
+    return family_custom("small", d, generators)
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(1, 6), k=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_stabilizer_and_witnesses_match_the_row_loop_oracles(d, k, seed):
+    """For every nonzero w, Stab(w) is the row-loop filter's list of the
+    kept closure, element for element and in order, and in both categories
+    the witnesses are those of the full pass with one popcount per row."""
+    fam = _small_group_family(random.Random(seed), d, k)
+    for bits in range(1, 1 << d):
+        w = F2Vec(d, bits)
+        stab = stabilizer_of_w(fam, w)
+        assert stab == stabilizer_rows_loop(fam._closure, w)
+        for subset in (lambda v: w.dot(v) == 0, None):
+            assert _orbit_witnesses(d, stab, subset) == orbit_witnesses_full_pass(d, stab, subset)
+
+
+@pytest.mark.parametrize("generators", [hand_gl3_generators(), (F2Mat(3, (2, 1, 4)),)],
+                         ids=["gl3", "swap"])
+def test_a_subset_left_before_the_stop_is_refused_as_before(generators):
+    """A vector reached outside the subset turns the early stop off (GL_3,
+    168 elements), and a group of at most 2^d elements never stops early
+    (the swap of the first two coordinates): either way the witnesses are
+    the full pass's, and `orbits` refuses them with the message it gave the
+    full pass's list."""
+    bad = lambda v: v.to_bits() in ("000", "100")  # not GL3-stable
+    group = sorted(group_closure(generators), key=lambda m: m.rows)
+    witnesses = _orbit_witnesses(3, group, bad)
+    assert witnesses == orbit_witnesses_full_pass(3, group, bad)
+    with pytest.raises(DomainError, match="^subset is not closed under generator 0: 100 -> "):
+        orbits(3, witnesses, subset=bad)
 
 
 def test_a_parabolic_table_hands_orbits_at_most_15_generators(monkeypatch):

@@ -232,6 +232,41 @@ def test_fox_jacobian_shape():
     assert len(jac) == 3 and len(jac[0]) == 3
 
 
+@pytest.mark.parametrize("gamma, calls", [("000", 0), ("010", 3), ("011", 6), ("111", 9)])
+def test_p_differentiates_only_the_generators_gamma_uses(monkeypatch, gamma, calls):
+    """The Fox block reads D_k R_i only where gamma(g_k) = 1, so one column of
+    three derivatives is built per set bit, and the form is unchanged."""
+    import stable4.models as models
+
+    seen = []
+    fox = models.fox_derivative
+    monkeypatch.setattr(models, "fox_derivative",
+                        lambda w, k, fam: seen.append(k) or fox(w, k, fam))
+    pres = builtin_presentation(NIL2)
+    h = model_P(pres, NIL2, gamma)
+    assert len(seen) == calls
+    assert set(seen) == {k for k, bit in enumerate(gamma) if bit == "1"}
+    assert h.form.matrix == dense_model_P(pres, NIL2, tuple(map(int, gamma))).form.matrix
+
+
+@pytest.mark.parametrize("gamma", ["000", "011"])
+def test_p_checks_the_cap_of_every_fox_column(monkeypatch, gamma):
+    """gamma(a) = 0 leaves the column of a unbuilt, yet a^-100 in the last
+    relator is still refused under a cap of 99, with the text the built
+    column raised; a malformed cap is still refused as input."""
+    nil100 = NilFamily(100)
+    pres = builtin_presentation(nil100)
+    monkeypatch.setenv("STABLE4_CAP", "99")
+    message = "the Fox derivative in a expands 100 letters of a, over the cap 99"
+    with pytest.raises(CapExceeded, match=f"^{re.escape(message)}$"):
+        model_P(pres, nil100, gamma)
+    monkeypatch.setenv("STABLE4_CAP", "abc")
+    with pytest.raises(InputError, match="^STABLE4_CAP='abc' is not an integer$"):
+        model_P(pres, nil100, gamma)
+    monkeypatch.setenv("STABLE4_CAP", "100")
+    assert model_P(pres, nil100, gamma).tau == hom_bits_to_h2(nil100, tuple(map(int, gamma)))
+
+
 # ---------------------------------------------------------------------------
 # Block sums that realize_form does not check again
 

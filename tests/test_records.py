@@ -559,6 +559,8 @@ VALIDATION = [
     (lambda: Word([(0,)]), InputError, "letter (0,) is not a pair"),
     (lambda: RingElem(Z3, 5), InputError, "ring element terms 5 are not a sequence"),
     (lambda: RingElem(Z3, [(1,)]), InputError, "term (1,) is not a pair"),
+    (lambda: RingElem(Z3, [([1], 1)]), InputError, "group element [1] is not hashable"),
+    (lambda: Word(iter([(0, 1), (0,)])), InputError, "letter (0,) is not a pair"),
 ]
 
 
