@@ -20,9 +20,11 @@ as the row tuples of its elements; every almost-spin table over the family
 filters the kept closure in one pass, checking it against the cap again,
 and hands `f2.orbits` one stabilizer element per vector reached, which have
 the same orbits; the pass that picks them stops once every vector of the
-domain is reached (when smooth, only over more than 2^d elements).  The decision walks one orbit of (w, tau) pairs
-instead, under the `f2.orbit_of` cap, over pair generators it builds on
-each call and keeps nowhere.
+domain is reached (when smooth, only over more than 2^d elements).  The
+decision walks one orbit of (w, tau) pairs instead, under the
+`f2.orbit_of` cap, over pair generators that `_pair_generators` builds on
+each call, unchecked, from the checked Out-generators, and that are kept
+nowhere.
 
 Which (w, signature, parity, tau) exist in a category -- the strides, the
 w and tau dimensions, the category names -- is stated once, in
@@ -39,6 +41,7 @@ from .f2 import (
     F2Mat,
     F2Vec,
     _check_orbit_dim,
+    _columns,
     _orbit_witnesses,
     _trusted_matrices,
     closure_cap_exceeded,
@@ -152,8 +155,9 @@ def stabilizer_of_w(family: FamilyData, w: F2Vec) -> list[F2Mat]:
     kept on the family, as its elements' row tuples, outside its fields,
     so equality, hash, repr, pickle and copy do not see it.  A kept closure
     is checked against the cap again on every call, with the message
-    `group_closure` raises; a closure that raised is not kept.  A matrix is built only for each
-    element kept, all of them by one `f2._trusted_matrices` call.
+    `group_closure` raises; a closure that raised is not kept.  A matrix is
+    built only for each element kept, all of them by one
+    `f2._trusted_matrices` call.
     """
     if check_w(w, family.d) is INFINITY:
         raise DomainError("a totally non-spin w has no stabilizer to compute")
@@ -271,18 +275,9 @@ def classify(family: FamilyData, w, category: str) -> ClassificationTable:
                 subset = lambda v: not (v.bits & bits).bit_count() & 1  # <w, v> == 0
             parts = orbits(family.d, _orbit_witnesses(family.d, stab, subset), subset=subset)
             odd, ks_rule = (), "sigma/8 + <w,->"
-        classes = tuple(
-            ClassEntry("orbit", representative=orb[0], orbit=tuple(orb))
-            for orb in parts
-        ) + odd
-    return ClassificationTable(
-        w=w,
-        category=category,
-        signature_stride=stride,
-        classes=classes,
-        ks_rule=ks_rule if category == TOPOLOGICAL else "none",
-        family_name=family.name,
-    )
+        classes = (*[ClassEntry("orbit", orb[0], tuple(orb)) for orb in parts], *odd)
+    return ClassificationTable(w, category, stride, classes,
+                               ks_rule if category == TOPOLOGICAL else "none", family.name)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +369,7 @@ def decide_stable_equiv(
     By orbit-stabilizer that holds iff (w, b.tau) lies in the orbit of
     (w, a.tau) under the Out-generators acting by (w, tau) -> (rho^-T w,
     rho tau): one `f2.orbit_of` walk under the orbit cap, with no closure,
-    over pair generators built on each call and kept nowhere.
+    over the `_pair_generators`, built on each call and kept nowhere.
     Odd classes are decided by the signature alone.  Tuples with different
     w-types are never equivalent: w is compared literally, as a fixed
     identification, not up to Out(pi).  For nil:2, (w=100,
@@ -399,12 +394,24 @@ def decide_stable_equiv(
         return False
     if a.parity is Parity.ODD:
         return True
-    d = family.d  # rho acts as diag(rho^-T, rho): w in bits 0..d-1, tau above
-    pair_generators = [F2Mat(2 * d, rho.inverse().transpose().rows
-                             + tuple(row << d for row in rho.rows))
-                       for rho in family.out_generators]
-    reached = orbit_of(F2Vec(2 * d, a.w.bits | a.tau.bits << d), pair_generators)
+    d = family.d
+    reached = orbit_of(F2Vec._trusted(2 * d, a.w.bits | a.tau.bits << d),
+                       _pair_generators(family))
     return a.w.bits | b.tau.bits << d in reached
+
+
+def _pair_generators(family: FamilyData) -> list[F2Mat]:
+    """Each Out-generator rho acting on (w, tau) pairs as diag(rho^-T, rho),
+    w in bits 0..d-1 and tau in bits d..2d-1; a new list on every call.
+
+    The rows of rho^-T are the columns of rho^-1, and the rows of rho
+    shifted up by d stay below 2^(2d); both come from a checked invertible
+    rho, so the matrices are built with `f2._trusted_matrices`."""
+    d = family.d
+    return _trusted_matrices(2 * d, [
+        tuple(_columns(rho.inverse().rows)) + tuple([row << d for row in rho.rows])
+        for rho in family.out_generators
+    ])
 
 
 # ---------------------------------------------------------------------------

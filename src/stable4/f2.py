@@ -28,12 +28,19 @@ Enumerations are bounded by caps, so a group or state space too large fails
 at once.  `configured_cap` is the one reader of the STABLE4_CAP environment
 variable: each bound calls it with its own default where the bound is
 enforced (2^20 states in `orbits` and `orbit_of`, 10^6 closure elements
-in `group_closure`).
+in `group_closure`).  It looks the encoded name up in the dict that
+`os.environ` writes through to, so an unset variable costs one dict miss
+and no exception.
 
-Orbits are searched on int states.  `orbits` first tabulates each
-generator on all 2^d vectors (k * 2^d entries for k generators), which
-also decides its invertibility; `orbit_of` steps each state through the
-generator's columns, builds no table, and counts its states to the cap.
+Orbits are searched on int states, and each generator's steps are read
+off its rows: `_columns` gives its columns, the images of the basis
+vectors, and no transposed matrix is built.  `orbits` tabulates each
+generator on all 2^d vectors from those columns (k * 2^d entries for k
+generators), which also decides its invertibility, marks the states it
+has seen in one flat list of 2^d flags, and lists the vectors in the
+coordinate-lexicographic order from a rank table kept per d up to 8;
+`orbit_of` steps each state by XORing the columns at its set bits, builds
+no table, and counts its states to the cap.  Both run one walk, `_walk`.
 `_orbit_witnesses` applies a fully listed group to one start vector at a
 time, each image bit read from the parity table `_PARITY`, and stops once
 every vector of its domain has been reached (over a subset, only when the
@@ -43,7 +50,9 @@ group has more than 2^d elements).
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, Sequence
+from collections import defaultdict
+from collections.abc import Callable, MutableMapping, MutableSequence, Sequence
+from functools import partial
 
 from .errors import CapExceeded, DomainError, InputError, as_int, as_tuple, is_int
 from .records import Record
@@ -57,12 +66,22 @@ _PARITY = [x.bit_count() & 1 for x in range(1 << 8)]
 _new_object = object.__new__
 
 
+# os.environ keeps the encoded environment in the dict `_data`, and its
+# setters and deleters write through to it, so a lookup there sees every set
+# and unset made through os.environ.  It raises nothing for a missing key,
+# where os.environ.get raises and catches two KeyErrors.
+_environ_get = os.environ._data.get
+_CAP_KEY = os.environ.encodekey("STABLE4_CAP")
+
+
 def configured_cap(default: int = CLOSURE_CAP) -> int:
     """The enumeration cap: STABLE4_CAP when it is set (an integer >= 1),
-    else the caller's default.  Every bound reads its cap here."""
-    raw = os.environ.get("STABLE4_CAP")
+    else the caller's default.  Every bound reads its cap here, once per
+    call, raising no exception when the variable is unset."""
+    raw = _environ_get(_CAP_KEY)
     if raw is None:
         return default
+    raw = os.environ.decodevalue(raw)
     try:
         cap = int(raw)
     except ValueError:
@@ -241,7 +260,7 @@ class F2Mat(Record):
             raise DomainError(f"dimension mismatch: product of matrices of dimension "
                               f"{dim} and {other.dim}")
         if dim > PRODUCT_TABLE_DIM:
-            return F2Mat._trusted(dim, tuple(map(other.combine, self.rows)))
+            return F2Mat._trusted(dim, tuple(map(partial(_combine, other.rows), self.rows)))
         try:
             lookup = other._product_table
         except AttributeError:
@@ -255,23 +274,11 @@ class F2Mat(Record):
     def combine(self, mask: int) -> int:
         """XOR of rows[j] over the set bits j of mask: the row vector mask
         times this matrix, i.e. this matrix's transpose applied to mask."""
-        rows = self.rows
-        acc = 0
-        while mask:
-            low = mask & -mask
-            acc ^= rows[low.bit_length() - 1]
-            mask ^= low
-        return acc
+        return _combine(self.rows, mask)
 
     def transpose(self) -> "F2Mat":
         """Row j of the transpose is column j, the image of basis vector j."""
-        rows = [0] * self.dim
-        for i, row in enumerate(self.rows):
-            while row:
-                low = row & -row
-                rows[low.bit_length() - 1] |= 1 << i
-                row ^= low
-        return F2Mat._trusted(self.dim, tuple(rows))
+        return F2Mat._trusted(self.dim, tuple(_columns(self.rows)))
 
     def is_invertible(self) -> bool:
         try:
@@ -294,20 +301,32 @@ class F2Mat(Record):
                     work[r] ^= work[rank]
             rank += 1
         mask = (1 << n) - 1
-        return F2Mat(n, tuple((w >> n) & mask for w in work))
+        return F2Mat._trusted(n, tuple([(w >> n) & mask for w in work]))
 
     def __repr__(self) -> str:
         return f"F2Mat({self.to_rows()!r})"
 
 
 # The slot setters, bound once: the constructors, the `_trusted` builders,
-# `_trusted_matrices` and `F2Mat.__matmul__` store fields with them, past the
-# frozen `Record.__setattr__`.
+# `_trusted_vectors`, `_trusted_matrices` and `F2Mat.__matmul__` store fields
+# with them, past the frozen `Record.__setattr__`.
 _set_vec_dim = F2Vec.dim.__set__
 _set_vec_bits = F2Vec.bits.__set__
 _set_mat_dim = F2Mat.dim.__set__
 _set_mat_rows = F2Mat.rows.__set__
 _set_product_table = F2Mat._product_table.__set__
+
+
+def _trusted_vectors(dim: int, masks: Sequence[int]) -> list[F2Vec]:
+    """`F2Vec._trusted(dim, bits)` for each of the masks, in order, with the
+    slot setters called inline."""
+    vectors = []
+    for bits in masks:
+        v = _new_object(F2Vec)
+        _set_vec_dim(v, dim)
+        _set_vec_bits(v, bits)
+        vectors.append(v)
+    return vectors
 
 
 def _trusted_matrices(dim: int, row_tuples: Sequence[tuple[int, ...]]) -> list[F2Mat]:
@@ -435,11 +454,14 @@ def orbits(
     orbits are sorted by their minimal representatives.
 
     The search runs on int states through one image table per generator,
-    t[v] = (g v).bits, so it holds k * 2^d table entries for k generators.
-    A generator is invertible iff its table is a permutation.  The subset
-    predicate is evaluated once per vector; every state the search reaches
-    is checked to lie in the subset, so every edge out of a subset vector
-    lands in it, and a violation names the generator and the edge.
+    t[v] = (g v).bits, built from the generator's rows: their columns,
+    then all 2^d subset XORs of those, with no transposed matrix built.
+    So it holds k * 2^d table entries for k generators, and marks the
+    states it has seen in one flat list of 2^d flags.  A generator is
+    invertible iff its table is a permutation.  The subset predicate is
+    evaluated once per vector; every state the search reaches is checked
+    to lie in the subset, so every edge out of a subset vector lands in
+    it, and a violation names the generator and the edge.
 
     Raises CapExceeded before building anything when 2^d exceeds the cap
     (2^20 states by default, overridable through STABLE4_CAP).
@@ -447,9 +469,11 @@ def orbits(
     _check_orbit_dim(d)
     steps = []
     for k, g in enumerate(generators):
+        if not isinstance(g, F2Mat):
+            raise InputError(f"generator {k} is {g!r}, not an F2 matrix")
         if g.dim != d:
             raise DomainError(f"generator {k} has dimension {g.dim}, expected {d}")
-        table = _image_table(g.transpose().rows)
+        table = _image_table(_columns(g.rows))
         # A linear map is a permutation iff its kernel is {0}.
         if table.count(0) != 1:
             raise DomainError(f"generator {k} is not invertible")
@@ -458,19 +482,15 @@ def orbits(
     inside = None
     if subset is not None:
         inside = [subset(F2Vec._trusted(d, bits)) for bits in range(1 << d)]
-    # rank[v] is the bit reversal of v, i.e. the position of v in the
-    # coordinate-lexicographic order; being an involution, rank also lists
-    # the vectors in that order.
-    rank = _image_table([1 << (d - 1 - j) for j in range(d)])
-    seen: set[int] = set()
+    rank = _RANKS[d] if d < len(_RANKS) else _rank_table(d)
+    seen = [False] * len(rank)
     parts: list[list[F2Vec]] = []
-    vector = F2Vec._trusted  # each state is below 2^d
     for start in rank:
-        if start in seen or inside is not None and not inside[start]:
+        if seen[start] or inside is not None and not inside[start]:
             continue
         orbit = _walk(start, steps, seen, inside, d)
         orbit.sort(key=rank.__getitem__)
-        parts.append([vector(d, bits) for bits in orbit])
+        parts.append(_trusted_vectors(d, orbit))  # each state is below 2^d
     return parts
 
 
@@ -551,17 +571,43 @@ def _orbit_witnesses(
 def orbit_of(v: F2Vec, generators: Sequence[F2Mat]) -> set[int]:
     """Bitmask set of the single orbit through v.
 
-    Each generator steps a state by combining its columns, so no 2^d table
-    is built; a state past the orbit cap (2^20) raises CapExceeded."""
+    Each generator steps a state by XORing its columns, read off its rows
+    once per call, at the state's set bits, so no transposed matrix and no
+    2^d table is built, and the states seen are kept in a dict, not in 2^d
+    flags; a state past the orbit cap (2^20) raises CapExceeded."""
+    if not isinstance(v, F2Vec):
+        raise InputError(f"orbit start {v!r} is not an F2 vector")
     cap = configured_cap(1 << ORBIT_DIM_CAP)
     steps = []
     for k, g in enumerate(generators):
+        if not isinstance(g, F2Mat):
+            raise InputError(f"generator {k} is {g!r}, not an F2 matrix")
         if g.dim != v.dim:
             raise DomainError(f"generator {k} has dimension {g.dim}, expected {v.dim}")
-        steps.append(g.transpose().combine)
-    reached: set[int] = set()
-    _walk(v.bits, steps, reached, d=v.dim, cap=cap)
-    return reached
+        steps.append(partial(_combine, _columns(g.rows)))
+    return set(_walk(v.bits, steps, defaultdict(bool), d=v.dim, cap=cap))
+
+
+def _columns(rows: Sequence[int]) -> list[int]:
+    """Column j of the square matrix with these rows, as a mask, for each
+    j: the image of basis vector j."""
+    columns = [0] * len(rows)
+    for i, row in enumerate(rows):
+        while row:
+            low = row & -row
+            columns[low.bit_length() - 1] |= 1 << i
+            row ^= low
+    return columns
+
+
+def _combine(vectors: Sequence[int], mask: int) -> int:
+    """XOR of vectors[j] over the set bits j of mask."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc ^= vectors[low.bit_length() - 1]
+        mask ^= low
+    return acc
 
 
 def _image_table(columns: Sequence[int]) -> list[int]:
@@ -573,32 +619,45 @@ def _image_table(columns: Sequence[int]) -> list[int]:
     return table
 
 
+def _rank_table(d: int) -> list[int]:
+    """rank[v] is the bit reversal of the d-bit mask v, i.e. the position of
+    v in the coordinate-lexicographic order; being an involution, rank also
+    lists the masks in that order."""
+    return _image_table([1 << (d - 1 - j) for j in range(d)])
+
+
+# The rank tables up to d = 8, built once; `orbits` only reads them.
+_RANKS = [_rank_table(d) for d in range(9)]
+
+
 def _walk(
     start: int,
     steps: Sequence[Callable[[int], int]],
-    reached: set[int],
+    seen: MutableSequence[bool] | MutableMapping[int, bool],
     inside: Sequence[bool] | None = None,
     d: int = 0,
     cap: int | None = None,
 ) -> list[int]:
-    """The states reachable from start, in breadth-first order, added to
-    reached.  With inside, each newly reached state must lie in it; with
-    cap, there may be at most cap states."""
-    reached.add(start)
+    """The states reachable from start, in breadth-first order, each marked
+    True in seen: a list of 2^d flags, or a mapping that reads False for a
+    state it does not hold.  With inside, each newly reached state must lie
+    in it; with cap, there may be at most cap states."""
+    seen[start] = True
     states = [start]
     for u in states:
-        for k, step in enumerate(steps):
+        for step in steps:
             w = step(u)
-            if w not in reached:
+            if not seen[w]:
                 if inside is not None and not inside[w]:
+                    # Each step is its own object, so index finds its k.
                     raise DomainError(
-                        f"subset is not closed under generator {k}: "
+                        f"subset is not closed under generator {steps.index(step)}: "
                         f"{F2Vec(d, u).to_bits()} -> {F2Vec(d, w).to_bits()}"
                     )
                 if cap is not None and len(states) >= cap:
                     raise CapExceeded(f"orbit in dimension {d} reached {cap + 1} "
                                       f"states, over the orbit cap {cap}")
-                reached.add(w)
+                seen[w] = True
                 states.append(w)
     return states
 
@@ -618,9 +677,12 @@ def group_closure(generators: Sequence[F2Mat]) -> set[F2Mat]:
     cap = configured_cap()
     if not generators:
         raise DomainError("need at least one generator (use the identity)")
-    dim = generators[0].dim
     for k, g in enumerate(generators):
-        if g.dim != dim:
+        if not isinstance(g, F2Mat):
+            raise InputError(f"generator {k} is {g!r}, not an F2 matrix")
+        if k == 0:
+            dim = g.dim
+        elif g.dim != dim:
             raise DomainError(f"generator {k} has dimension {g.dim}, expected {dim} "
                               "(that of generator 0)")
         if not g.is_invertible():

@@ -195,6 +195,15 @@ def spin_state_generators(family) -> list[F2Mat]:
     return generators
 
 
+def checked_pair_generators(family) -> list[F2Mat]:
+    """Each Out-generator rho as diag(rho^-T, rho) on (w, tau) pairs, w in
+    bits 0..d-1 and tau in bits d..2d-1, built through the checking
+    constructor from the transposed inverse."""
+    d = family.d
+    return [F2Mat(2 * d, rho.inverse().transpose().rows + tuple(row << d for row in rho.rows))
+            for rho in family.out_generators]
+
+
 def spin_state_table_oracle(family) -> list[ClassEntry]:
     """The classes of a spin table, read off the `naive_orbits` of the
     `spin_state_generators` on F2^(d+1), in that order: an orbit of eps = 0

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import random_word
 from oracles import (
+    checked_pair_generators,
     fixed_point_closure,
     hand_gl3_generators,
     hand_nil_generators,
@@ -28,6 +29,7 @@ from stable4.f2 import F2Mat, F2Vec, _orbit_witnesses, group_closure, orbits
 from stable4.forms import Parity
 from stable4.classify import (
     TAU_UNKNOWN,
+    _pair_generators,
     FamilyData,
     InvariantTuple,
     classify,
@@ -737,6 +739,12 @@ def test_decide_matches_closure_and_filter(d, k, seed):
     for bits in range(1 << d):
         b = InvariantTuple(w, 0, Parity.EVEN, F2Vec(d, bits))
         assert decide_stable_equiv(a, b, "topological", fam) == (bits in reached)
+
+
+@pytest.mark.parametrize("family", [family_z3(), *(family_nil(z) for z in range(1, 9))],
+                         ids=lambda f: f.name)
+def test_trusted_pair_generators_match_the_checked_construction(family):
+    assert _pair_generators(family) == checked_pair_generators(family)
 
 
 @pytest.mark.parametrize("tau, size", [("1000", 120), ("0100", 105)])

@@ -26,7 +26,11 @@ from stable4.f2 import (
     F2Mat,
     F2Vec,
     QuadraticFormF2,
+    _columns,
+    _combine,
+    _image_table,
     arf,
+    configured_cap,
     f2mat_from_json,
     f2mat_to_json,
     group_closure,
@@ -238,6 +242,15 @@ def test_matrix_inverse():
         F2Mat.from_rows(["11", "11"]).inverse()
 
 
+def test_inverse_rows_pass_the_checking_constructor():
+    rng = random.Random(7)
+    for d in range(1, 9):
+        m = _random_invertible(rng, d)
+        inverse = m.inverse()
+        assert F2Mat(d, inverse.rows) == inverse
+        assert m @ inverse == F2Mat.identity(d) == inverse @ m
+
+
 def test_transpose_involution():
     m = F2Mat.from_rows(["110", "011", "001"])
     assert m.transpose().transpose() == m
@@ -387,11 +400,71 @@ def test_orbits_subset_validation():
     with pytest.raises(DomainError,
                        match="subset is not closed under generator 0: 100 -> 010"):
         orbits(3, list(GL3), subset=bad)
+    # The leaking generator is named by its place, past equal generators.
+    identity = F2Mat.identity(3)
+    with pytest.raises(DomainError,
+                       match="subset is not closed under generator 2: 100 -> 010"):
+        orbits(3, [identity, F2Mat.identity(3), GL3[0], GL3[0]], subset=bad)
 
 
 def test_orbits_rejects_singular_generator():
     with pytest.raises(DomainError, match="generator 1 is not invertible"):
         orbits(2, [F2Mat.identity(2), F2Mat.from_rows(["10", "10"])])
+
+
+def _random_matrix(rng, d, singular):
+    """A random d x d matrix that is singular or invertible, as asked."""
+    while True:
+        m = F2Mat(d, tuple(rng.randrange(1 << d) for _ in range(d)))
+        if m.is_invertible() != singular:
+            return m
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_row_built_steps_match_the_transpose(d):
+    """The image table `orbits` builds from a generator's rows, and the
+    column step of `orbit_of`, against the transpose and against `apply`,
+    on singular and invertible matrices."""
+    rng = random.Random(d)
+    for singular in (True, False) * 3:
+        g = _random_matrix(rng, d, singular)
+        table = _image_table(_columns(g.rows))
+        assert table == _image_table(g.transpose().rows)
+        assert table == [g.apply(F2Vec(d, bits)).bits for bits in range(1 << d)]
+        assert (table.count(0) == 1) != singular
+        columns = _columns(g.rows)
+        assert [_combine(columns, bits) for bits in range(1 << d)] == table
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_orbits_singular_refusal_names_the_generator(k):
+    rng = random.Random(k)
+    for d in range(1, 7):
+        gens = [_random_matrix(rng, d, singular=False) for _ in range(3)]
+        gens[k] = _random_matrix(rng, d, singular=True)
+        with pytest.raises(DomainError, match=f"^generator {k} is not invertible$"):
+            orbits(d, gens)
+
+
+@pytest.mark.parametrize("call", [
+    lambda gens: orbits(2, gens),
+    lambda gens: orbit_of(F2Vec.from_bits("10"), gens),
+    lambda gens: group_closure(gens),
+], ids=["orbits", "orbit_of", "group_closure"])
+@pytest.mark.parametrize("k, bad", [(0, (1, 2)), (1, "01"), (1, None), (2, [[1, 0], [0, 1]])])
+def test_orbit_and_closure_calls_refuse_a_generator_that_is_no_matrix(call, k, bad):
+    gens = [F2Mat.identity(2), F2Mat.from_rows(["01", "10"]), F2Mat.identity(2)]
+    gens[k] = bad
+    message = f"generator {k} is {bad!r}, not an F2 matrix"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call(gens)
+
+
+@pytest.mark.parametrize("start", [2, "10", (1, 0), None, F2Mat.identity(2)])
+def test_orbit_of_refuses_a_start_that_is_no_vector(start):
+    message = f"orbit start {start!r} is not an F2 vector"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        orbit_of(start, list(GL2))
 
 
 def test_orbits_dimension_cap():
@@ -594,6 +667,35 @@ def test_closure_env_cap(monkeypatch):
         group_closure(list(GL3))
     monkeypatch.setenv("STABLE4_CAP", "1000")
     assert len(group_closure(list(GL3))) == 168
+
+
+def test_configured_cap_sees_each_set_and_unset(monkeypatch):
+    monkeypatch.delenv("STABLE4_CAP", raising=False)
+    assert configured_cap() == 10**6
+    assert configured_cap(1 << 20) == 1 << 20
+    monkeypatch.setenv("STABLE4_CAP", "12")
+    assert configured_cap() == configured_cap(1 << 20) == 12
+    monkeypatch.setenv("STABLE4_CAP", "34")
+    assert configured_cap() == 34
+    monkeypatch.delenv("STABLE4_CAP")
+    assert configured_cap(5) == 5
+    os.environ["STABLE4_CAP"] = "56"
+    try:
+        assert configured_cap() == 56
+    finally:
+        del os.environ["STABLE4_CAP"]
+    assert configured_cap() == 10**6
+
+
+@pytest.mark.parametrize("raw, message", [
+    ("abc", "STABLE4_CAP='abc' is not an integer"),
+    ("0", "STABLE4_CAP='0' is below 1"),
+    ("", "STABLE4_CAP='' is not an integer"),
+])
+def test_configured_cap_keeps_its_refusals(monkeypatch, raw, message):
+    monkeypatch.setenv("STABLE4_CAP", raw)
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        configured_cap()
 
 
 @pytest.mark.parametrize("raw", ["0", "-3"])
