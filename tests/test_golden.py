@@ -2,8 +2,10 @@
 
 ``tests/golden/cli.json`` pins what ``stable4.cli.main`` prints for every
 classification table of z3 and nil:1..6 (each w-type, both categories), the
-orbit decompositions of z3 and nil:1..8, a few ``decide`` pairs, and the
-``model`` kinds over z3, nil:1 and nil:2 (M0; M1 for each gamma; N for each
+orbit decompositions of z3 and nil:1..8, a few ``decide`` pairs, the
+``closure`` of a GL_2(F2) and of a conjugated GL_3(F2) generator file, every
+table (each w-type, both categories) of two d = 4 family files, GL_4(F2) and
+its order-1344 parabolic subgroup, and the ``model`` kinds over z3, nil:1 and nil:2 (M0; M1 for each gamma; N for each
 nonzero w; P for each admissible gamma; realize for each w-type at signature
 0, +-8 and +-16, with each tau for even spin targets).  A refactor must keep
 every entry byte-identical.  The model outputs live in ``tests/golden/model.json``,
@@ -27,6 +29,7 @@ from pathlib import Path
 import pytest
 
 from stable4 import cli
+from stable4.f2 import F2Mat
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
 MODEL_GOLDEN = GOLDEN.with_name("model.json")
@@ -35,6 +38,18 @@ CLASSIFY_FAMILIES = ("z3", "nil:1", "nil:2", "nil:3", "nil:4", "nil:5", "nil:6")
 ORBIT_FAMILIES = ("z3",) + tuple(f"nil:{z}" for z in range(1, 9))
 MODEL_FAMILIES = ("z3", "nil:1", "nil:2")
 REALIZE_SIGNATURES = (0, 8, -8, 16, -16)
+
+# Out-generators of d = 4 family files as row masks (bit i of a row is
+# coordinate i): all of GL_4(F2), order 20160, and the order-1344
+# stabilizer of e_1 in it.
+D4_FAMILIES = (
+    ("gl4", ((10, 4, 12, 1), (6, 1, 2, 13))),
+    ("parabolic", ((7, 14, 4, 2), (3, 6, 12, 4), (15, 14, 8, 2))),
+)
+GL2_MASKS = ((2, 1), (3, 2))
+GL3_MASKS = ((2, 1, 4), (4, 1, 2), (3, 2, 4))
+# GL_3(F2) generators conjugated by this matrix: the same group, other rows.
+GL3_CONJUGATOR = (3, 6, 4)
 
 
 def _tuple(w, signature, parity, tau=None):
@@ -95,6 +110,19 @@ def _model_cases(family):
     return cases
 
 
+def _row_strings(d, masks):
+    return F2Mat(d, masks).to_rows()
+
+
+def _closure_files():
+    """(name, generator file) for the closure entries."""
+    p = F2Mat(3, GL3_CONJUGATOR)
+    p_inv = p.inverse()
+    conjugates = [(p @ F2Mat(3, g) @ p_inv).to_rows() for g in GL3_MASKS]
+    return (("gl2", [_row_strings(2, g) for g in GL2_MASKS]),
+            ("gl3-conjugate", conjugates))
+
+
 def golden_cases():
     """Every (name, argv, input files) in the corpus, in file order."""
     cases = []
@@ -109,6 +137,18 @@ def golden_cases():
         argv = ["decide", "--a", "a.json", "--b", "b.json",
                 "--category", category, "--family", family]
         cases.append((f"decide {i} {family} {category}", argv, {"a.json": a, "b.json": b}))
+    for name, generators in _closure_files():
+        argv = ["closure", "--generators", "generators.json"]
+        cases.append((f"closure {name}", argv, {"generators.json": generators}))
+    for name, masks in D4_FAMILIES:
+        family = {"name": name, "d": 4,
+                  "out_generators": [_row_strings(4, g) for g in masks]}
+        for w in _w_values(4):
+            for category in ("smooth", "topological"):
+                argv = ["classify", "--family", "family.json", "--w", w,
+                        "--category", category]
+                cases.append((f"classify {name} w={w} {category}", argv,
+                              {"family.json": family}))
     for family in MODEL_FAMILIES:
         cases += _model_cases(family)
     return cases
