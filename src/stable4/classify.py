@@ -16,7 +16,8 @@ inside the closure of the Out-image.  The signature sits in a separate
 The enumerations are bounded by the caps of `f2.orbits` and
 `f2.group_closure`, which read STABLE4_CAP themselves.  That closure is
 computed once per `FamilyData` and kept on the instance outside its fields,
-as the row tuples of its elements; every almost-spin table over the family
+as the row tuples of its elements in the breadth-first order that
+`group_closure` lists them in; every almost-spin table over the family
 filters the kept closure in one pass, checking it against the cap again,
 and hands `f2.orbits` one stabilizer element per vector reached, which have
 the same orbits; the pass that picks them stops once every vector of the
@@ -144,7 +145,8 @@ def spin_state_orbits(family: FamilyData) -> list[list[F2Vec]]:
 
 def stabilizer_of_w(family: FamilyData, w: F2Vec) -> list[F2Mat]:
     """Elements of the Out-image whose induced H^2 action fixes w, in the
-    order of the kept closure; a new list on every call.
+    breadth-first order `group_closure` lists the closure in, which the
+    kept closure keeps; a new list on every call.
 
     w is the coefficient vector of the evaluation functional on H_2, so the
     condition on a matrix rho is rho^T w = w: the XOR of the rows of rho

@@ -3,14 +3,16 @@
 Subcommands: classify, decide, model, parity, fox, arf, orbits, closure.
 Machine output is JSON (stable key order, sorted structures); ``--format
 table`` switches to an aligned human rendering.  Exit codes: 0 success,
-1 usage error, 2 domain error, 3 enumeration cap exceeded.  The environment
-variable STABLE4_CAP overrides the enumeration caps.
+1 usage error, 2 domain error, 3 enumeration cap exceeded, 141 stdout
+closed before the output was written.  The environment variable
+STABLE4_CAP overrides the enumeration caps.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import f2, forms, groupring, models, words
@@ -30,6 +32,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_CAP = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
 
 
 class _Parser(argparse.ArgumentParser):
@@ -327,7 +330,17 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         f2.configured_cap()  # a malformed STABLE4_CAP fails every subcommand
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (as `| head` does).  Point stdout
+        # at devnull so that the interpreter's final flush stays quiet, as
+        # the SIGPIPE note in the Python docs of `signal` does.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -21,8 +21,8 @@ it over A's rows with no lookup on the table.  Above d = 8 each row is
 combined bit by bit and no table is built.  `group_closure` multiplies on
 the right, so only its generators carry a table.  It deduplicates
 products on their `rows` tuples, which hash and compare in C, so no
-record hash or equality runs per product, and it builds the returned set
-of matrices once, at the end, after dropping the row set.
+record hash or equality runs per product, and it returns its
+breadth-first queue as the element list, with no record hash either.
 
 Enumerations are bounded by caps, so a group or state space too large fails
 at once.  `configured_cap` is the one reader of the STABLE4_CAP environment
@@ -127,8 +127,8 @@ class F2Vec(Record):
 
     @classmethod
     def from_bits(cls, text: str) -> "F2Vec":
-        """Parse a bit-string like "101"; leftmost character is coordinate 0."""
-        if not isinstance(text, str) or not text or not all(ch in "01" for ch in text):
+        """Parse a bit-string like "101" (coordinate 0 first; "" is dim 0)."""
+        if not isinstance(text, str) or not all(ch in "01" for ch in text):
             raise InputError(f"bad bit-string {text!r}")
         bits = 0
         for i, ch in enumerate(text):
@@ -662,8 +662,10 @@ def _walk(
     return states
 
 
-def group_closure(generators: Sequence[F2Mat]) -> set[F2Mat]:
-    """The matrix group generated by the given invertible matrices.
+def group_closure(generators: Sequence[F2Mat]) -> list[F2Mat]:
+    """The matrix group generated by the given invertible matrices, listed
+    in breadth-first order: the identity first, then each new product
+    m @ g in the order it was found, each element once.
 
     Each element found is multiplied on the right by every generator, so
     the search costs |G| * k products for k generators, and only the
@@ -703,10 +705,7 @@ def group_closure(generators: Sequence[F2Mat]) -> set[F2Mat]:
                     raise closure_cap_exceeded(len(generators), dim, cap)
                 size += 1
                 elements.append(nxt)
-    # Drop the row set before the result set is built, so the two are
-    # never held at once.
-    del seen
-    return set(elements)
+    return elements
 
 
 def closure_cap_exceeded(k: int, dim: int, cap: int) -> CapExceeded:

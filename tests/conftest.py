@@ -31,15 +31,25 @@ def write_json(path, payload):
     return str(path)
 
 
-def run_python(*args, env=None, timeout=60, preexec_fn=None):
+def run_python(*args, env=None, timeout=60, preexec_fn=None, close_stdout=False):
     """Run `python *args` with `PYTHONPATH` at this checkout's src, the
     parent's environment overlaid with `env`.  A child still running after
     `timeout` seconds is killed and the test fails with `TimeoutExpired`.
+    With close_stdout, the read end of the child's stdout is closed at
+    once, before the child can write, and stdout reads "".
     Returns (exit code, stdout, stderr, wall seconds including start-up).
     Every test that starts a process starts it here."""
     start = time.perf_counter()
-    result = subprocess.run(
+    with subprocess.Popen(
         [sys.executable, *args], env={**os.environ, "PYTHONPATH": SRC, **(env or {})},
-        capture_output=True, text=True, timeout=timeout, preexec_fn=preexec_fn,
-    )
-    return result.returncode, result.stdout, result.stderr, time.perf_counter() - start
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, preexec_fn=preexec_fn,
+    ) as child:
+        if close_stdout:
+            child.stdout.close()
+            child.stdout = None
+        try:
+            out, err = child.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            child.kill()
+            raise
+    return child.returncode, out or "", err, time.perf_counter() - start

@@ -139,6 +139,26 @@ def test_trivial_out_image_family_file(capsys, tmp_path, category, count):
         assert code == 0 and json.loads(out)["verdict"] == verdict
 
 
+def test_decide_reads_the_tuples_of_a_family_with_d_0(capsys, tmp_path):
+    # H^1(pi;Z/2) = 0, as for the Weeks manifold: classify prints w as the
+    # empty bit-string, and decide reads it, and tau, back.
+    path = write_json(tmp_path / "f.json", {"name": "weeks", "d": 0, "out_generators": []})
+    for w in ("0", ""):
+        code, out, err = run(capsys, ["classify", "--family", path, "--w", w,
+                                      "--category", "smooth"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["w"] == ""
+    even = write_json(tmp_path / "even.json",
+                      {"w": "", "signature": 16, "parity": "even", "tau": ""})
+    odd = write_json(tmp_path / "odd.json",
+                     {"w": "", "signature": 16, "parity": "odd", "tau": None})
+    for b, verdict in ((even, "EQUIVALENT"), (odd, "DISTINCT")):
+        code, out, err = run(capsys, ["decide", "--a", even, "--b", b,
+                                      "--category", "smooth", "--family", path])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["verdict"] == verdict
+
+
 def test_decide_honours_the_orbit_cap(capsys, tmp_path, monkeypatch):
     # A 21-cycle and a transvection move tau = e_0 through all 2^21 - 1
     # nonzero vectors; the pair (0, tau) lives in dimension 42.
@@ -457,6 +477,7 @@ def test_decide_refuses_odd_almost_spin_tuples(capsys, tmp_path):
     (["model", "--kind", "N", "--family", "nil:1", "--w", "100"], 2,
      "w has dimension 3, the family needs 2"),
     (["classify", "--family", "z3", "--w", "10"], 2, "w has dimension 2, the family needs 3"),
+    (["classify", "--family", "z3", "--w", ""], 2, "w has dimension 0, the family needs 3"),
     (["fox", "--word", "x", "--gen", "x", "--generators", "x,x"], 1,
      "duplicate generator 'x'"),
     (["fox", "--word", "1 x", "--gen", "1", "--generators", "1,x"], 1,
@@ -464,7 +485,7 @@ def test_decide_refuses_odd_almost_spin_tuples(capsys, tmp_path):
     (["fox", "--word", "g1", "--gen", "g1", "--family", "zn:100000000"], 3,
      "Zn family rank 100000000 is over the cap 1000000"),
 ], ids=["N infinity", "P 1a1", "P arabic-indic digits", "M1 short gamma", "N long w",
-        "classify short w", "fox duplicate generator", "fox generator 1",
+        "classify short w", "classify empty w", "fox duplicate generator", "fox generator 1",
         "fox huge zn rank"])
 def test_inputs_exit_with_an_error_line(capsys, argv, code, message):
     assert run(capsys, argv) == (code, "", f"error: {message}\n")

@@ -101,6 +101,15 @@ def test_gl4_closure_has_20160_elements(tmp_path):
     assert json.loads(out)["size"] == 20160
 
 
+def test_a_closed_stdout_ends_the_gl4_closure_without_a_traceback(tmp_path):
+    # About 1.5 MB of JSON, far more than a pipe buffer holds, into a pipe
+    # whose read end is already closed, as `| head -c 100` closes it.
+    path = write_json(tmp_path / "gl4.json", GL4)
+    code, _, err, _ = run_python(*CLI, "closure", "--generators", path, close_stdout=True)
+    assert "Traceback" not in err
+    assert (code, err) == (141, "")
+
+
 @pytest.mark.parametrize("argv", [
     ["closure", "--generators", "{gens}"],
     ["classify", "--family", "{family}", "--w", "1000", "--category", "smooth"],
